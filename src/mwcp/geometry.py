@@ -1,8 +1,11 @@
 """Exact planar predicates, convex hulls, and convex-hull membership.
 
-Everything works on tuples of ``fractions.Fraction`` (plain ints mix in
-freely) and decides its answer exactly: no epsilons, no rounding, and
-results independent of evaluation order.  All functions are pure, so
+The predicates, ``convex_hull_2d`` and ``point_in_convex_polygon`` work on
+tuples of plain ints or of ``fractions.Fraction`` (the two mix freely) and
+decide their answer exactly: no epsilons, no rounding, and results
+independent of evaluation order.  ``scale_to_integers`` maps rational points
+to an integer view with the same orientations, so the 2D hot paths can run
+on small ints instead of ``Fraction``.  All functions are pure, so
 concurrent use needs no synchronization.
 """
 
@@ -85,13 +88,31 @@ def shear_normalize(points):
     return sheared, k
 
 
+def scale_to_integers(points):
+    """Integer images of rational points under one positive scale per axis.
+
+    Axis a is multiplied by the lcm of the denominators of the a-th
+    coordinates.  A positive scale per axis multiplies every 2D cross product
+    by a positive constant, so it keeps every orientation sign, hull and
+    membership answer; it also keeps the lexicographic order of points.
+    """
+    if not points:
+        return []
+    scales = [lcm(*(p[a].denominator for p in points)) for a in range(len(points[0]))]
+    return [
+        tuple(c.numerator * (s // c.denominator) for c, s in zip(p, scales))
+        for p in points
+    ]
+
+
 def convex_hull_2d(points):
     """Convex hull vertices in counterclockwise order.
 
     Starts at the lexicographically smallest vertex.  Collinear boundary
     points are dropped; degenerate inputs yield the 0-, 1-, or 2-point hull.
+    The vertices are input tuples, so int input gives an int hull.
     """
-    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+    pts = sorted({tuple(p) for p in points})
     for p in pts:
         if len(p) != 2:
             raise ValueError("convex_hull_2d requires 2-dimensional points")

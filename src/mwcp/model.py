@@ -12,6 +12,7 @@ from .geometry import (
     convex_hull_2d,
     point_in_convex_polygon,
     point_in_hull,
+    scale_to_integers,
 )
 
 
@@ -121,7 +122,8 @@ def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> 
     positive points; verifiers exercising arbitrary subsets pass
     ``allow_nonpositive=True``.  Membership is batched per dimension (an
     interval scan in 1D, hull edges in 2D, exact feasibility above), all of
-    it equivalent to a per-point ``point_in_hull`` check.
+    it equivalent to a per-point ``point_in_hull`` check.  In 2D the hull and
+    membership run on the integer view from ``scale_to_integers``.
     """
     idx = sorted(set(chosen))
     n = len(instance.points)
@@ -142,15 +144,14 @@ def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> 
             i for i, wp in enumerate(instance.points) if lo <= wp.point[0] <= hi
         ]
     elif d == 2:
-        hull_pts = convex_hull_2d(pts)
+        scaled = scale_to_integers([wp.point for wp in instance.points])
+        hull_pts = convex_hull_2d([scaled[i] for i in idx])
         contained = [
-            i
-            for i, wp in enumerate(instance.points)
-            if point_in_convex_polygon(wp.point, hull_pts)
+            i for i, p in enumerate(scaled) if point_in_convex_polygon(p, hull_pts)
         ]
         back = {}
         for i in idx:
-            back.setdefault(instance.points[i].point, i)
+            back.setdefault(scaled[i], i)
         hull_idx = tuple(back[p] for p in hull_pts)
     else:
         contained = [
@@ -169,22 +170,33 @@ def prune_to_maximal(instance: Instance, chosen) -> tuple[int, ...]:
     Repeats until every remaining vertex is load-bearing, i.e. the set is
     maximal.  On an optimal witness this never changes the weight.
     """
+    return prune_by_weight(chosen, lambda kept: evaluate(instance, kept).weight)[0]
+
+
+def prune_by_weight(chosen, weight_of):
+    """The pruning rules of :func:`prune_to_maximal` for any weight function.
+
+    Vertices are tried in ascending index; the first whose removal leaves a
+    weight >= the current one is dropped, and the pass restarts until a full
+    pass removes nothing.  ``weight_of`` maps a sorted index list to its
+    weight.  Returns the kept indices as a sorted tuple and their weight.
+    """
     current = sorted(set(chosen))
     if not current:
-        return ()
-    weight = evaluate(instance, current).weight
+        return (), 0
+    weight = weight_of(current)
     changed = True
     while changed and current:
         changed = False
         for v in current:
             rest = [u for u in current if u != v]
-            w = evaluate(instance, rest).weight
+            w = weight_of(rest)
             if w >= weight:
                 current = rest
                 weight = w
                 changed = True
                 break
-    return tuple(current)
+    return tuple(current), weight
 
 
 def best_singleton(instance: Instance) -> Solution:

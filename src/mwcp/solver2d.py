@@ -12,24 +12,38 @@ through edge weights.  Internally all coordinates and weights are rescaled
 to plain integers (positive per-axis scaling preserves every orientation
 sign), so the hot loops run on Python ints and stay exact.  Infinities are
 the tagged value ``None``, never a large number.
+
+Witness finishing reuses the same edge tables.  For a candidate set T whose
+hull has leftmost vertex L, rightmost vertex R, upper chain U and lower
+chain D (both running from L to R), the scaled hull weight is
+
+    sum(top[a][b] for (a, b) in U) + sum(ws[u] for u in U)
+        - sum(bot[a][b] for (a, b) in D),
+
+the C - V score the sweep maximises.  Pruning the reconstructed chains to a
+maximal vertex set therefore needs only a small integer hull per trial, never
+a ``Fraction`` re-evaluation of the whole instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
 
-from .geometry import shear_normalize
+from .geometry import convex_hull_2d, scale_to_integers, shear_normalize
 from .model import (
     Instance,
     Solution,
     best_singleton,
     empty_solution,
     evaluate,
-    prune_to_maximal,
+    prune_by_weight,
     require_canonical,
 )
+# Not called here: perfbench/run.py --trace 1 wraps this name in this module.
+from .model import prune_to_maximal  # noqa: F401
 
 # Full first-compatible pointer re-verification is cubic; keep it for the
 # sizes the correctness suites use, below typical benchmark sizes.
@@ -95,12 +109,11 @@ def build_context(instance: Instance) -> SolverContext:
         return SolverContext(instance, Fraction(1), 1, [], [], [], [], [])
     pts = [wp.point for wp in instance.points]
     sheared, k = shear_normalize(pts)
-    sx = lcm(*(p[0].denominator for p in sheared))
-    sy = lcm(*(p[1].denominator for p in sheared))
+    scaled = scale_to_integers(sheared)
     wscale = lcm(*(wp.weight.denominator for wp in instance.points))
-    order = sorted(range(n), key=lambda i: sheared[i][0])
-    xs = [int(sheared[i][0] * sx) for i in order]
-    ys = [int(sheared[i][1] * sy) for i in order]
+    order = sorted(range(n), key=lambda i: scaled[i][0])
+    xs = [scaled[i][0] for i in order]
+    ys = [scaled[i][1] for i in order]
     ws = [int(instance.points[i].weight * wscale) for i in order]
     cand = [p for p in range(n) if ws[p] > 0]
     return SolverContext(instance, k, wscale, xs, ys, ws, order, cand)
@@ -146,14 +159,16 @@ def build_angular_lists(ctx: SolverContext) -> AngularLists:
         xj = xs[pj]
         yj = ys[pj]
 
-        def slope(c):
-            p = cand[c]
-            return Fraction(ys[p] - yj, xs[p] - xj)
+        def clockwise(a, b):
+            # Both directions point the same way in x, so the sign of
+            # cross2(u_a, u_b) orders them by decreasing slope; ties give 0
+            # and the stable sort keeps them in ascending ordinal order.
+            pa, pb = cand[a], cand[b]
+            return (xs[pa] - xj) * (ys[pb] - yj) - (ys[pa] - yj) * (xs[pb] - xj)
 
-        lo = list(range(j))
-        hi = list(range(j + 1, m))
-        lo.sort(key=slope, reverse=True)
-        hi.sort(key=slope, reverse=True)
+        key = cmp_to_key(clockwise)
+        lo = sorted(range(j), key=key)
+        hi = sorted(range(j + 1, m), key=key)
         left.append(lo)
         right.append(hi)
     left_ccw = [list(reversed(l)) for l in left]
@@ -474,6 +489,57 @@ def _walk_bot(ctx, ew, lists, slab, i0, k):
     return path
 
 
+def hull_weight_from_tables(ctx: SolverContext, ew: EdgeWeights, ordinals):
+    """Scaled weight of conv(T) for a set T of candidate ordinals, from the tables.
+
+    With L/R the leftmost/rightmost hull vertices and U/D the upper/lower
+    hull chains from L to R, every instance point strictly between L and R
+    in x that lies on or below U is in some ``top`` edge sum, the points
+    strictly below D are in the ``bot`` sums, and the points level with a
+    vertex of U are that vertex alone (x is distinct after the shear).  So
+
+        weight(conv T) * weight_scale
+            = sum top[a][b] over edges of U + sum ws[u] over vertices of U
+              - sum bot[a][b] over edges of D.
+
+    A collinear T has U = D = [L, R], giving top - bot + w_L + w_R; a single
+    point gives its own weight and the empty set 0.  This equals
+    ``evaluate(instance, T).weight * weight_scale``.
+    """
+    xs, ys, ws, cand = ctx.xs, ctx.ys, ctx.ws, ctx.cand
+    at = {(xs[cand[c]], ys[cand[c]]): c for c in ordinals}
+    hull = [at[p] for p in convex_hull_2d(at)]
+    if len(hull) <= 1:
+        return sum(ws[cand[c]] for c in hull)
+    # CCW from the leftmost vertex: the lower chain runs L -> R, then the
+    # upper chain runs R -> L.  Ordinals ascend with x, so R is the largest.
+    r = hull.index(max(hull))
+    lower = hull[: r + 1]
+    upper = hull[r:] + hull[:1]
+    top, bot = ew.top, ew.bot
+    w = sum(ws[cand[c]] for c in upper)
+    for b, a in zip(upper, upper[1:]):
+        w += top[a][b]
+    for a, b in zip(lower, lower[1:]):
+        w -= bot[a][b]
+    return w
+
+
+def prune_with_tables(ctx: SolverContext, ew: EdgeWeights, ordinals):
+    """``model.prune_to_maximal`` on candidate ordinals, scored from the tables.
+
+    Same rules (``prune_by_weight``), so the same vertices go.  Returns the
+    kept vertices as sorted instance indices, exactly as the model does, and
+    their scaled hull weight.
+    """
+    ordinal = {ctx.orig[ctx.cand[c]]: c for c in ordinals}
+
+    def weight_of(kept):
+        return hull_weight_from_tables(ctx, ew, [ordinal[i] for i in kept])
+
+    return prune_by_weight(ordinal, weight_of)
+
+
 def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     """Exact planar optimum with a reconstructed, maximal vertex witness.
 
@@ -547,11 +613,12 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
         top = _walk_top(ctx, ew, lists, slab_c, bi, bk)
         bot = _walk_bot(ctx, ew, lists, slab_v, bi, bk)
         assert slab_c[bi][top[1]] - slab_v[bi][bot[1]] == bw
-        ordinals = sorted(set(top) | set(bot))
+        ordinals = set(top) | set(bot)
 
-    chosen = prune_to_maximal(
-        instance, {ctx.orig[cand[c]] for c in ordinals}
-    )
+    chosen, chosen_w = prune_with_tables(ctx, ew, ordinals)
+    if chosen_w != bw:
+        raise RuntimeError("pruned witness does not keep the optimal table weight")
     sol = evaluate(instance, chosen)
-    assert sol.weight == weight, "reconstructed witness does not reproduce the optimum"
+    if sol.weight != weight:
+        raise RuntimeError("reconstructed witness does not reproduce the optimum")
     return sol

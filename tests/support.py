@@ -30,6 +30,33 @@ def random_rational(rng, span=20, den=8):
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 
 
+def degenerate_instance_2d(rng, kind, n):
+    """Small canonical 2D instance built to hit one degeneracy.
+
+    ``kind`` is "collinear" (most points on one line), "shared_x" (three x
+    values, so the solver must shear) or "rational" (small-denominator
+    coordinates).  Weights are small rationals of either sign.
+    """
+    seen = set()
+    rows = []
+    while len(rows) < n:
+        if kind == "collinear" and rng.random() < 0.7:
+            a = rng.randint(0, 8)
+            p = (Fraction(a), Fraction(2 * a + 1))
+        elif kind == "shared_x":
+            p = (Fraction(rng.choice([0, 2, 5])), Fraction(rng.randint(0, 6)))
+        elif kind == "rational":
+            p = (random_rational(rng, 6, 5), random_rational(rng, 6, 5))
+        else:
+            p = (Fraction(rng.randint(0, 6)), Fraction(rng.randint(0, 6)))
+        if p in seen:
+            continue
+        seen.add(p)
+        w = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+        rows.append(WeightedPoint(p, w))
+    return Instance(2, tuple(rows))
+
+
 def in_hull_reference(v, vertices):
     """Independent membership test: search affinely independent subsets of
     size <= d+1 whose simplex contains v (exact barycentric solve)."""

@@ -138,21 +138,38 @@ def test_run_bench_rows():
     assert all(r[0] == "dp1d" for r in rows)
 
 
-def test_module_entry_point(tmp_path):
-    path = write(tmp_path, "t.mwcp", ONE_D)
-    # The child must import the same mwcp as this process, wherever pytest
-    # was started and whether or not the package is installed.
+def run_module(tmp_path, *args):
+    """Run ``python *args`` in a child that imports the same mwcp as this
+    process, wherever pytest was started and whether or not the package is
+    installed."""
     import_root = str(Path(mwcp.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (import_root, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "mwcp", "solve", path, "--format", "json"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=tmp_path,
         env=env,
     )
+
+
+def test_module_entry_point(tmp_path):
+    path = write(tmp_path, "t.mwcp", ONE_D)
+    proc = run_module(tmp_path, "-m", "mwcp", "solve", path, "--format", "json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["weight"] == "6"
+
+
+def test_solve_2d_under_optimize_flag(tmp_path, capsys):
+    # The solver's output checks raise instead of asserting, so -O keeps them.
+    path = write(tmp_path, "t.mwcp", TRIANGLE)
+    args = ["solve", path, "--algo", "dp2d", "--format", "json"]
+    proc = run_module(tmp_path, "-O", "-m", "mwcp", *args)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["weight"] == "2"
+    assert main(args) == 0
+    assert out == json.loads(capsys.readouterr().out)

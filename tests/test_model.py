@@ -121,11 +121,31 @@ def test_evaluate_shear_invariance():
         assert a.contained == b.contained
 
 
+def huge_denominator_instance(rng, n):
+    """2D points with independent denominators near 2**60, as gen_ngon_family
+    produces, plus midpoints (on hull edges) and midpoints nudged by 2**-60."""
+    def coord():
+        den = rng.randint(2**59, 2**60)
+        return Fraction(rng.randint(0, 8 * den), den)
+
+    pts = [(coord(), coord()) for _ in range(n)]
+    for _ in range(n):
+        (ax, ay), (bx, by) = rng.sample(pts, 2)
+        mid = ((ax + bx) / 2, (ay + by) / 2)
+        nudge = Fraction(rng.choice([-1, 1]), 2**60)
+        pts += [mid, (mid[0], mid[1] + nudge)]
+    rows = {p: rng.choice([-2, -1, 1, 2]) for p in pts}
+    return make_instance(2, list(rows.items()))
+
+
 def test_evaluate_matches_point_in_hull_per_point():
     rng = random.Random(29)
-    for _ in range(30):
+    for t in range(45):
         d = rng.choice([1, 2, 3])
-        inst = random_instance(rng, rng.randint(1, 7), d)
+        if t < 30:
+            inst = random_instance(rng, rng.randint(1, 7), d)
+        else:
+            inst = huge_denominator_instance(rng, rng.randint(2, 5))
         pos = inst.positive_indices()
         if not pos:
             continue

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from mwcp.model import Instance, WeightedPoint, make_instance
+from mwcp.model import (
+    Instance,
+    WeightedPoint,
+    evaluate,
+    make_instance,
+    prune_to_maximal,
+)
 from mwcp.oracle import solve_bruteforce
 from mwcp.solver2d import (
     best_weight_from_tables,
@@ -12,12 +18,16 @@ from mwcp.solver2d import (
     compute_C_tables,
     compute_first_compatible,
     compute_V_tables,
+    hull_weight_from_tables,
     naive_C_tables,
     naive_V_tables,
     precompute_edge_weights,
+    prune_with_tables,
     solve_2d,
 )
-from support import assert_valid_witness, random_instance
+from support import assert_valid_witness, degenerate_instance_2d, random_instance
+
+DEGENERACIES = ("collinear", "shared_x", "rational")
 
 
 def ctx_for(rows):
@@ -138,6 +148,77 @@ def test_solver_matches_table_weight():
         )
         sol = solve_2d(inst, allow_empty=False)
         assert sol.weight == w
+
+
+def test_hull_weight_from_tables_matches_evaluate():
+    rng = random.Random(52)
+    for t in range(150):
+        inst = degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 10))
+        ctx = build_context(inst)
+        m = len(ctx.cand)
+        if not m:
+            continue
+        ew = precompute_edge_weights(ctx)
+        subsets = [[], list(range(m)), [rng.randrange(m)]]
+        subsets += [rng.sample(range(m), k) for k in range(2, m + 1)]
+        for seq in subsets:
+            chosen = [ctx.orig[ctx.cand[c]] for c in seq]
+            expect = evaluate(inst, chosen).weight * ctx.weight_scale
+            assert hull_weight_from_tables(ctx, ew, seq) == expect
+
+
+def test_hull_weight_from_tables_collinear_set():
+    # three candidates on one line with a negative point on the open segment
+    # and one just below it
+    inst = make_instance(
+        2, [((0, 0), 2), ((2, 2), 1), ((4, 4), 3), ((1, 1), -1), ((3, 2), -5)]
+    )
+    ctx = build_context(inst)
+    ew = precompute_edge_weights(ctx)
+    assert hull_weight_from_tables(ctx, ew, [0, 1, 2]) == 5
+    assert hull_weight_from_tables(ctx, ew, [0, 2]) == 5
+    assert hull_weight_from_tables(ctx, ew, [1]) == 1
+
+
+def test_prune_with_tables_matches_model_prune():
+    rng = random.Random(61)
+    for t in range(150):
+        inst = degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 10))
+        ctx = build_context(inst)
+        m = len(ctx.cand)
+        ew = precompute_edge_weights(ctx)
+        subsets = [list(range(m))] + [
+            [c for c in range(m) if rng.random() < 0.6] for _ in range(3)
+        ]
+        for seq in subsets:
+            chosen = {ctx.orig[ctx.cand[c]] for c in seq}
+            kept, w = prune_with_tables(ctx, ew, seq)
+            assert kept == prune_to_maximal(inst, chosen)
+            assert w == evaluate(inst, kept).weight * ctx.weight_scale
+        for allow_empty in (True, False):
+            sol = solve_2d(inst, allow_empty=allow_empty)
+            assert sol.weight == solve_bruteforce(inst, allow_empty=allow_empty).weight
+            if sol.weight > 0:
+                assert prune_to_maximal(inst, sol.chosen) == sol.chosen
+
+
+def test_witness_checks_raise(monkeypatch):
+    import mwcp.solver2d as solver2d
+
+    inst = make_instance(2, [((0, 0), 1), ((4, 0), 1), ((2, 3), 1), ((2, 1), -1)])
+    prune = solver2d.prune_with_tables
+
+    def off_by_one(*args):
+        kept, w = prune(*args)
+        return kept, w + 1
+
+    monkeypatch.setattr(solver2d, "prune_with_tables", off_by_one)
+    with pytest.raises(RuntimeError, match="table weight"):
+        solve_2d(inst)
+    monkeypatch.setattr(solver2d, "prune_with_tables", prune)
+    monkeypatch.setattr(solver2d, "evaluate", lambda i, chosen: evaluate(i, chosen[:1]))
+    with pytest.raises(RuntimeError, match="reproduce the optimum"):
+        solve_2d(inst)
 
 
 def test_triangle_with_inner_negative():
