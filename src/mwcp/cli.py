@@ -74,6 +74,14 @@ def _read(path: str) -> str:
         raise InstanceParseError(f"cannot read {path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InstanceParseError(f"cannot write {path}: {exc}")
+
+
 def _cmd_solve(args) -> int:
     instance = canonicalize(parse_instance(_read(args.input)))
     solution = _dispatch(instance, args.algo, not args.nonempty)
@@ -87,8 +95,7 @@ def _cmd_solve(args) -> int:
 def _cmd_reduce(args) -> int:
     graph = parse_graph(_read(args.graph))
     instance = reduce_is_to_mwcp(graph)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(write_instance(instance))
+    _write(args.out, write_instance(instance))
     print(f"wrote {args.out}: {len(instance.points)} points in dimension 4")
     return EXIT_OK
 
@@ -99,8 +106,7 @@ def _cmd_gen(args) -> int:
         instance = gen_uniform(args.n, args.dim, args.seed, (lo, hi))
     else:
         instance = gen_ngon_family(args.n)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(write_instance(instance))
+    _write(args.out, write_instance(instance))
     print(f"wrote {args.out}: family={args.family} n={args.n}")
     return EXIT_OK
 

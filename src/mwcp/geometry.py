@@ -4,9 +4,9 @@ The predicates, ``convex_hull_2d`` and ``point_in_convex_polygon`` work on
 tuples of plain ints or of ``fractions.Fraction`` (the two mix freely) and
 decide their answer exactly: no epsilons, no rounding, and results
 independent of evaluation order.  ``scale_to_integers`` maps rational points
-to an integer view with the same orientations, so the 2D hot paths can run
-on small ints instead of ``Fraction``.  All functions are pure, so
-concurrent use needs no synchronization.
+to an integer view with the same orientations and hull memberships, so the
+2D hot paths and the oracle can run on small ints instead of ``Fraction``.
+All functions are pure, so concurrent use needs no synchronization.
 """
 
 from __future__ import annotations
@@ -94,7 +94,11 @@ def scale_to_integers(points):
     Axis a is multiplied by the lcm of the denominators of the a-th
     coordinates.  A positive scale per axis multiplies every 2D cross product
     by a positive constant, so it keeps every orientation sign, hull and
-    membership answer; it also keeps the lexicographic order of points.
+    membership answer; it also keeps the lexicographic order of points.  In
+    any dimension, including d >= 3, the map is linear and invertible, so
+    v = sum l_i u_i with sum l_i = 1 and l_i >= 0 holds for the images
+    exactly when it holds for the originals: convex-combination membership
+    is kept.
     """
     if not points:
         return []

@@ -195,7 +195,8 @@ def decode_solution(instance: Instance, solution: Solution) -> tuple[int, ...]:
 
     Refuses non-maximal inputs (a dominated vertex would break the
     correspondence).  The returned vertex set is independent and its size
-    equals the solution weight.
+    equals the solution weight; both are checked, raising ``ValueError``, so
+    the checks hold under ``python -O``.
     """
     graph, vertex_index, _ = _reduction_maps(instance)
     point_to_vertex = {idx: v for v, idx in enumerate(vertex_index)}
@@ -209,8 +210,12 @@ def decode_solution(instance: Instance, solution: Solution) -> tuple[int, ...]:
                 f"solution is not maximal: dropping point {i} does not decrease weight"
             )
     vertices = tuple(sorted(point_to_vertex[i] for i in solution.chosen))
-    assert is_independent_set(graph, vertices)
-    assert len(vertices) == solution.weight
+    if not is_independent_set(graph, vertices):
+        raise ValueError(f"decoded vertices {list(vertices)} are not independent")
+    if len(vertices) != solution.weight:
+        raise ValueError(
+            f"decoded {len(vertices)} vertices, but the solution weighs {solution.weight}"
+        )
     return vertices
 
 

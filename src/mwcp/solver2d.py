@@ -45,10 +45,6 @@ from .model import (
 # Not called here: perfbench/run.py --trace 1 wraps this name in this module.
 from .model import prune_to_maximal  # noqa: F401
 
-# Full first-compatible pointer re-verification is cubic; keep it for the
-# sizes the correctness suites use, below typical benchmark sizes.
-_DEBUG_RECHECK_LIMIT = 32
-
 
 @dataclass
 class SolverContext:
@@ -202,7 +198,6 @@ def compute_first_compatible(ctx: SolverContext, lists: AngularLists):
     on the counterclockwise lists with the convex test.
     """
     m = len(ctx.cand)
-    recheck = __debug__ and m <= _DEBUG_RECHECK_LIMIT
 
     def build(lefts, rights, ok):
         out = []
@@ -216,11 +211,6 @@ def compute_first_compatible(ctx: SolverContext, lists: AngularLists):
                 while ptr < nr and not ok(ctx, i, j, R[ptr]):
                     ptr += 1
                 row[t] = ptr
-                if recheck:
-                    direct = next(
-                        (p for p in range(nr) if ok(ctx, i, j, R[p])), nr
-                    )
-                    assert direct == ptr, "first-compatible pointer drifted"
             out.append(row)
         return out
 

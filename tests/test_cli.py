@@ -92,6 +92,19 @@ def test_gen_ngon_then_solve(tmp_path, capsys):
     assert inst.meta["family"] == "ngon"
 
 
+def test_gen_unwritable_output_exit_code(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "y.mwcp")
+    assert main(["gen", "--family", "ngon", "--n", "5", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
+def test_reduce_unwritable_output_exit_code(tmp_path, capsys):
+    gpath = write(tmp_path, "k3.graph", K3)
+    out = str(tmp_path / "missing" / "o.mwcp")
+    assert main(["reduce", gpath, out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
 def test_gen_uniform_deterministic(tmp_path):
     a = str(tmp_path / "a.mwcp")
     b = str(tmp_path / "b.mwcp")
@@ -173,3 +186,15 @@ def test_solve_2d_under_optimize_flag(tmp_path, capsys):
     assert out["weight"] == "2"
     assert main(args) == 0
     assert out == json.loads(capsys.readouterr().out)
+
+
+def test_solve_oracle_under_optimize_flag(tmp_path, capsys):
+    # The oracle's maximality and lattice-vs-evaluate checks raise instead of
+    # asserting, so -O keeps them.  C5 has independence number 2.
+    gpath = write(tmp_path, "c5.graph", "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+    ipath = str(tmp_path / "c5.mwcp")
+    assert main(["reduce", gpath, ipath]) == 0
+    capsys.readouterr()
+    proc = run_module(tmp_path, "-O", "-m", "mwcp", "solve", ipath, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["weight"] == "2"

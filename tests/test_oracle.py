@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import mwcp.oracle as oracle
+from mwcp.geometry import point_in_hull, scale_to_integers
 from mwcp.model import Instance, WeightedPoint, make_instance
-from mwcp.oracle import OracleSizeError, solve_bruteforce
+from mwcp.oracle import OracleSizeError, containment_layers, solve_bruteforce
 from mwcp.reduction import make_graph, reduce_is_to_mwcp
 from mwcp.solver1d import solve_1d
-from support import assert_valid_witness, random_instance
+from support import assert_valid_witness, in_hull_reference, random_instance
 
 
 def test_matches_1d_example():
@@ -66,3 +69,72 @@ def test_witness_is_maximal():
         inst = random_instance(rng, rng.randint(1, 8), rng.choice([1, 2, 3]), -4, 4)
         sol = solve_bruteforce(inst)
         assert_valid_witness(inst, sol)
+
+
+def lattice_instances():
+    """Small d = 3 and d = 4 instances rich in affinely dependent subsets."""
+    rng = random.Random(31)
+    huge = 2**61 - 1
+    shapes = {
+        # five points on the plane z = x + y, one above it
+        "coplanar3": [(0, 0, 0), (2, 0, 2), (0, 2, 2), (1, 1, 2), (2, 2, 4), (1, 0, 5)],
+        # four points on one line, two off it
+        "collinear3": [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3), (0, 3, 1), (2, 0, 1)],
+        # a 0/1 grid: shared coordinates everywhere, a square face, a midpoint
+        "grid3": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)],
+        "collinear4": [(t, 2 * t, 3 * t, 4 * t) for t in range(4)] + [(1, 0, 0, 0), (0, 1, 0, 0)],
+        # six points in the hyperplane x4 = 0 of 4-space
+        "flat4": [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 0, 0), (1, 0, 1, 0)],
+        "rational3": [
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(3))
+            for _ in range(6)
+        ],
+        "rational4": [
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(4))
+            for _ in range(6)
+        ],
+        # a simplex with points nudged by 1/huge across a face and an edge
+        "huge3": [
+            (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+            (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3) + Fraction(1, huge)),
+            (Fraction(1, 2), Fraction(1, 2) - Fraction(1, huge), 0),
+        ],
+    }
+    for name, pts in shapes.items():
+        weights = [rng.choice([-2, -1, 1, 2]) for _ in pts]
+        yield name, make_instance(len(pts[0]), list(zip(pts, weights)))
+
+
+def test_lattice_matches_point_in_hull():
+    for name, inst in lattice_instances():
+        pts = [wp.point for wp in inst.points]
+        members = list(range(len(pts)))
+        layers = containment_layers(scale_to_integers(pts), members)
+        for size, layer in enumerate(layers):
+            assert len(layer) == math.comb(len(members), size)
+            for subset, contained in layer.items():
+                verts = [pts[j] for j in members if subset >> j & 1]
+                got = [i for i in range(len(pts)) if contained >> i & 1]
+                if not verts:
+                    assert got == [], name
+                    continue
+                assert got == [i for i, p in enumerate(pts) if point_in_hull(p, verts)], name
+                assert got == [i for i, p in enumerate(pts) if in_hull_reference(p, verts)], name
+
+
+def test_lattice_disagreeing_with_evaluate_raises(monkeypatch):
+    # a tetrahedron around a negative point; the lattice forgets that point
+    inst = make_instance(
+        3,
+        [((0, 0, 0), 1), ((4, 0, 0), 1), ((0, 4, 0), 1), ((0, 0, 4), 1), ((1, 1, 1), -1)],
+    )
+    assert solve_bruteforce(inst).weight == 3
+    layers = oracle.containment_layers
+
+    def forget_last(coords, members):
+        for layer in layers(coords, members):
+            yield {s: c & ~(1 << 4) for s, c in layer.items()}
+
+    monkeypatch.setattr(oracle, "containment_layers", forget_last)
+    with pytest.raises(RuntimeError, match="disagrees with evaluate"):
+        solve_bruteforce(inst)

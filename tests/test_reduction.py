@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -140,6 +141,20 @@ def test_decode_refuses_non_maximal():
     # adjacent vertices enclose gadget points, so some vertex is dominated
     with pytest.raises(ValueError, match="not maximal"):
         decode_solution(inst, bogus)
+
+
+def test_decode_rejects_wrong_weight():
+    # Both claims pass the maximality check, so only the output checks
+    # (which raise, and so hold under python -O) can refuse them.
+    inst = reduce_is_to_mwcp(make_graph(4, []))
+    sol = solve_bruteforce(inst)
+    heavy = dataclasses.replace(sol, weight=sol.weight + 1)
+    with pytest.raises(ValueError, match="solution weighs 5"):
+        decode_solution(inst, heavy)
+    inst3 = reduce_is_to_mwcp(path(3))
+    adjacent = dataclasses.replace(evaluate(inst3, [0, 1, 2]), weight=Fraction(100))
+    with pytest.raises(ValueError, match="not independent"):
+        decode_solution(inst3, adjacent)
 
 
 def test_decode_independent_and_sized():

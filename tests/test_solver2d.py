@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mwcp.generators import gen_ngon_family, gen_uniform
 from mwcp.model import (
     Instance,
     WeightedPoint,
@@ -101,6 +102,39 @@ def test_first_compatible_monotone():
         for rows in (fc_top, fc_bot):
             for row in rows:
                 assert all(a <= b for a, b in zip(row, row[1:]))
+
+
+def direct_first_compatible(ctx, lefts, rights, sign):
+    """The pointer tables by direct search: for each (left[j][t], j), the
+    first position in right[j] whose turn has ``sign`` or is collinear."""
+    xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
+
+    def ok(i, j, r):
+        pi, pj, pr = cand[i], cand[j], cand[r]
+        v = (xs[pr] - xs[pi]) * (ys[pj] - ys[pi]) - (ys[pr] - ys[pi]) * (xs[pj] - xs[pi])
+        return v * sign >= 0
+
+    return [
+        [next((p for p, r in enumerate(rights[j]) if ok(i, j, r)), len(rights[j]))
+         for i in lefts[j]]
+        for j in range(len(cand))
+    ]
+
+
+def test_first_compatible_matches_direct_search():
+    rng = random.Random(23)
+    instances = [
+        degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 12))
+        for t in range(90)
+    ]
+    instances += [gen_ngon_family(n) for n in range(24, 33)]
+    instances += [gen_uniform(60, 2, seed) for seed in range(4)]
+    for inst in instances:
+        ctx = build_context(inst)
+        lists = build_angular_lists(ctx)
+        fc_top, fc_bot = compute_first_compatible(ctx, lists)
+        assert fc_top == direct_first_compatible(ctx, lists.left, lists.right, 1)
+        assert fc_bot == direct_first_compatible(ctx, lists.left_ccw, lists.right_ccw, -1)
 
 
 def test_c_base_two_points():
