@@ -7,6 +7,7 @@ Exit codes: 0 ok, 2 parse/input error, 3 oracle size refusal,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -201,7 +202,13 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    ``parse_args`` keeps no state between calls, so one parser serves every
+    ``main`` call.
+    """
     parser = argparse.ArgumentParser(
         prog="mwcp",
         description="Exact maximum weight convex polytope toolkit",

@@ -8,10 +8,84 @@ once, which lets the two chains be optimized independently per endpoint
 pair.
 
 Candidate vertices are the positive points only; other points contribute
-through edge weights.  Internally all coordinates and weights are rescaled
-to plain integers (positive per-axis scaling preserves every orientation
-sign), so the hot loops run on Python ints and stay exact.  Infinities are
-the tagged value ``None``, never a large number.
+through edge weights.  Internally all coordinates and weights are plain
+integers: ``scale_to_integers`` scales each axis by a positive constant, and
+when two points share an x the integer view is sheared by x -> s*x + y with
+s = (y spread) + 1.  Integer x values that differ differ by at least 1, and
+|y - y'| <= s - 1, so the shear keeps the x order, breaks x ties by ascending
+y and leaves every x distinct; it is linear with determinant s > 0, so it
+keeps every orientation sign.  The hot loops therefore run on Python ints and
+stay exact, and every answer equals the one for the original instance.
+
+Infeasible DP cells hold an exact integer sentinel, never a float or None:
+-(sum |w|) - 1 for C and sum |w| + 1 for V, with w the scaled weights.  A
+feasible C or V value sums the weights of distinct points, so it lies in
+[-sum |w|, sum |w|]: the sentinel loses every max (C) and min (V) against a
+feasible value, and (by the feasible prefix below) no cell is ever computed
+from a sentinel, so nothing is added to it.  The sweep stores -V, so both
+chains maximise and share the sentinel -(sum |w|) - 1.
+
+Three facts make the pipeline run on plain int compares.
+
+Slope key.  After the shear every x is distinct.  With X = x_max - x_min
+and M = X^2 let
+
+    key(a, b) = ((y_b - y_a) * M) // (x_b - x_a)        for x_a < x_b.
+
+Two different slopes p/q and p'/q' with runs 0 < q, q' <= X differ by
+|p q' - p' q| / (q q') >= 1 / X^2, so their images under t -> M t differ by
+at least 1 and floor(M s) < floor(M s') whenever s < s'.  Equal slopes give
+equal keys.  The key is therefore order-isomorphic to the slope, ties
+included.  For an x-monotone triple i < j < r the slope of (i, r) is a
+weighted mean of the slopes of (i, j) and (j, r), so (i, j, r) is concave
+(clockwise or collinear) exactly when key(j, r) <= key(i, j), and convex
+exactly when key(i, j) <= key(j, r).  A point q with x_a < x_q < x_b lies on
+or below edge (a, b) exactly when key(a, q) <= key(a, b), strictly below
+when key(a, q) < key(a, b).  Both angular lists around j are sorted by -key
+with stable ties (by decreasing slope, i.e. clockwise), so each first-
+compatible row is one ``bisect`` of the left keys into the right keys.
+
+Edge weights by recurrence.  ``bot(a, b)`` / ``top(a, b)`` sum the weights
+strictly below / on or below edge (a, b) with x strictly between.  Anchors a
+run from right to left.  The points right of a are sorted by (key(a, .), x)
+into slope groups; no point right of a has a key strictly between two
+consecutive groups.  Take b in group g:
+
+- If a point c of group g-1 lies left of b (take the last one), then c is
+  below ab, and for x_q < x_c, q is below ab exactly when key(a, q) <=
+  key(a, c), i.e. q is on or below ac.  For x_c < x_q < x_b, q is strictly
+  below ab exactly when it is strictly below cb: the open triangle a c b and
+  the open segment cb hold only keys strictly between the groups.  So
+  bot(a, b) = top(a, c) + w_c + bot(c, b).
+- Otherwise, if group g-1 exists, all of it lies right of b; let c' be its
+  first point.  b lies above line ac', the only points on ac' right of a are
+  group g-1, and the open triangle a b c' holds no point.  So bot(a, c')
+  counts bot(a, b) plus exactly the points strictly below bc' between b and
+  c': bot(a, b) = bot(a, c') - bot(b, c').
+- The lowest group has nothing below it: bot(a, b) = 0.
+
+In every case top(a, b) = bot(a, b) plus the weight of the points of group g
+left of b, which are the points on the open segment ab.  Rows of ``bot`` over
+all points are kept (a triangular table, since the recurrence reaches bot(c,
+b) and bot(b, c') for any points), ``top`` for the current anchor only.  With
+one sort per anchor this is O(n^2 log n).
+
+Feasible prefix.  A concave x-monotone chain lies on or above its chord, so
+C[i, j, k] (a concave chain i -> j -> ... -> k) exists exactly when (i, j, k)
+is concave: then i -> j -> k itself is one.  The feasible i are the prefix of
+``left[j]`` with key(i, j) >= key(j, k); its length is the number of
+first-compatible pointers fc[j][t] <= p, where p is the last position of k's
+tie group in ``right[j]``.  Likewise, for c <= k, C[j, c, k] is feasible
+exactly when c sits at a position <= p of ``right[j]``; columns right of k
+are not part of slab k and read as the sentinel.  For every feasible i,
+fc[j][t] is at most the first position of k's tie group, so k itself lies
+between fc[j][t] and p and the suffix maximum the recurrence reads is
+feasible.  Each column is stored in ``left[j]`` order: the feasible prefix
+is one ``map`` over the fc row, the rest is the sentinel, and the suffix
+maximum at position 0 is the best cell for the pair (j, k).  The bottom
+chain is the same kernel on the counterclockwise lists with -bot bases: the
+min of V is minus the max of -V, and convex turns are concave ones under the
+reflection y -> -y, which negates every key.
 
 Witness finishing reuses the same edge tables.  For a candidate set T whose
 hull has leftmost vertex L, rightmost vertex R, upper chain U and lower
@@ -27,12 +101,15 @@ a ``Fraction`` re-evaluation of the whole instance.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import partial
+from itertools import islice, repeat
 from math import lcm
+from operator import add, itemgetter
 
-from .geometry import convex_hull_2d, scale_to_integers, shear_normalize
+from .geometry import convex_hull_2d, scale_to_integers
 from .model import (
     Instance,
     Solution,
@@ -42,7 +119,8 @@ from .model import (
     prune_by_weight,
     require_canonical,
 )
-# Not called here: perfbench/run.py --trace 1 wraps this name in this module.
+# Not called here: perfbench/run.py --trace 1 wraps these names in this module.
+from .geometry import shear_normalize  # noqa: F401
 from .model import prune_to_maximal  # noqa: F401
 
 
@@ -54,11 +132,14 @@ class SolverContext:
     (the shear guarantees distinct x), ``orig`` maps sorted positions back
     to instance indices, and ``cand`` lists the sorted positions of the
     positive points.  DP indices below are ordinals into ``cand``.
+    ``shear_k`` is the shear factor s, and 1 exactly when no shear was
+    applied; ``slope_scale`` is M = (x_max - x_min)^2 for :func:`slope_key`.
     """
 
     instance: Instance
-    shear_k: Fraction
+    shear_k: int
     weight_scale: int
+    slope_scale: int
     xs: list[int]
     ys: list[int]
     ws: list[int]
@@ -88,12 +169,16 @@ class AngularLists:
     sorted clockwise around it, i.e. by decreasing slope of the outgoing
     direction (ties by ascending ordinal).  ``left_ccw``/``right_ccw`` are
     the reversals, used by the convex (bottom-chain) mirror.
+    ``left_key[j]``/``right_key[j]`` are the sort keys, -key(i, j) and
+    -key(j, r) in list order, so both rows ascend.
     """
 
     left: list[list[int]]
     right: list[list[int]]
     left_ccw: list[list[int]]
     right_ccw: list[list[int]]
+    left_key: list[list[int]]
+    right_key: list[list[int]]
 
 
 def build_context(instance: Instance) -> SolverContext:
@@ -102,380 +187,280 @@ def build_context(instance: Instance) -> SolverContext:
     require_canonical(instance)
     n = len(instance.points)
     if n == 0:
-        return SolverContext(instance, Fraction(1), 1, [], [], [], [], [])
-    pts = [wp.point for wp in instance.points]
-    sheared, k = shear_normalize(pts)
-    scaled = scale_to_integers(sheared)
+        return SolverContext(instance, 1, 1, 0, [], [], [], [], [])
+    scaled = scale_to_integers([wp.point for wp in instance.points])
+    shear = 1
+    if len({x for x, _ in scaled}) < n:
+        ys = [y for _, y in scaled]
+        shear = max(ys) - min(ys) + 1
+        scaled = [(shear * x + y, y) for x, y in scaled]
     wscale = lcm(*(wp.weight.denominator for wp in instance.points))
     order = sorted(range(n), key=lambda i: scaled[i][0])
     xs = [scaled[i][0] for i in order]
     ys = [scaled[i][1] for i in order]
     ws = [int(instance.points[i].weight * wscale) for i in order]
     cand = [p for p in range(n) if ws[p] > 0]
-    return SolverContext(instance, k, wscale, xs, ys, ws, order, cand)
+    span = xs[-1] - xs[0]
+    return SolverContext(instance, shear, wscale, span * span, xs, ys, ws, order, cand)
+
+
+def slope_key(ctx: SolverContext, a: int, b: int) -> int:
+    """key(a, b) for sorted positions a < b; see the module docstring."""
+    return (ctx.ys[b] - ctx.ys[a]) * ctx.slope_scale // (ctx.xs[b] - ctx.xs[a])
 
 
 def precompute_edge_weights(ctx: SolverContext) -> EdgeWeights:
-    """Brute-force edge weights for all candidate pairs, O(n^3) total."""
-    xs, ys, ws, cand = ctx.xs, ctx.ys, ctx.ws, ctx.cand
-    m = len(cand)
+    """Edge weights for all candidate pairs by the slope-group recurrence.
+
+    O(n^2 log n) over all n points; the recurrence and its proof are in the
+    module docstring.
+    """
+    xs, ys, ws, cand, scale = ctx.xs, ctx.ys, ctx.ws, ctx.cand, ctx.slope_scale
+    n, m = len(xs), len(cand)
     top = [[0] * m for _ in range(m)]
     bot = [[0] * m for _ in range(m)]
-    for a in range(m):
-        pa = cand[a]
-        xa = xs[pa]
-        ya = ys[pa]
-        trow = top[a]
-        brow = bot[a]
-        for b in range(a + 1, m):
-            pb = cand[b]
-            dx = xs[pb] - xa
-            dy = ys[pb] - ya
-            t = bo = 0
-            for q in range(pa + 1, pb):
-                c = dx * (ys[q] - ya) - dy * (xs[q] - xa)
-                if c <= 0:
-                    wq = ws[q]
-                    t += wq
-                    if c < 0:
-                        bo += wq
-            trow[b] = t
-            brow[b] = bo
+    ordinal = dict(zip(cand, range(m)))
+    # below[a][b - a - 1] = bot(a, b) over all points.  Inside the loop the
+    # offsets o = b - a - 1 index wr, rows, keys, brow and trow.
+    below: list[list[int]] = [[] for _ in range(n)]
+    for a in range(n - 1, -1, -1):
+        xa, ya = xs[a], ys[a]
+        wr = ws[a + 1:]
+        rows = below[a + 1:]
+        keys = [(y - ya) * scale // (x - xa) for x, y in zip(xs[a + 1:], ys[a + 1:])]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        brow = [0] * len(keys)
+        trow = [0] * len(keys)
+        # order[ps:gs] is slope group g-1 and order[gs:pos] the part of group g
+        # handled so far, each in ascending x (the sort is stable).
+        ps = gs = 0
+        last = None
+        for pos, o in enumerate(order):
+            if keys[o] != last:
+                last = keys[o]
+                ps, gs, on_edge = gs, pos, 0
+            lo = bisect_left(order, o, ps, gs)  # order[ps:lo] lie left of b
+            if lo > ps:
+                c = order[lo - 1]
+                v = trow[c] + wr[c] + rows[c][o - c - 1]
+            elif gs > ps:
+                c = order[ps]
+                v = brow[c] - rows[o][c - o - 1]
+            else:
+                v = 0
+            brow[o] = v
+            trow[o] = v + on_edge  # on_edge: weight of group g left of b
+            on_edge += wr[o]
+        below[a] = brow
+        if a in ordinal:
+            i = ordinal[a]
+            offsets = [b - a - 1 for b in cand[i + 1:]]
+            top[i][i + 1:] = map(trow.__getitem__, offsets)
+            bot[i][i + 1:] = map(brow.__getitem__, offsets)
     return EdgeWeights(top, bot)
 
 
 def build_angular_lists(ctx: SolverContext) -> AngularLists:
     """Clockwise orderings around every candidate, O(n^2 log n) total."""
-    xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
-    m = len(cand)
-    left: list[list[int]] = []
-    right: list[list[int]] = []
+    cx = [ctx.xs[p] for p in ctx.cand]
+    cy = [ctx.ys[p] for p in ctx.cand]
+    scale = ctx.slope_scale
+    m = len(cx)
+    # neg[i][j - i - 1] = -key(i, j); one int object serves both lists.
+    neg = [
+        [-((cy[j] - cy[i]) * scale // (cx[j] - cx[i])) for j in range(i + 1, m)]
+        for i in range(m)
+    ]
+    left, right, left_key, right_key = [], [], [], []
     for j in range(m):
-        pj = cand[j]
-        xj = xs[pj]
-        yj = ys[pj]
-
-        def clockwise(a, b):
-            # Both directions point the same way in x, so the sign of
-            # cross2(u_a, u_b) orders them by decreasing slope; ties give 0
-            # and the stable sort keeps them in ascending ordinal order.
-            pa, pb = cand[a], cand[b]
-            return (xs[pa] - xj) * (ys[pb] - yj) - (ys[pa] - yj) * (xs[pb] - xj)
-
-        key = cmp_to_key(clockwise)
-        lo = sorted(range(j), key=key)
-        hi = sorted(range(j + 1, m), key=key)
+        lk = [neg[i][j - i - 1] for i in range(j)]
+        rk = neg[j]
+        lo = sorted(range(j), key=lk.__getitem__)
+        hi = sorted(range(len(rk)), key=rk.__getitem__)
         left.append(lo)
-        right.append(hi)
-    left_ccw = [list(reversed(l)) for l in left]
-    right_ccw = [list(reversed(r)) for r in right]
-    return AngularLists(left, right, left_ccw, right_ccw)
-
-
-def _turn_sign(ctx: SolverContext, i: int, j: int, r: int) -> int:
-    """Sign of cross2(p_r - p_i, p_j - p_i) over candidate ordinals."""
-    xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
-    pi, pj, pr = cand[i], cand[j], cand[r]
-    v = (xs[pr] - xs[pi]) * (ys[pj] - ys[pi]) - (ys[pr] - ys[pi]) * (xs[pj] - xs[pi])
-    return (v > 0) - (v < 0)
-
-
-def _concave(ctx, i, j, r) -> bool:
-    return _turn_sign(ctx, i, j, r) >= 0
-
-
-def _convex(ctx, i, j, r) -> bool:
-    return _turn_sign(ctx, i, j, r) <= 0
+        left_key.append([lk[i] for i in lo])
+        right.append([j + 1 + o for o in hi])
+        right_key.append([rk[o] for o in hi])
+    left_ccw = [l[::-1] for l in left]
+    right_ccw = [r[::-1] for r in right]
+    return AngularLists(left, right, left_ccw, right_ccw, left_key, right_key)
 
 
 def compute_first_compatible(ctx: SolverContext, lists: AngularLists):
     """First-compatible pointer tables for both chain recurrences.
 
     ``fc_top[j][t]`` is the position in ``right[j]`` of the first candidate
-    r such that (left[j][t], j, r) is a concave turn; as t advances through
-    the clockwise left list the positions never move backward, so a single
-    running pointer fills the row in linear time.  ``fc_bot`` mirrors this
-    on the counterclockwise lists with the convex test.
+    r such that (left[j][t], j, r) is a concave turn, i.e. key(j, r) <=
+    key(i, j): the number of right keys above key(i, j).  ``fc_bot`` is the
+    same on the counterclockwise lists with the convex test, key(j, r) >=
+    key(i, j).  Both rows are nondecreasing.
     """
-    m = len(ctx.cand)
-
-    def build(lefts, rights, ok):
-        out = []
-        for j in range(m):
-            L = lefts[j]
-            R = rights[j]
-            nr = len(R)
-            row = [0] * len(L)
-            ptr = 0
-            for t, i in enumerate(L):
-                while ptr < nr and not ok(ctx, i, j, R[ptr]):
-                    ptr += 1
-                row[t] = ptr
-            out.append(row)
-        return out
-
-    fc_top = build(lists.left, lists.right, _concave)
-    fc_bot = build(lists.left_ccw, lists.right_ccw, _convex)
+    fc_top, fc_bot = [], []
+    for lk, rk in zip(lists.left_key, lists.right_key):
+        fc_top.append(list(map(partial(bisect_left, rk), lk)))
+        fc_bot.append([len(rk) - bisect_right(rk, v) for v in reversed(lk)])
     return fc_top, fc_bot
 
 
-def _fill_top_column(ctx, ew, lists, fc_top, slab, j, k, dbuf):
-    """Write C[i, j, k] into slab[i][j] for all i < j; columns (j, k] are done.
+@dataclass
+class _Chain:
+    """One chain recurrence on a flat triangular slab, maximised.
 
-    C[i, j, k] is the best weight (edges on-or-below plus vertex weights) of
-    a concave path i -> j -> ... -> k, computed as w_top(i, j) + w(i) plus a
-    suffix maximum over the clockwise right list from the first compatible
-    successor onward.  Entries stay None when no such path exists, in
-    particular when j dips strictly below the chord (i, k).
+    The top chain stores C; the bottom chain stores -V, so both run the same
+    max kernel and ``sign * value`` is the table entry.  Cell (i, j, k), for
+    i = lefts[j][t], sits at slab[j * (j - 1) // 2 + t]: it is base[j][t]
+    plus the best cell (j, c, k) over c at positions >= fc[j][t] of
+    rights[j], and cell (i, k, k) is base[k][t] + tip[k].  cell[j][pos] is
+    the slab index of cell (j, rights[j][pos], .), and reach[j][k - j - 1]
+    the last position in rights[j] of k's tie group.  ``none`` is the
+    infeasible sentinel.
     """
-    xs, ys, ws, cand = ctx.xs, ctx.ys, ctx.ws, ctx.cand
-    R = lists.right[j]
-    L = lists.left[j]
-    fcrow = fc_top[j]
-    rowj = slab[j]
-    wtop = ew.top
-    nr = len(R)
-    best = None
-    dbuf[nr] = None
-    for pos in range(nr - 1, -1, -1):
-        c = R[pos]
-        if c <= k:
-            v = rowj[c]
-            if v is not None and (best is None or v > best):
-                best = v
-        dbuf[pos] = best
-    pk, pj = cand[k], cand[j]
-    xk, yk = xs[pk], ys[pk]
-    xj, yj = xs[pj], ys[pj]
-    for t in range(len(L)):
-        i = L[t]
-        d = dbuf[fcrow[t]]
-        if d is None:
-            slab[i][j] = None
-            continue
-        pi = cand[i]
-        xi, yi = xs[pi], ys[pi]
-        if (xk - xi) * (yj - yi) - (yk - yi) * (xj - xi) < 0:
-            slab[i][j] = None
-        else:
-            slab[i][j] = wtop[i][j] + ws[pi] + d
+
+    lefts: list[list[int]]
+    rights: list[list[int]]
+    fc: list[list[int]]
+    reach: list[list[int]]
+    cell: list[list[int]]
+    base: list[list[int]]
+    tip: list[int]
+    none: int
+    sign: int
 
 
-def _fill_bot_column(ctx, ew, lists, fc_bot, slab, j, k, dbuf):
-    """Mirror of :func:`_fill_top_column` for the bottom chain.
+def _reach(rights, keys):
+    out = []
+    for j, (row, key) in enumerate(zip(rights, keys)):
+        reach = [0] * len(row)
+        end = len(row) - 1
+        for pos in range(len(row) - 1, -1, -1):
+            if key[pos] != key[end]:
+                end = pos
+            reach[row[pos] - j - 1] = end
+        out.append(reach)
+    return out
 
-    V[i, j, k] is the minimum sub-weight (strictly-below edge weights only,
-    no vertex weights) of a convex path, with None when j rises strictly
-    above the chord (i, k).
+
+def _cells(lefts, rights, index):
+    """cell[j][pos]; the slab indices are taken from ``index`` to share them."""
+    where = []
+    for c, row in enumerate(lefts):
+        inv = [0] * c
+        off = c * (c - 1) // 2
+        for t, i in enumerate(row):
+            inv[i] = index[off + t]
+        where.append(inv)
+    return [[where[c][j] for c in row] for j, row in enumerate(rights)]
+
+
+def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists, fc_top, fc_bot):
+    """The top-chain (C) and bottom-chain (-V) recurrences over the same lists."""
+    wc = [ctx.ws[p] for p in ctx.cand]
+    none = -sum(map(abs, ctx.ws)) - 1
+    index = list(range(len(wc) * (len(wc) - 1) // 2))
+    top, bot = ew.top, ew.bot
+    upper = _Chain(
+        lists.left, lists.right, fc_top,
+        _reach(lists.right, lists.right_key),
+        _cells(lists.left, lists.right, index),
+        [[top[i][j] + wc[i] for i in row] for j, row in enumerate(lists.left)],
+        wc, none, 1,
+    )
+    lower = _Chain(
+        lists.left_ccw, lists.right_ccw, fc_bot,
+        _reach(lists.right_ccw, [key[::-1] for key in lists.right_key]),
+        _cells(lists.left_ccw, lists.right_ccw, index),
+        [[-bot[i][j] for i in row] for j, row in enumerate(lists.left_ccw)],
+        [0] * len(wc), none, -1,
+    )
+    return upper, lower
+
+
+def _fill_slab(ch: _Chain, slab, k: int, best) -> None:
+    """Fill columns k, k-1, ..., 1 of slab k; best[j] := best cell (j, c, k).
+
+    Columns right of k must hold the sentinel.
     """
-    xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
-    R = lists.right_ccw[j]
-    L = lists.left_ccw[j]
-    fcrow = fc_bot[j]
-    rowj = slab[j]
-    wbot = ew.bot
-    nr = len(R)
-    best = None
-    dbuf[nr] = None
-    for pos in range(nr - 1, -1, -1):
-        c = R[pos]
-        if c <= k:
-            v = rowj[c]
-            if v is not None and (best is None or v < best):
-                best = v
-        dbuf[pos] = best
-    pk, pj = cand[k], cand[j]
-    xk, yk = xs[pk], ys[pk]
-    xj, yj = xs[pj], ys[pj]
-    for t in range(len(L)):
-        i = L[t]
-        d = dbuf[fcrow[t]]
-        if d is None:
-            slab[i][j] = None
-            continue
-        pi = cand[i]
-        xi, yi = xs[pi], ys[pi]
-        if (xk - xi) * (yj - yi) - (yk - yi) * (xj - xi) > 0:
-            slab[i][j] = None
-        else:
-            slab[i][j] = wbot[i][j] + d
+    cell, reach, fc, base, none = ch.cell, ch.reach, ch.fc, ch.base, ch.none
+    get = slab.__getitem__
+    off = k * (k - 1) // 2
+    slab[off:off + k] = map(add, base[k], repeat(ch.tip[k]))
+    for j in range(k - 1, -1, -1):
+        p = reach[j][k - j - 1]
+        # Suffix maxima over positions p, p-1, ..., 0 of rights[j].
+        b = none
+        d = []
+        push = d.append
+        for v in map(get, cell[j][p::-1]):
+            if v > b:
+                b = v
+            push(b)
+        best[j] = b
+        if j:
+            d.reverse()
+            row = fc[j]
+            q = bisect_right(row, p)
+            off = j * (j - 1) // 2
+            slab[off:off + q] = map(add, base[j], map(d.__getitem__, islice(row, q)))
+            slab[off + q:off + j] = repeat(none, j - q)
 
 
-def _base_top(ctx, ew, i, k):
-    return ew.top[i][k] + ctx.ws[ctx.cand[i]] + ctx.ws[ctx.cand[k]]
+def _empty_slab(ch: _Chain) -> list[int]:
+    m = len(ch.lefts)
+    return [ch.none] * (m * (m - 1) // 2)
+
+
+def _tables(ch: _Chain) -> dict:
+    m = len(ch.lefts)
+    slab = _empty_slab(ch)
+    best = [0] * m
+    out = {}
+    for k in range(m):
+        _fill_slab(ch, slab, k, best)
+        for j in range(1, k + 1):
+            off = j * (j - 1) // 2
+            for i, v in zip(ch.lefts[j], slab[off:off + j]):
+                out[(i, j, k)] = None if v == ch.none else ch.sign * v
+    return out
 
 
 def compute_C_tables(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists) -> dict:
     """Every C[i, j, k] entry as a dict (None = infeasible).
 
-    Table form kept for the recurrence-isolation suite; the solver itself
-    streams one rightmost-vertex slab at a time.
+    Read off the solver's own slab sweep for the recurrence-isolation suite;
+    the solver streams one rightmost-vertex slab at a time.
     """
-    m = len(ctx.cand)
-    fc_top, _ = compute_first_compatible(ctx, lists)
-    slab = [[None] * m for _ in range(m)]
-    dbuf = [None] * (m + 1)
-    out = {}
-    for k in range(m):
-        for i in range(k):
-            slab[i][k] = _base_top(ctx, ew, i, k)
-            out[(i, k, k)] = slab[i][k]
-        for j in range(k - 1, 0, -1):
-            _fill_top_column(ctx, ew, lists, fc_top, slab, j, k, dbuf)
-            for i in range(j):
-                out[(i, j, k)] = slab[i][j]
-    return out
+    return _tables(_chains(ctx, ew, lists, *compute_first_compatible(ctx, lists))[0])
 
 
 def compute_V_tables(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists) -> dict:
     """Every V[i, j, k] entry as a dict (None = infeasible)."""
-    m = len(ctx.cand)
-    _, fc_bot = compute_first_compatible(ctx, lists)
-    slab = [[None] * m for _ in range(m)]
-    dbuf = [None] * (m + 1)
-    out = {}
-    for k in range(m):
-        for i in range(k):
-            slab[i][k] = ew.bot[i][k]
-            out[(i, k, k)] = slab[i][k]
-        for j in range(k - 1, 0, -1):
-            _fill_bot_column(ctx, ew, lists, fc_bot, slab, j, k, dbuf)
-            for i in range(j):
-                out[(i, j, k)] = slab[i][j]
-    return out
+    return _tables(_chains(ctx, ew, lists, *compute_first_compatible(ctx, lists))[1])
 
 
-def naive_C_tables(ctx: SolverContext, ew: EdgeWeights) -> dict:
-    """Quartic-time direct evaluation of the top-chain recurrence.
+def _walk(ctx: SolverContext, ch: _Chain, slab, i0: int, k: int):
+    """Recover the best chain from i0 to k out of a filled slab k.
 
-    Independent of the angular lists and pointer trick; serves as the
-    reference the accelerated tables are checked against entry for entry.
+    Ties go to the smallest second vertex, then to the first candidate in
+    each right list, as the recurrence reads them.
     """
-    m = len(ctx.cand)
-    out = {}
-    for k in range(m):
-        for i in range(k):
-            out[(i, k, k)] = _base_top(ctx, ew, i, k)
-        for j in range(k - 1, 0, -1):
-            for i in range(j):
-                if _turn_sign(ctx, i, j, k) < 0:
-                    out[(i, j, k)] = None
-                    continue
-                best = None
-                for jp in range(j + 1, k + 1):
-                    if _concave(ctx, i, j, jp):
-                        v = out[(j, jp, k)]
-                        if v is not None and (best is None or v > best):
-                            best = v
-                out[(i, j, k)] = (
-                    None if best is None else ew.top[i][j] + ctx.ws[ctx.cand[i]] + best
-                )
-    return out
-
-
-def naive_V_tables(ctx: SolverContext, ew: EdgeWeights) -> dict:
-    """Quartic-time direct evaluation of the bottom-chain mirror."""
-    m = len(ctx.cand)
-    out = {}
-    for k in range(m):
-        for i in range(k):
-            out[(i, k, k)] = ew.bot[i][k]
-        for j in range(k - 1, 0, -1):
-            for i in range(j):
-                if _turn_sign(ctx, i, j, k) > 0:
-                    out[(i, j, k)] = None
-                    continue
-                best = None
-                for jp in range(j + 1, k + 1):
-                    if _convex(ctx, i, j, jp):
-                        v = out[(j, jp, k)]
-                        if v is not None and (best is None or v < best):
-                            best = v
-                out[(i, j, k)] = None if best is None else ew.bot[i][j] + best
-    return out
-
-
-def best_weight_from_tables(ctx: SolverContext, c_tab: dict, v_tab: dict):
-    """Best nonempty polygon weight implied by full C/V tables (test helper)."""
-    m = len(ctx.cand)
-    ws, cand = ctx.ws, ctx.cand
-    best = None
-    for k in range(m):
-        if best is None or ws[cand[k]] > best:
-            best = ws[cand[k]]
-        for i in range(k):
-            maxc = minv = None
-            for j in range(i + 1, k + 1):
-                c = c_tab[(i, j, k)]
-                if c is not None and (maxc is None or c > maxc):
-                    maxc = c
-                v = v_tab[(i, j, k)]
-                if v is not None and (minv is None or v < minv):
-                    minv = v
-            if maxc is not None and minv is not None and maxc - minv > best:
-                best = maxc - minv
-    return None if best is None else Fraction(best, ctx.weight_scale)
-
-
-def _walk_top(ctx, ew, lists, slab, i0, k):
-    """Recover the argmax concave chain from i0 to k out of a filled slab."""
-    ws, cand = ctx.ws, ctx.cand
-    j1 = None
-    bestv = None
-    for j in range(i0 + 1, k + 1):
-        v = slab[i0][j]
-        if v is not None and (bestv is None or v > bestv):
-            bestv, j1 = v, j
-    assert j1 is not None
-    path = [i0, j1]
-    cur, j = i0, j1
+    first = {c: slab[x] for c, x in zip(ch.rights[i0], ch.cell[i0]) if c <= k}
+    j = max(sorted(first), key=first.__getitem__)
+    path = [i0, j]
+    cur = i0
     while j != k:
-        nxt = None
-        bestn = None
-        for c in lists.right[j]:
-            if c <= k and _concave(ctx, cur, j, c):
-                v = slab[j][c]
-                if v is not None and (bestn is None or v > bestn):
-                    bestn, nxt = v, c
-        assert nxt is not None
-        assert slab[cur][j] == ew.top[cur][j] + ws[cand[cur]] + bestn
+        t = ch.lefts[j].index(cur)
+        start = ch.fc[j][t]
+        steps = [
+            (slab[x], c)
+            for c, x in zip(ch.rights[j][start:], ch.cell[j][start:])
+            if c <= k
+        ]
+        v, nxt = max(steps, key=itemgetter(0))
+        assert slab[j * (j - 1) // 2 + t] == ch.base[j][t] + v != ch.none
         path.append(nxt)
         cur, j = j, nxt
-    for a in range(len(path) - 2):
-        assert _concave(ctx, path[a], path[a + 1], path[a + 2])
-    for c in path:
-        # cross2(p_k - p_i0, p_c - p_i0) >= 0 means c sits weakly above the chord
-        assert c in (i0, k) or _turn_sign(ctx, i0, c, k) >= 0, "top chain below chord"
-    return path
-
-
-def _walk_bot(ctx, ew, lists, slab, i0, k):
-    """Recover the argmin convex chain from i0 to k out of a filled slab."""
-    j1 = None
-    bestv = None
-    for j in range(i0 + 1, k + 1):
-        v = slab[i0][j]
-        if v is not None and (bestv is None or v < bestv):
-            bestv, j1 = v, j
-    assert j1 is not None
-    path = [i0, j1]
-    cur, j = i0, j1
-    while j != k:
-        nxt = None
-        bestn = None
-        for c in lists.right_ccw[j]:
-            if c <= k and _convex(ctx, cur, j, c):
-                v = slab[j][c]
-                if v is not None and (bestn is None or v < bestn):
-                    bestn, nxt = v, c
-        assert nxt is not None
-        assert slab[cur][j] == ew.bot[cur][j] + bestn
-        path.append(nxt)
-        cur, j = j, nxt
-    for a in range(len(path) - 2):
-        assert _convex(ctx, path[a], path[a + 1], path[a + 2])
-    for c in path:
-        assert c in (i0, k) or _turn_sign(ctx, i0, c, k) <= 0, "bottom chain above chord"
+    keys = [ch.sign * slope_key(ctx, ctx.cand[a], ctx.cand[b]) for a, b in zip(path, path[1:])]
+    assert keys == sorted(keys, reverse=True), "chain turns the wrong way"
     return path
 
 
@@ -534,14 +519,14 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     """Exact planar optimum with a reconstructed, maximal vertex witness.
 
     Runs in O(n^3) time and O(n^2) memory: for each rightmost candidate k
-    one slab of C/V columns is filled (right to left, linear work per column
-    thanks to the first-compatible pointers) and folded into the per-(i, k)
-    aggregates.  The winning slab is refilled once for reconstruction.
+    one slab of C/V columns is filled (right to left, work linear in the
+    feasible part of each column thanks to the first-compatible pointers),
+    and the best cell per (i, k) falls out of the column fill.  The winning
+    slab is refilled once for reconstruction.
     """
     if instance.dimension != 2:
         raise ValueError("solve_2d requires a 2-dimensional instance")
-    require_canonical(instance)
-    ctx = build_context(instance)
+    ctx = build_context(instance)  # also rejects a non-canonical instance
     m = len(ctx.cand)
     if m == 0:
         if allow_empty:
@@ -550,43 +535,25 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     ws, cand = ctx.ws, ctx.cand
     ew = precompute_edge_weights(ctx)
     lists = build_angular_lists(ctx)
-    fc_top, fc_bot = compute_first_compatible(ctx, lists)
-    slab_c = [[None] * m for _ in range(m)]
-    slab_v = [[None] * m for _ in range(m)]
-    dbuf = [None] * (m + 1)
-    rm_c = [None] * m
-    rm_v = [None] * m
+    upper, lower = _chains(ctx, ew, lists, *compute_first_compatible(ctx, lists))
+    del lists  # frees the slope keys; the chains keep the lists they use
+    slab_c, slab_v = _empty_slab(upper), _empty_slab(lower)
+    rm_c = [0] * m  # rm_c[i]: best C[i, j, k] over j for the current k
+    rm_v = [0] * m  # rm_v[i]: best -V[i, j, k] over j
 
-    best = None  # (scaled weight, i, k); ties prefer lexicographically small (i, k)
-
-    def consider(val, i, k):
-        nonlocal best
-        if best is None or val > best[0] or (val == best[0] and (i, k) < best[1:]):
-            best = (val, i, k)
-
+    # (scaled weight, -i, -k): the max prefers the higher weight, then the
+    # lexicographically smallest (i, k).
+    best = (ws[cand[0]], 0, 0)
     for k in range(m):
-        consider(ws[cand[k]], k, k)
-        for i in range(k):
-            c = _base_top(ctx, ew, i, k)
-            slab_c[i][k] = c
-            rm_c[i] = c
-            v = ew.bot[i][k]
-            slab_v[i][k] = v
-            rm_v[i] = v
-        for j in range(k - 1, 0, -1):
-            _fill_top_column(ctx, ew, lists, fc_top, slab_c, j, k, dbuf)
-            _fill_bot_column(ctx, ew, lists, fc_bot, slab_v, j, k, dbuf)
-            for i in range(j):
-                v = slab_c[i][j]
-                if v is not None and v > rm_c[i]:
-                    rm_c[i] = v
-                v = slab_v[i][j]
-                if v is not None and v < rm_v[i]:
-                    rm_v[i] = v
-        for i in range(k):
-            consider(rm_c[i] - rm_v[i], i, k)
+        _fill_slab(upper, slab_c, k, rm_c)
+        _fill_slab(lower, slab_v, k, rm_v)
+        best = max(
+            best,
+            (ws[cand[k]], -k, -k),
+            *zip(map(add, rm_c[:k], rm_v[:k]), range(0, -k, -1), repeat(-k)),
+        )
 
-    bw, bi, bk = best
+    bw, bi, bk = best[0], -best[1], -best[2]
     weight = Fraction(bw, ctx.weight_scale)
     if allow_empty and weight <= 0:
         return empty_solution(2)
@@ -594,16 +561,13 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     if bi == bk:
         ordinals = [bi]
     else:
-        for i in range(bk):
-            slab_c[i][bk] = _base_top(ctx, ew, i, bk)
-            slab_v[i][bk] = ew.bot[i][bk]
-        for j in range(bk - 1, 0, -1):
-            _fill_top_column(ctx, ew, lists, fc_top, slab_c, j, bk, dbuf)
-            _fill_bot_column(ctx, ew, lists, fc_bot, slab_v, j, bk, dbuf)
-        top = _walk_top(ctx, ew, lists, slab_c, bi, bk)
-        bot = _walk_bot(ctx, ew, lists, slab_v, bi, bk)
-        assert slab_c[bi][top[1]] - slab_v[bi][bot[1]] == bw
-        ordinals = set(top) | set(bot)
+        for ch, slab, rm in ((upper, slab_c, rm_c), (lower, slab_v, rm_v)):
+            tail = bk * (bk + 1) // 2
+            slab[tail:] = repeat(ch.none, len(slab) - tail)
+            _fill_slab(ch, slab, bk, rm)
+        assert rm_c[bi] + rm_v[bi] == bw
+        ordinals = set(_walk(ctx, upper, slab_c, bi, bk))
+        ordinals |= set(_walk(ctx, lower, slab_v, bi, bk))
 
     chosen, chosen_w = prune_with_tables(ctx, ew, ordinals)
     if chosen_w != bw:

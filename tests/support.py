@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cmp_to_key
 
 from mwcp.geometry import Orientation, orientation
 from mwcp.model import Instance, Solution, WeightedPoint, evaluate
+from mwcp.solver2d import EdgeWeights
 
 
 def random_instance(rng, n, dimension, weight_lo=-5, weight_hi=5, grid=None):
@@ -137,3 +139,137 @@ def assert_valid_witness(instance, sol: Solution):
     for v in sol.chosen:
         rest = [u for u in sol.chosen if u != v]
         assert evaluate(instance, rest).weight < sol.weight, "witness not maximal"
+
+
+# ---------------------------------------------------------------------------
+# Planar DP references: direct cross-product predicates, independent of the
+# solver's slope keys, recurrences and pointer tables.
+# ---------------------------------------------------------------------------
+
+
+def turn_sign(ctx, i, j, r):
+    """Sign of cross2(p_r - p_i, p_j - p_i) over candidate ordinals."""
+    xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
+    pi, pj, pr = cand[i], cand[j], cand[r]
+    v = (xs[pr] - xs[pi]) * (ys[pj] - ys[pi]) - (ys[pr] - ys[pi]) * (xs[pj] - xs[pi])
+    return (v > 0) - (v < 0)
+
+
+def brute_edge_weights(ctx):
+    """Edge weights by scanning every point between each candidate pair, O(n^3)."""
+    xs, ys, ws, cand = ctx.xs, ctx.ys, ctx.ws, ctx.cand
+    m = len(cand)
+    top = [[0] * m for _ in range(m)]
+    bot = [[0] * m for _ in range(m)]
+    for a in range(m):
+        pa = cand[a]
+        for b in range(a + 1, m):
+            pb = cand[b]
+            dx = xs[pb] - xs[pa]
+            dy = ys[pb] - ys[pa]
+            for q in range(pa + 1, pb):
+                c = dx * (ys[q] - ys[pa]) - dy * (xs[q] - xs[pa])
+                if c <= 0:
+                    top[a][b] += ws[q]
+                    if c < 0:
+                        bot[a][b] += ws[q]
+    return EdgeWeights(top, bot)
+
+
+def cmp_angular_lists(ctx):
+    """(left, right): the clockwise lists by an integer cross-product comparator."""
+    xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
+    m = len(cand)
+    left, right = [], []
+    for j in range(m):
+        pj = cand[j]
+
+        def clockwise(a, b):
+            # Both directions point the same way in x, so the sign of
+            # cross2(u_a, u_b) orders them by decreasing slope; ties give 0
+            # and the stable sort keeps them in ascending ordinal order.
+            pa, pb = cand[a], cand[b]
+            return (xs[pa] - xs[pj]) * (ys[pb] - ys[pj]) - (ys[pa] - ys[pj]) * (
+                xs[pb] - xs[pj]
+            )
+
+        key = cmp_to_key(clockwise)
+        left.append(sorted(range(j), key=key))
+        right.append(sorted(range(j + 1, m), key=key))
+    return left, right
+
+
+def _base_top(ctx, ew, i, k):
+    return ew.top[i][k] + ctx.ws[ctx.cand[i]] + ctx.ws[ctx.cand[k]]
+
+
+def naive_C_tables(ctx, ew):
+    """Quartic-time direct evaluation of the top-chain recurrence.
+
+    Independent of the angular lists and pointer trick; serves as the
+    reference the accelerated tables are checked against entry for entry.
+    """
+    m = len(ctx.cand)
+    out = {}
+    for k in range(m):
+        for i in range(k):
+            out[(i, k, k)] = _base_top(ctx, ew, i, k)
+        for j in range(k - 1, 0, -1):
+            for i in range(j):
+                if turn_sign(ctx, i, j, k) < 0:
+                    out[(i, j, k)] = None
+                    continue
+                best = None
+                for jp in range(j + 1, k + 1):
+                    if turn_sign(ctx, i, j, jp) >= 0:
+                        v = out[(j, jp, k)]
+                        if v is not None and (best is None or v > best):
+                            best = v
+                out[(i, j, k)] = (
+                    None if best is None else ew.top[i][j] + ctx.ws[ctx.cand[i]] + best
+                )
+    return out
+
+
+def naive_V_tables(ctx, ew):
+    """Quartic-time direct evaluation of the bottom-chain mirror."""
+    m = len(ctx.cand)
+    out = {}
+    for k in range(m):
+        for i in range(k):
+            out[(i, k, k)] = ew.bot[i][k]
+        for j in range(k - 1, 0, -1):
+            for i in range(j):
+                if turn_sign(ctx, i, j, k) > 0:
+                    out[(i, j, k)] = None
+                    continue
+                best = None
+                for jp in range(j + 1, k + 1):
+                    if turn_sign(ctx, i, j, jp) <= 0:
+                        v = out[(j, jp, k)]
+                        if v is not None and (best is None or v < best):
+                            best = v
+                out[(i, j, k)] = None if best is None else ew.bot[i][j] + best
+    return out
+
+
+def best_weight_from_tables(ctx, c_tab, v_tab):
+    """Best nonempty polygon weight implied by full C/V tables."""
+    m = len(ctx.cand)
+    ws, cand = ctx.ws, ctx.cand
+    best = None
+    for k in range(m):
+        if best is None or ws[cand[k]] > best:
+            best = ws[cand[k]]
+        for i in range(k):
+            maxc = minv = None
+            for j in range(i + 1, k + 1):
+                c = c_tab[(i, j, k)]
+                if c is not None and (maxc is None or c > maxc):
+                    maxc = c
+                v = v_tab[(i, j, k)]
+                if v is not None and (minv is None or v < minv):
+                    minv = v
+            if maxc is not None and minv is not None and maxc - minv > best:
+                best = maxc - minv
+    return None if best is None else Fraction(best, ctx.weight_scale)

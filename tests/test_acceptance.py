@@ -27,12 +27,10 @@ from mwcp.solver2d import (
     build_context,
     compute_C_tables,
     compute_V_tables,
-    naive_C_tables,
-    naive_V_tables,
     precompute_edge_weights,
 )
 from mwcp.cli import run_bench
-from support import assert_valid_witness
+from support import assert_valid_witness, naive_C_tables, naive_V_tables
 
 MASTER_SEED = 20240901
 

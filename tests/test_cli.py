@@ -1,8 +1,12 @@
+import collections
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import mwcp
 from mwcp.cli import main, run_bench
@@ -198,3 +202,88 @@ def test_solve_oracle_under_optimize_flag(tmp_path, capsys):
     proc = run_module(tmp_path, "-O", "-m", "mwcp", "solve", ipath, "--format", "json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["weight"] == "2"
+
+
+def test_main_repeated_calls_share_no_state(tmp_path, capsys):
+    from mwcp.cli import build_parser
+
+    assert build_parser() is build_parser()
+    neg = write(tmp_path, "neg.mwcp", "2 2\n0 0 -1\n1 1 -2\n")
+    assert main(["solve", neg, "--nonempty", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["weight"] == "-1"
+    # --nonempty and --format from the previous call must not carry over
+    assert main(["solve", neg]) == 0
+    assert "weight = 0" in capsys.readouterr().out
+    out = str(tmp_path / "u.mwcp")
+    assert main(["gen", "--family", "uniform", "--n", "5", "--seed", "3", "--out", out]) == 0
+    assert "family=uniform n=5" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["solve"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert main(["gen", "--family", "ngon", "--n", "5", "--out", out]) == 0
+    assert "family=ngon n=5" in capsys.readouterr().out
+    assert main(["solve", out, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["weight"] == "5"
+
+
+FUZZ_TOKENS = [
+    "", "-", "+", "/", "0", "-0", "1/0", "0/0", "3/4", "-5/3", "007",
+    "99999999999999999999999", "x", "nan", "1e5", "1.5", "#", "2 2", "\t",
+    "[", "]", "{", "}", '"', "null", "true", ",", ":", "-1", "4",
+]
+
+
+def mutate(rng, text):
+    """One seeded byte-level or token-level mutation of a valid input text."""
+    data = bytearray(text.encode())
+    kind = rng.randrange(5)
+    if kind == 0 and data:
+        data[rng.randrange(len(data))] = rng.randrange(256)
+    elif kind == 1:
+        data.insert(rng.randrange(len(data) + 1), rng.choice(b"0123456789 -/\n#{}[]\",:x"))
+    elif kind == 2 and data:
+        del data[rng.randrange(len(data))]
+    elif kind == 3 and data:
+        a = rng.randrange(len(data))
+        b = rng.randrange(a, min(len(data), a + 12) + 1)
+        data[a:a] = data[a:b]
+    else:
+        tokens = text.replace("\n", " \n ").split(" ")
+        tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_TOKENS)
+        data = bytearray(" ".join(tokens).replace(" \n ", "\n").encode())
+    return bytes(data)
+
+
+def test_cli_fuzz_malformed_inputs(tmp_path, capsys):
+    rng = random.Random(20261018)
+    gpath = write(tmp_path, "k3.graph", K3)
+    ipath4 = str(tmp_path / "k3.mwcp")
+    assert main(["reduce", gpath, ipath4]) == 0
+    tri = write(tmp_path, "t.mwcp", TRIANGLE)
+    assert main(["solve", tri, "--algo", "dp2d", "--format", "json"]) == 0
+    solution = capsys.readouterr().out
+    fuzz = str(tmp_path / "fuzz")
+    out = str(tmp_path / "out.mwcp")
+    cases = [
+        (TRIANGLE, ["solve", fuzz, "--format", "json"]),
+        (TRIANGLE, ["solve", fuzz, "--algo", "dp2d", "--nonempty"]),
+        (ONE_D, ["solve", fuzz]),
+        (open(ipath4).read(), ["solve", fuzz, "--algo", "oracle"]),
+        (K3, ["reduce", fuzz, out]),
+        (solution, ["verify", "--mode", "solution", tri, "--solution", fuzz]),
+        (TRIANGLE, ["verify", "--mode", "solution", fuzz, "--solution", tri + ".sol"]),
+    ]
+    with open(tri + ".sol", "w") as fh:
+        fh.write(solution)
+    codes = collections.Counter()
+    for text, argv in cases:
+        for _ in range(250):
+            with open(fuzz, "wb") as fh:
+                fh.write(mutate(rng, text))
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 2, 3, 4), (argv, code)
+            assert "Traceback" not in captured.err
+            codes[code] += 1
+    assert codes[0] and codes[2], codes

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mwcp.generators import gen_ngon_family, gen_uniform
+from mwcp.geometry import orientation, shear_normalize
 from mwcp.model import (
     Instance,
     WeightedPoint,
@@ -13,20 +14,27 @@ from mwcp.model import (
 )
 from mwcp.oracle import solve_bruteforce
 from mwcp.solver2d import (
-    best_weight_from_tables,
     build_angular_lists,
     build_context,
     compute_C_tables,
     compute_first_compatible,
     compute_V_tables,
     hull_weight_from_tables,
-    naive_C_tables,
-    naive_V_tables,
     precompute_edge_weights,
     prune_with_tables,
+    slope_key,
     solve_2d,
 )
-from support import assert_valid_witness, degenerate_instance_2d, random_instance
+from support import (
+    assert_valid_witness,
+    best_weight_from_tables,
+    brute_edge_weights,
+    cmp_angular_lists,
+    degenerate_instance_2d,
+    naive_C_tables,
+    naive_V_tables,
+    random_instance,
+)
 
 DEGENERACIES = ("collinear", "shared_x", "rational")
 
@@ -55,6 +63,124 @@ def test_edge_weight_no_intermediate():
     ew = precompute_edge_weights(ctx)
     assert ew.top[0][1] == 0
     assert ew.bot[0][1] == 0
+
+
+def test_integer_shear_keeps_order_and_orientation():
+    rng = random.Random(71)
+    for t in range(90):
+        inst = degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 12))
+        ctx = build_context(inst)
+        pts = [wp.point for wp in inst.points]
+        sheared, k = shear_normalize(pts)
+        assert (ctx.shear_k != 1) == (k != 1)
+        assert ctx.orig == sorted(range(len(pts)), key=lambda i: sheared[i][0])
+        assert all(a < b for a, b in zip(ctx.xs, ctx.xs[1:]))
+        view = list(zip(ctx.xs, ctx.ys))
+        orig = [pts[i] for i in ctx.orig]
+        for _ in range(30):
+            a, b, c = (rng.randrange(len(pts)) for _ in range(3))
+            assert orientation(view[a], view[b], view[c]) is orientation(
+                orig[a], orig[b], orig[c]
+            )
+
+
+def farey_instance(span, sign):
+    # From (0, 0), the runs span - 1 and span give the slopes sign/(span - 1)
+    # and sign/span, which differ by 1/(span (span - 1)): the smallest gap two
+    # slopes with runs <= X = span can have (1/X^2 itself needs runs X and X,
+    # whose slopes differ by a multiple of 1/X).
+    return make_instance(
+        2, [((0, 0), 1), ((span - 1, sign), 1), ((span, sign), 1), ((span // 2, 0), -1)]
+    )
+
+
+def slope_corpus():
+    rng = random.Random(72)
+    out = [farey_instance(1000, 1), farey_instance(1000, -1), farey_instance(2, 1)]
+    # equal slopes over different runs, rising and falling
+    out.append(make_instance(2, [((2 * a, a), 1) for a in range(5)] + [((1, 3), -1)]))
+    out.append(make_instance(2, [((3 * a, -2 * a), 1) for a in range(5)] + [((2, 9), 2)]))
+    out += [degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(2, 12)) for t in range(60)]
+    out += [gen_ngon_family(n) for n in (24, 32)]
+    return out
+
+
+def test_slope_key_is_order_isomorphic_to_slope():
+    for inst in slope_corpus():
+        ctx = build_context(inst)
+        xs, ys = ctx.xs, ctx.ys
+        n = len(xs)
+        slope = {
+            (a, b): Fraction(ys[b] - ys[a], xs[b] - xs[a])
+            for a in range(n)
+            for b in range(a + 1, n)
+        }
+        order = sorted(slope, key=slope.get)
+        keys = [slope_key(ctx, a, b) for a, b in order]
+        for (p, q), (kp, kq) in zip(zip(order, order[1:]), zip(keys, keys[1:])):
+            assert kp <= kq
+            assert (kp == kq) == (slope[p] == slope[q])
+
+
+def test_slope_key_tightest_gap():
+    ctx = build_context(farey_instance(1000, 1))
+    assert ctx.slope_scale == 1000**2
+    # sorted positions: (0,0), (500,0), (999,1), (1000,1)
+    assert slope_key(ctx, 0, 3) == 1000  # exactly M/1000, no rounding
+    assert slope_key(ctx, 0, 2) == 1001  # floor(10^6 / 999)
+    ctx = build_context(farey_instance(1000, -1))
+    assert slope_key(ctx, 0, 3) == -1000
+    assert slope_key(ctx, 0, 2) == -1002  # floor(-10^6 / 999)
+
+
+def edge_weight_corpus():
+    rng = random.Random(73)
+    out = [degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 14)) for t in range(150)]
+    for _ in range(40):
+        # collinear runs through an anchor, on both of its sides, on a few lines
+        rows = {}
+        for slope in rng.sample([-2, -1, 0, 1, Fraction(1, 3), 3], 3):
+            for a in rng.sample(range(-5, 6), 5):
+                rows[(Fraction(a), slope * a)] = rng.choice([-3, -1, 1, 2, Fraction(5, 2)])
+        for _ in range(4):
+            rows[(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-9, 9)))] = rng.choice([-2, 1])
+        out.append(make_instance(2, list(rows.items())))
+    tiny = Fraction(1, 2**60)
+    for _ in range(40):
+        rows = {}
+        while len(rows) < 10:
+            p = (rng.randint(-6, 6) * tiny + rng.randint(0, 2), rng.randint(-6, 6) * tiny)
+            rows[p] = Fraction(rng.choice([-7, -1, 1, 3]), rng.choice([1, 2**60, 3]))
+        out.append(make_instance(2, list(rows.items())))
+    out += [gen_ngon_family(n) for n in range(24, 33)]
+    out += [gen_uniform(200, 2, seed) for seed in range(3)]
+    return out
+
+
+def test_edge_weights_match_brute_force():
+    for inst in edge_weight_corpus():
+        ctx = build_context(inst)
+        assert precompute_edge_weights(ctx) == brute_edge_weights(ctx)
+
+
+def test_angular_lists_match_comparator_sort():
+    rng = random.Random(74)
+    instances = [
+        degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 12))
+        for t in range(90)
+    ]
+    instances += [gen_ngon_family(n) for n in range(24, 33)]
+    instances += [gen_uniform(60, 2, seed) for seed in range(4)]
+    for inst in instances:
+        ctx = build_context(inst)
+        lists = build_angular_lists(ctx)
+        assert (lists.left, lists.right) == cmp_angular_lists(ctx)
+        assert lists.left_ccw == [row[::-1] for row in lists.left]
+        assert lists.right_ccw == [row[::-1] for row in lists.right]
+        cand = ctx.cand
+        for j in range(len(cand)):
+            assert lists.left_key[j] == [-slope_key(ctx, cand[i], cand[j]) for i in lists.left[j]]
+            assert lists.right_key[j] == [-slope_key(ctx, cand[j], cand[r]) for r in lists.right[j]]
 
 
 def test_angular_lists_collinear_middle():
