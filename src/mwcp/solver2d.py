@@ -107,7 +107,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import islice, repeat
 from math import lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, neg
 
 from .geometry import convex_hull_2d, scale_to_integers
 from .model import (
@@ -204,9 +204,18 @@ def build_context(instance: Instance) -> SolverContext:
     return SolverContext(instance, shear, wscale, span * span, xs, ys, ws, order, cand)
 
 
+def _key_row(xs, ys, a: int, scale: int) -> list[int]:
+    """[key(a, b) for b = a + 1, ..., len(xs) - 1]; see the module docstring.
+
+    The one place the slope key is computed.
+    """
+    xa, ya = xs[a], ys[a]
+    return [(y - ya) * scale // (x - xa) for x, y in zip(xs[a + 1:], ys[a + 1:])]
+
+
 def slope_key(ctx: SolverContext, a: int, b: int) -> int:
-    """key(a, b) for sorted positions a < b; see the module docstring."""
-    return (ctx.ys[b] - ctx.ys[a]) * ctx.slope_scale // (ctx.xs[b] - ctx.xs[a])
+    """key(a, b) for sorted positions a < b."""
+    return _key_row((ctx.xs[a], ctx.xs[b]), (ctx.ys[a], ctx.ys[b]), 0, ctx.slope_scale)[0]
 
 
 def precompute_edge_weights(ctx: SolverContext) -> EdgeWeights:
@@ -224,10 +233,9 @@ def precompute_edge_weights(ctx: SolverContext) -> EdgeWeights:
     # offsets o = b - a - 1 index wr, rows, keys, brow and trow.
     below: list[list[int]] = [[] for _ in range(n)]
     for a in range(n - 1, -1, -1):
-        xa, ya = xs[a], ys[a]
         wr = ws[a + 1:]
         rows = below[a + 1:]
-        keys = [(y - ya) * scale // (x - xa) for x, y in zip(xs[a + 1:], ys[a + 1:])]
+        keys = _key_row(xs, ys, a, scale)
         order = sorted(range(len(keys)), key=keys.__getitem__)
         brow = [0] * len(keys)
         trow = [0] * len(keys)
@@ -266,15 +274,12 @@ def build_angular_lists(ctx: SolverContext) -> AngularLists:
     cy = [ctx.ys[p] for p in ctx.cand]
     scale = ctx.slope_scale
     m = len(cx)
-    # neg[i][j - i - 1] = -key(i, j); one int object serves both lists.
-    neg = [
-        [-((cy[j] - cy[i]) * scale // (cx[j] - cx[i])) for j in range(i + 1, m)]
-        for i in range(m)
-    ]
+    # nkey[i][j - i - 1] = -key(i, j); one int object serves both lists.
+    nkey = [list(map(neg, _key_row(cx, cy, i, scale))) for i in range(m)]
     left, right, left_key, right_key = [], [], [], []
     for j in range(m):
-        lk = [neg[i][j - i - 1] for i in range(j)]
-        rk = neg[j]
+        lk = [nkey[i][j - i - 1] for i in range(j)]
+        rk = nkey[j]
         lo = sorted(range(j), key=lk.__getitem__)
         hi = sorted(range(len(rk)), key=rk.__getitem__)
         left.append(lo)
@@ -340,14 +345,13 @@ def _reach(rights, keys):
     return out
 
 
-def _cells(lefts, rights, index):
-    """cell[j][pos]; the slab indices are taken from ``index`` to share them."""
+def _cells(lefts, rights):
+    """cell[j][pos], the slab index of cell (j, rights[j][pos], .)."""
     where = []
     for c, row in enumerate(lefts):
         inv = [0] * c
-        off = c * (c - 1) // 2
-        for t, i in enumerate(row):
-            inv[i] = index[off + t]
+        for x, i in enumerate(row, c * (c - 1) // 2):
+            inv[i] = x
         where.append(inv)
     return [[where[c][j] for c in row] for j, row in enumerate(rights)]
 
@@ -356,19 +360,18 @@ def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists, fc_top, fc
     """The top-chain (C) and bottom-chain (-V) recurrences over the same lists."""
     wc = [ctx.ws[p] for p in ctx.cand]
     none = -sum(map(abs, ctx.ws)) - 1
-    index = list(range(len(wc) * (len(wc) - 1) // 2))
     top, bot = ew.top, ew.bot
     upper = _Chain(
         lists.left, lists.right, fc_top,
         _reach(lists.right, lists.right_key),
-        _cells(lists.left, lists.right, index),
+        _cells(lists.left, lists.right),
         [[top[i][j] + wc[i] for i in row] for j, row in enumerate(lists.left)],
         wc, none, 1,
     )
     lower = _Chain(
         lists.left_ccw, lists.right_ccw, fc_bot,
         _reach(lists.right_ccw, [key[::-1] for key in lists.right_key]),
-        _cells(lists.left_ccw, lists.right_ccw, index),
+        _cells(lists.left_ccw, lists.right_ccw),
         [[-bot[i][j] for i in row] for j, row in enumerate(lists.left_ccw)],
         [0] * len(wc), none, -1,
     )
