@@ -191,66 +191,62 @@ def point_in_convex_polygon(p, hull) -> bool:
 def point_in_hull(v, vertices) -> bool:
     """Is v a convex combination of the vertices?  Closed hull, any dimension.
 
-    Decided by exact rational linear feasibility (phase-I simplex over
-    integers), so the answer is unconditional.  Intended for the small point
-    counts that exhaustive search and gadget verification produce.
+    Scales v and the vertices to integers together (``scale_to_integers``
+    keeps convex-combination membership) and decides with
+    :func:`hull_members`, so the answer is exact and unconditional.
     """
     if not vertices:
         raise ValueError("point_in_hull requires at least one vertex")
     d = len(v)
-    vs = [tuple(Fraction(c) for c in u) for u in vertices]
-    target = tuple(Fraction(c) for c in v)
-    for u in vs:
-        if len(u) != d:
-            raise ValueError("point_in_hull: dimension mismatch")
-    if target in vs:
-        return True
-    if d == 1:
-        lo = min(u[0] for u in vs)
-        hi = max(u[0] for u in vs)
-        return lo <= target[0] <= hi
-    # bounding-box cull before the simplex
-    for a in range(d):
-        lo = min(u[a] for u in vs)
-        hi = max(u[a] for u in vs)
-        if not lo <= target[a] <= hi:
-            return False
-    return _convex_combination_feasible(target, vs)
+    pts = [tuple(Fraction(c) for c in u) for u in [v, *vertices]]
+    if any(len(u) != d for u in pts):
+        raise ValueError("point_in_hull: dimension mismatch")
+    scaled = scale_to_integers(pts)
+    return hull_members(scaled[:1], scaled[1:])[0]
 
 
-def _int_rows(target, vertices):
-    """Equality system [coords; affine row] scaled to integers, rhs >= 0."""
-    d = len(target)
-    rows = []
-    for a in range(d):
-        rows.append([u[a] for u in vertices] + [target[a]])
-    rows.append([Fraction(1)] * len(vertices) + [Fraction(1)])
+def hull_members(points, vertices):
+    """For each int point, is it a convex combination of the int vertices?
+
+    One exact phase-I simplex per point (:func:`_convex_combination_feasible`)
+    on equality rows ``[vertices; 1 ... 1]`` built once; only the right-hand
+    side changes from point to point.  A vertex is inside at once, and a
+    point outside the vertices' bounding box is outside without a simplex
+    (in 1D the box decides).  Intended for the small point counts that
+    exhaustive search and gadget verification produce.
+    """
+    d = len(vertices[0])
+    lo = [min(u[a] for u in vertices) for a in range(d)]
+    hi = [max(u[a] for u in vertices) for a in range(d)]
+    own = set(vertices)
+    rows = [[1] * len(vertices)] + [[u[a] for u in vertices] for a in range(d)]
     out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = lcm(*(f.denominator for f in fr))
-        ints = [f.numerator * (den // f.denominator) for f in fr]
-        if ints[-1] < 0:
-            ints = [-x for x in ints]
-        out.append(ints)
+    for p in points:
+        if p in own:
+            out.append(True)
+        elif not all(a <= x <= b for a, x, b in zip(lo, p, hi)):
+            out.append(False)
+        else:
+            out.append(d == 1 or _convex_combination_feasible(rows, (1, *p)))
     return out
 
 
-def _convex_combination_feasible(target, vertices) -> bool:
-    """Phase-I simplex with Bland's rule on an integer tableau.
+def _convex_combination_feasible(rows, rhs) -> bool:
+    """Is ``rows @ x == rhs`` for some x >= 0?  ``rows`` and ``rhs`` are ints.
 
-    Rows keep a private positive scale (they are gcd-reduced after each
-    pivot), which keeps all arithmetic in plain ints.  Feasible iff the
-    artificial variables can all be driven to zero.
+    Phase-I simplex with Bland's rule on an integer tableau.  Rows with a
+    negative right-hand side are negated first.  Rows keep a private
+    positive scale (they are gcd-reduced after each pivot), which keeps all
+    arithmetic in plain ints.  Feasible iff the artificial variables can all
+    be driven to zero.
     """
-    m = len(vertices)
-    r = len(target) + 1
-    rows = _int_rows(target, vertices)
+    m = len(rows[0])
+    r = len(rows)
     tableau = []
-    for i, row in enumerate(rows):
+    for i, (row, b) in enumerate(zip(rows, rhs)):
         art = [0] * r
         art[i] = 1
-        tableau.append(row[:-1] + art + [row[-1]])
+        tableau.append([-x for x in row] + art + [-b] if b < 0 else row + art + [b])
     ncols = m + r + 1
     basis = list(range(m, m + r))
 

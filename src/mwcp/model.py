@@ -10,10 +10,12 @@ from fractions import Fraction
 from .geometry import (
     Point,
     convex_hull_2d,
+    hull_members,
     point_in_convex_polygon,
-    point_in_hull,
     scale_to_integers,
 )
+# Not called here: perfbench/run.py --trace 1 wraps this name in this module.
+from .geometry import point_in_hull  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,9 @@ def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> 
     ``allow_nonpositive=True``.  Membership is batched per dimension (an
     interval scan in 1D, hull edges in 2D, exact feasibility above), all of
     it equivalent to a per-point ``point_in_hull`` check.  In 2D the hull and
-    membership run on the integer view from ``scale_to_integers``.
+    membership run on the integer view from ``scale_to_integers``; above 2D
+    that view feeds one exact LP per point on vertex rows built once
+    (``hull_members``).
     """
     idx = sorted(set(chosen))
     n = len(instance.points)
@@ -154,12 +158,9 @@ def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> 
             back.setdefault(scaled[i], i)
         hull_idx = tuple(back[p] for p in hull_pts)
     else:
-        contained = [
-            i
-            for i, wp in enumerate(instance.points)
-            if point_in_hull(wp.point, pts)
-        ]
-        hull_idx = None
+        scaled = scale_to_integers([wp.point for wp in instance.points])
+        inside = hull_members(scaled, [scaled[i] for i in idx])
+        contained = [i for i, ok in enumerate(inside) if ok]
     weight = sum((instance.points[i].weight for i in contained), Fraction(0))
     return Solution(tuple(idx), hull_idx, tuple(contained), weight)
 
@@ -300,6 +301,11 @@ def solution_to_json(solution: Solution) -> str:
 
 
 def solution_from_json(text: str) -> Solution:
+    """Read :func:`solution_to_json` output.
+
+    ``chosen``, ``contained`` and a non-null ``hull`` must be JSON lists of
+    integers; strings, floats and booleans are refused with ``ValueError``.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -308,12 +314,19 @@ def solution_from_json(text: str) -> Solution:
         raise ValueError("solution JSON must be an object")
     try:
         weight = Fraction(str(obj["weight"]))
-        chosen = tuple(int(i) for i in obj["chosen"])
-        hull = None if obj["hull"] is None else tuple(int(i) for i in obj["hull"])
-        contained = tuple(int(i) for i in obj["contained"])
-    except (KeyError, TypeError, ValueError) as exc:
+        chosen = _index_list(obj, "chosen")
+        hull = None if obj["hull"] is None else _index_list(obj, "hull")
+        contained = _index_list(obj, "contained")
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"bad solution JSON: {exc}")
     return Solution(chosen, hull, contained, weight)
+
+
+def _index_list(obj, key) -> tuple[int, ...]:
+    value = obj[key]
+    if not isinstance(value, list) or not all(type(i) is int for i in value):
+        raise ValueError(f"{key!r} must be a list of integers, got {value!r}")
+    return tuple(value)
 
 
 def solution_to_text(solution: Solution) -> str:

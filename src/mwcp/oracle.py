@@ -24,7 +24,7 @@ not 2^m.  Coordinates are scaled to integers once per solve.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -114,67 +114,136 @@ def containment_layers(coords, members):
     bitmask (bit j for ``members[j]``) to contained bitmask (bit i when
     ``coords[i]`` lies in the closed hull of the subset), in lexicographic
     order of the subsets.  A layer is built from the previous one only, so
-    the caller holds at most two of them.
+    the caller holds at most two of them.  The simplices' own members come
+    from :func:`_simplex_masks` before the first layer.
     """
-    n = len(coords)
+    simplex = _simplex_masks(coords, members)
+    bits = [1 << i for i in members]
     prev = {0: 0}
     yield prev
-    for size in range(1, len(members) + 1):
+    for _ in members:
         layer = {}
-        for combo in itertools.combinations(range(len(members)), size):
-            s = 0
-            own = 0
-            for j in combo:
-                s |= 1 << j
-                own |= 1 << members[j]
-            union = own
-            for j in combo:
-                union |= prev[s ^ (1 << j)]
-            if size <= len(coords[0]) + 1:
-                targets = [i for i in range(n) if not union >> i & 1]
-                if targets:
-                    inside = _simplex_members(coords, [members[j] for j in combo], targets)
-                    for i in inside or ():
-                        union |= 1 << i
-            layer[s] = union
+        # Extending each subset by a larger member, in the previous layer's
+        # order, lists the new layer in lexicographic order.
+        for s, contained in prev.items():
+            for j in range(s.bit_length(), len(members)):
+                t = s | 1 << j
+                union = contained | bits[j] | simplex.get(t, 0)
+                rest = s
+                while rest:
+                    low = rest & -rest
+                    union |= prev[t ^ low]
+                    rest ^= low
+                layer[t] = union
         prev = layer
         yield layer
 
 
-def _simplex_members(coords, vertices, targets):
-    """The targets inside conv(vertices), or None when the vertices are
-    affinely dependent.
+def _simplex_masks(coords, members):
+    """Map each affinely independent subset of ``members`` (a bitmask as in
+    :func:`containment_layers`, at most d + 1 members) to the points inside
+    its simplex that no proper subset's simplex holds, when there are any.
 
-    Fraction-free Gauss-Jordan elimination on the integer matrix
-    ``[vertices | targets; 1 ... 1]`` (one column per point, d coordinate
-    rows and an affine row); rows are reduced by their gcd after each step.
-    A target is inside when the rows without a pivot are zero in its column
-    (consistent) and each barycentric coordinate, the ratio of its entry to
-    the row's pivot, is >= 0.
+    A depth-first walk over the subsets, each extended by a larger member:
+    a subset reuses its parent's eliminated matrix and costs one pivot
+    (:func:`_extend`).  Only the matrices on the current path are live, at
+    most d + 1 of them.  A dependent subset is not extended, because every
+    superset of it is dependent too.
     """
-    k = len(vertices)
-    cols = list(vertices) + list(targets)
-    rows = [[1] * len(cols)] + [[coords[i][a] for i in cols] for a in range(len(coords[0]))]
-    for c in range(k):
-        pr = next((r for r in range(c, len(rows)) if rows[r][c]), None)
-        if pr is None:
-            return None
-        rows[c], rows[pr] = rows[pr], rows[c]
-        prow = rows[c]
-        piv = prow[c]
-        for r in range(len(rows)):
-            f = rows[r][c]
-            if r == c or not f:
+    found = {}
+    if not coords:
+        return found
+    n = len(coords)
+    d = len(coords[0])
+    m = len(members)
+
+    def grow(s, parent, size):
+        for j in range(s.bit_length(), m):
+            child = _extend(parent, members[j], size <= d and j + 1 < m)
+            if child is None:
                 continue
-            row = [x * piv - f * y for x, y in zip(rows[r], prow)]
-            g = gcd(*row)
-            rows[r] = [x // g for x in row] if g > 1 else row
-    return [
-        cols[t]
-        for t in range(k, len(cols))
-        if all(rows[r][t] == 0 for r in range(k, len(rows)))
-        and all(rows[r][t] * rows[r][r] >= 0 for r in range(k))
-    ]
+            t = s | 1 << j
+            inside, matrix = child
+            if inside:
+                found[t] = inside
+            if matrix is not None:
+                grow(t, matrix, size + 1)
+
+    # The empty subset: no pivots, every point an open column.
+    grow(0, (list(range(n)), [], [[1] * n] + [[p[a] for p in coords] for a in range(d)]), 1)
+    return found
+
+
+def _extend(parent, v, keep):
+    """One fraction-free pivot that extends the parent's simplex by vertex v.
+
+    ``parent`` is ``(cols, pivots, rows)``: the Gauss-Jordan eliminated
+    integer matrix ``[points; 1 ... 1]`` of an affinely independent subset P,
+    kept only on ``cols``, the sorted indices of the points outside conv(P).
+    The first ``len(pivots)`` rows are pivot rows, and ``pivots`` holds each
+    one's entry in its own (dropped) vertex column; the other rows are free
+    and vanish on P's columns.  Returns None when P + v is affinely
+    dependent: v lies in conv(P) (its column was dropped) or in aff(P) (no
+    free row is nonzero in its column).  Otherwise returns ``(inside,
+    matrix)``: the bitmask of the open points other than v that lie in
+    conv(P + v), and, when ``keep``, P + v's own ``(cols, pivots, rows)`` on
+    the points left outside, or None when none are left.
+
+    A point is inside exactly when the free rows vanish on its column
+    (consistent) and each barycentric coordinate, a pivot row's entry over
+    its pivot, is >= 0.  Dropping the inside columns is safe: such a point
+    lies in the hull of every superset.  Changed rows are divided by their
+    gcd, pivot entry included.
+    """
+    cols, pivots, rows = parent
+    c = bisect_left(cols, v)
+    if c == len(cols) or cols[c] != v:
+        return None
+    k = len(pivots)
+    pr = next((r for r in range(k, len(rows)) if rows[r][c]), None)
+    if pr is None:
+        return None
+    prow = rows[pr]
+    pv = prow[c]
+    top = prow[:c] + prow[c + 1:]
+    new_pivots = []
+    new_rows = []
+    for r, row in enumerate(rows):
+        if r == pr:
+            continue
+        f = row[c]
+        vals = row[:c] + row[c + 1:]
+        p = pivots[r] if r < k else 0
+        if f:
+            vals = [x * pv - f * y for x, y in zip(vals, top)]
+            p *= pv
+            g = gcd(p, *vals)
+            if g > 1:
+                vals = [x // g for x in vals]
+                p //= g
+        if r < k:
+            new_pivots.append(p)
+        new_rows.append(vals)
+    # The new pivot row goes after the old ones.
+    new_rows.insert(k, top)
+    new_pivots.append(pv)
+    cols = cols[:c] + cols[c + 1:]
+    alive = range(len(cols))
+    for row in new_rows[k + 1:]:
+        alive = [q for q in alive if not row[q]]
+    for row, p in zip(new_rows, new_pivots):
+        alive = [q for q in alive if row[q] * p >= 0]
+    inside = 0
+    for q in alive:
+        inside |= 1 << cols[q]
+    if not keep or len(alive) == len(cols):
+        return inside, None
+    if alive:
+        out = set(alive)
+        rest = [q for q in range(len(cols)) if q not in out]
+        new_rows = [[row[q] for q in rest] for row in new_rows]
+        cols = [cols[q] for q in rest]
+    return inside, (cols, new_pivots, new_rows)
 
 
 def _bits(mask):

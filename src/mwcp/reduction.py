@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .geometry import Point, point_in_hull
+from .geometry import Point, hull_members, scale_to_integers
 from .model import Instance, Solution, WeightedPoint, evaluate
 
 GADGET_T1 = Fraction(1, 3)
@@ -239,26 +239,30 @@ def verify_edge_gadget(instance: Instance, *, max_vertices: int = 8) -> GadgetRe
     that g lies in conv(C) exactly when both u and v are in C.
 
     Exhaustive over all 2^n subsets, so n is bounded by ``max_vertices``.
-    Violations are reported with their witness subset; a clean report means
-    the reduction's containment claim holds for this instance.
+    The instance is scaled to integers once, and each subset decides all
+    gadget points with one call of ``hull_members``.  Violations are
+    reported with their witness subset; a clean report means the
+    reduction's containment claim holds for this instance.
     """
     graph, vertex_index, edge_gadgets = _reduction_maps(instance)
     n = graph.n_vertices
     if n > max_vertices:
         raise ValueError(f"gadget verification limited to {max_vertices} vertices")
+    scaled = scale_to_integers([wp.point for wp in instance.points])
+    gadget_points = [scaled[gi] for _, gadget_idx in edge_gadgets for gi in gadget_idx]
     violations = []
     subsets = 0
     memberships = 0
     for mask in range(1 << n):
         subsets += 1
         chosen = [v for v in range(n) if mask >> v & 1]
-        pts = [instance.points[vertex_index[v]].point for v in chosen]
+        pts = [scaled[vertex_index[v]] for v in chosen]
+        inside = iter(hull_members(gadget_points, pts) if pts else [False] * len(gadget_points))
         in_c = [bool(mask >> v & 1) for v in range(n)]
         for (u, v), gadget_idx in edge_gadgets:
             expected = in_c[u] and in_c[v]
             for gi in gadget_idx:
-                g = instance.points[gi].point
-                actual = bool(pts) and point_in_hull(g, pts)
+                actual = next(inside)
                 memberships += 1
                 if actual != expected:
                     violations.append(

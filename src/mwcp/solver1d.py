@@ -21,7 +21,8 @@ def solve_1d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     Sorting by x reduces the problem to the maximum-sum contiguous run of
     weights.  Ties among optimal intervals break toward the leftmost start,
     then the shortest interval; the returned witness is pruned to a maximal
-    vertex set.
+    vertex set.  The witness's weight is checked against the scan's, raising
+    ``RuntimeError``, so the check survives ``python -O``.
     """
     if instance.dimension != 1:
         raise ValueError("solve_1d requires a 1-dimensional instance")
@@ -60,15 +61,15 @@ def solve_1d(instance: Instance, *, allow_empty: bool = True) -> Solution:
         if pos < len(hits):
             s, e = start, hits[pos]
             break
-    assert s is not None
+    if s is None:
+        raise RuntimeError("no interval attains the maximum-subarray weight")
 
     if best <= 0:
         # Only reachable with allow_empty=False on an all-negative instance;
         # the optimum is a single point and maximality is unattainable.
         sol = evaluate(instance, [order[s]], allow_nonpositive=True)
-        assert sol.weight == best
-        return sol
-    chosen = prune_to_maximal(instance, {order[s], order[e]})
-    sol = evaluate(instance, chosen)
-    assert sol.weight == best
+    else:
+        sol = evaluate(instance, prune_to_maximal(instance, {order[s], order[e]}))
+    if sol.weight != best:
+        raise RuntimeError(f"1D witness weighs {sol.weight}, the scan found {best}")
     return sol

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 
 from mwcp.geometry import Orientation, orientation
 from mwcp.model import Instance, Solution, WeightedPoint, evaluate
@@ -72,6 +73,75 @@ def in_hull_reference(v, vertices):
             if coeffs is not None and all(c >= 0 for c in coeffs):
                 return True
     return False
+
+
+def reference_containment_layers(coords, members):
+    """The oracle's lattice layers with every simplex eliminated from scratch.
+
+    Same contract as :func:`mwcp.oracle.containment_layers`: Carathéodory
+    unions of the children, plus, for each subset of at most d + 1 members,
+    a full Gauss-Jordan elimination of ``[subset | targets; 1 ... 1]``
+    (:func:`_simplex_members`) instead of one pivot on the parent's matrix.
+    """
+    n = len(coords)
+    prev = {0: 0}
+    yield prev
+    for size in range(1, len(members) + 1):
+        layer = {}
+        for combo in itertools.combinations(range(len(members)), size):
+            s = 0
+            own = 0
+            for j in combo:
+                s |= 1 << j
+                own |= 1 << members[j]
+            union = own
+            for j in combo:
+                union |= prev[s ^ (1 << j)]
+            if size <= len(coords[0]) + 1:
+                targets = [i for i in range(n) if not union >> i & 1]
+                if targets:
+                    inside = _simplex_members(coords, [members[j] for j in combo], targets)
+                    for i in inside or ():
+                        union |= 1 << i
+            layer[s] = union
+        prev = layer
+        yield layer
+
+
+def _simplex_members(coords, vertices, targets):
+    """The targets inside conv(vertices), or None when the vertices are
+    affinely dependent.
+
+    Fraction-free Gauss-Jordan elimination on the integer matrix
+    ``[vertices | targets; 1 ... 1]`` (one column per point, d coordinate
+    rows and an affine row); rows are reduced by their gcd after each step.
+    A target is inside when the rows without a pivot are zero in its column
+    (consistent) and each barycentric coordinate, the ratio of its entry to
+    the row's pivot, is >= 0.
+    """
+    k = len(vertices)
+    cols = list(vertices) + list(targets)
+    rows = [[1] * len(cols)] + [[coords[i][a] for i in cols] for a in range(len(coords[0]))]
+    for c in range(k):
+        pr = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pr is None:
+            return None
+        rows[c], rows[pr] = rows[pr], rows[c]
+        prow = rows[c]
+        piv = prow[c]
+        for r in range(len(rows)):
+            f = rows[r][c]
+            if r == c or not f:
+                continue
+            row = [x * piv - f * y for x, y in zip(rows[r], prow)]
+            g = gcd(*row)
+            rows[r] = [x // g for x in row] if g > 1 else row
+    return [
+        cols[t]
+        for t in range(k, len(cols))
+        if all(rows[r][t] == 0 for r in range(k, len(rows)))
+        and all(rows[r][t] * rows[r][r] >= 0 for r in range(k))
+    ]
 
 
 def _barycentric(v, subset):

@@ -215,7 +215,9 @@ def test_criterion_6_ngon_family(corpus_ngon):
 def test_criterion_7_complexity_scaling():
     sizes = [100, 200, 400]
     start = time.perf_counter()
-    rows, slope = run_bench("dp2d", sizes, seed=0, repeats=1)
+    # The fastest of five solves of each instance: one sample moves the
+    # slope by about 0.2 on a shared host.
+    rows, slope = run_bench("dp2d", sizes, seed=0, repeats=1, samples=5)
     total = time.perf_counter() - start
     t400 = max(sec for _, n, _, _, sec in rows if n == 400)
     assert 2.5 <= slope <= 3.5, f"log-log slope {slope:.3f} outside [2.5, 3.5]"

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import mwcp
+from mwcp import cli
 from mwcp.cli import main, run_bench
 from mwcp.model import parse_instance
+from mwcp.solver1d import solve_1d
 
 TRIANGLE = "2 4\n0 0 1\n4 0 1\n2 3 1\n2 1 -1\n"
 ONE_D = "1 4\n0 -2\n1 3\n2 -1\n3 4\n"
@@ -141,6 +143,19 @@ def test_verify_solution_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("chosen", ['"02"', "[0.7, 2.2]"])
+def test_verify_solution_rejects_non_integer_indices(tmp_path, capsys, chosen):
+    path = write(tmp_path, "t.mwcp", TRIANGLE)
+    spath = write(
+        tmp_path,
+        "bad.json",
+        f'{{"weight": "2", "chosen": {chosen}, "hull": [0, 1, 2], "contained": [0, 1, 2, 3]}}',
+    )
+    assert main(["verify", "--mode", "solution", path, "--solution", spath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'chosen' must be a list of integers" in err
+
+
 def test_bench_csv_and_slope(tmp_path, capsys):
     assert main(["bench", "--algo", "dp2d", "--sizes", "8,12", "--seed", "1"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -153,6 +168,21 @@ def test_run_bench_rows():
     rows, slope = run_bench("dp1d", [16, 32], seed=2, repeats=2)
     assert len(rows) == 4
     assert all(r[0] == "dp1d" for r in rows)
+
+
+def test_run_bench_samples_time_one_instance(monkeypatch):
+    seen = []
+
+    def solve(instance, **kwargs):
+        seen.append(instance)
+        return solve_1d(instance, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_1d", solve)
+    rows, _ = run_bench("dp1d", [16, 32], seed=2, repeats=2, samples=3)
+    # The CSV keeps one row per instance; each instance is solved 3 times.
+    assert [(r[1], r[2]) for r in rows] == [(16, 2), (16, 3), (32, 2), (32, 3)]
+    assert len(seen) == 12
+    assert all(seen[i] is seen[i - i % 3] for i in range(12))
 
 
 def run_module(tmp_path, *args):

@@ -5,8 +5,10 @@ import pytest
 
 from mwcp.geometry import (
     Orientation,
+    _convex_combination_feasible,
     convex_hull_2d,
     cross2,
+    hull_members,
     is_concave_turn,
     is_convex_turn,
     orientation,
@@ -164,6 +166,27 @@ def test_point_in_hull_matches_reference():
         verts = [tuple(Fraction(rng.randint(0, 6)) for _ in range(d)) for _ in range(m)]
         v = tuple(Fraction(rng.randint(0, 6)) for _ in range(d))
         assert point_in_hull(v, verts) == in_hull_reference(v, verts)
+
+
+def test_hull_members_matches_point_in_hull():
+    # one call over shared vertex rows answers as the per-point wrapper does,
+    # with negative coordinates, vertices, and points off the bounding box
+    rng = random.Random(8)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        verts = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(rng.randint(1, 6))]
+        pts = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(8)] + verts[:2]
+        assert hull_members(pts, verts) == [point_in_hull(p, verts) for p in pts]
+
+
+def test_convex_combination_feasible_negative_rhs():
+    # x >= 0 with x = -1 has no solution; the row must be negated before the
+    # artificial basis starts, or the first pivot "finds" x = -1
+    assert _convex_combination_feasible([[1]], [-1]) is False
+    assert _convex_combination_feasible([[-1]], [-1]) is True
+    # x0 + x1 = 1 and x0 - x1 = -3 forces x0 = -1
+    assert _convex_combination_feasible([[1, 1], [1, -1]], [1, -3]) is False
+    assert _convex_combination_feasible([[1, 1], [1, -1]], [1, -1]) is True
 
 
 def test_point_in_hull_agrees_with_hull_insertion():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -246,6 +247,15 @@ def test_solution_json_roundtrip():
     text = solution_to_text(sol)
     assert "weight = 2" in text
     assert "chosen = [0, 1, 2]" in text
+
+
+@pytest.mark.parametrize("key", ["chosen", "hull", "contained"])
+@pytest.mark.parametrize("bad", ["02", [0.7, 2.2], [0, True], 3, {"0": 1}, [[0]]])
+def test_solution_json_rejects_non_integer_indices(key, bad):
+    obj = {"weight": "2", "chosen": [0, 1, 2], "hull": [0, 1, 2], "contained": [0, 1, 2, 3]}
+    obj[key] = bad
+    with pytest.raises(ValueError, match=f"'{key}' must be a list of integers"):
+        solution_from_json(json.dumps(obj))
 
 
 def test_solution_json_for_1d_has_null_hull():

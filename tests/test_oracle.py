@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,11 +7,16 @@ import pytest
 
 import mwcp.oracle as oracle
 from mwcp.geometry import point_in_hull, scale_to_integers
-from mwcp.model import Instance, WeightedPoint, make_instance
+from mwcp.model import Instance, WeightedPoint, evaluate, make_instance
 from mwcp.oracle import OracleSizeError, containment_layers, solve_bruteforce
 from mwcp.reduction import make_graph, reduce_is_to_mwcp
 from mwcp.solver1d import solve_1d
-from support import assert_valid_witness, in_hull_reference, random_instance
+from support import (
+    assert_valid_witness,
+    in_hull_reference,
+    random_instance,
+    reference_containment_layers,
+)
 
 
 def test_matches_1d_example():
@@ -103,6 +109,77 @@ def lattice_instances():
     for name, pts in shapes.items():
         weights = [rng.choice([-2, -1, 1, 2]) for _ in pts]
         yield name, make_instance(len(pts[0]), list(zip(pts, weights)))
+
+
+def random_lattice_instances():
+    """40 seeded d = 3 and d = 4 instances, n <= 9: 0/1/2 grids, points
+    mostly on one hyperplane, and coordinates off the grid by 2^-60."""
+    rng = random.Random(61)
+    for case in range(40):
+        d = 3 + case % 2
+        kind = ("grid", "coplanar", "huge")[case % 3]
+        n = rng.randint(4, 9)
+        pts = set()
+        while len(pts) < n:
+            if kind == "grid":
+                p = tuple(Fraction(rng.randint(0, 2)) for _ in range(d))
+            elif kind == "coplanar" and rng.random() < 0.7:
+                head = [Fraction(rng.randint(-3, 3)) for _ in range(d - 1)]
+                p = (*head, sum(head))
+            else:
+                p = tuple(
+                    Fraction(rng.randint(-3, 3)) + Fraction(rng.randint(-1, 1), 2**60)
+                    for _ in range(d)
+                )
+            pts.add(p)
+        rows = [(p, rng.choice([-2, -1, 1, 2])) for p in sorted(pts)]
+        rng.shuffle(rows)
+        yield f"{kind}{d}-{case}", make_instance(d, rows)
+
+
+def reduction_instances():
+    """16 reductions of seeded G(7, 0.4) graphs."""
+    rng = random.Random(62)
+    pairs = list(itertools.combinations(range(7), 2))
+    for case in range(16):
+        edges = [e for e in pairs if rng.random() < 0.4]
+        yield f"g{case}", reduce_is_to_mwcp(make_graph(7, edges))
+
+
+def test_lattice_matches_from_scratch_reference():
+    cases = [
+        (name, inst, list(range(len(inst.points))))
+        for name, inst in itertools.chain(lattice_instances(), random_lattice_instances())
+    ]
+    cases += [(name, inst, inst.positive_indices()) for name, inst in reduction_instances()]
+    assert len(cases) == 8 + 40 + 16
+    for name, inst, members in cases:
+        coords = scale_to_integers([wp.point for wp in inst.points])
+        got = list(containment_layers(coords, members))
+        want = list(reference_containment_layers(coords, members))
+        assert len(got) == len(members) + 1, name
+        for layer, ref in zip(got, want):
+            assert list(layer.items()) == list(ref.items()), name
+
+
+def test_evaluate_matches_in_hull_reference_above_2d():
+    rng = random.Random(63)
+    cases = []
+    for name, inst in itertools.chain(lattice_instances(), random_lattice_instances()):
+        n = len(inst.points)
+        for _ in range(3):
+            cases.append((name, inst, rng.sample(range(n), rng.randint(1, min(5, n)))))
+    for name, inst in reduction_instances():
+        pos = inst.positive_indices()
+        cases.append((name, inst, list(solve_bruteforce(inst).chosen)))
+        cases.append((name, inst, rng.sample(pos, rng.randint(1, 4))))
+    for name, inst, chosen in cases:
+        pts = [wp.point for wp in inst.points]
+        verts = [pts[i] for i in chosen]
+        sol = evaluate(inst, chosen, allow_nonpositive=True)
+        want = tuple(i for i, p in enumerate(pts) if in_hull_reference(p, verts))
+        assert sol.contained == want, (name, chosen)
+        assert sol.weight == sum(inst.points[i].weight for i in want), name
 
 
 def test_lattice_matches_point_in_hull():

@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+import mwcp.solver1d as solver1d
 from mwcp.model import make_instance, prune_to_maximal
 from mwcp.oracle import solve_bruteforce
 from mwcp.solver1d import solve_1d
@@ -76,3 +78,23 @@ def test_interval_endpoints_positive():
         sol = solve_1d(inst)
         for i in sol.chosen:
             assert inst.points[i].weight > 0
+
+
+@pytest.mark.parametrize(
+    "rows, allow_empty",
+    [
+        ([((0,), -2), ((1,), 3), ((2,), -1), ((3,), 4)], True),
+        # all negative with a nonempty answer: the single-point branch
+        ([((0,), -2), ((1,), -1)], False),
+    ],
+)
+def test_witness_weight_mismatch_raises(monkeypatch, rows, allow_empty):
+    evaluate = solver1d.evaluate
+
+    def off_by_one(*args, **kwargs):
+        sol = evaluate(*args, **kwargs)
+        return replace(sol, weight=sol.weight + 1)
+
+    monkeypatch.setattr(solver1d, "evaluate", off_by_one)
+    with pytest.raises(RuntimeError, match="the scan found"):
+        solve_1d(make_instance(1, rows), allow_empty=allow_empty)
