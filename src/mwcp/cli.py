@@ -157,32 +157,35 @@ def run_bench(algo: str, sizes, seed: int, repeats: int = 1, weights=(-9, 9), sa
 
     Each size runs ``repeats`` instances (seeds ``seed`` .. ``seed +
     repeats - 1``) and the slope is fitted to their mean times.  Each
-    instance is solved ``samples`` times and keeps its fastest time, which
-    filters out host noise without changing the instance.
+    instance is solved ``samples`` times and keeps its fastest time.  The
+    samples go round-robin over all instances, so a slow spell of the host
+    that spans several solves cannot slow every sample of one size.
     """
     dimension = 1 if algo == "dp1d" else 2
+    cases = [
+        (n, seed + rep, gen_uniform(n, dimension, seed + rep, weights))
+        for n in sizes
+        for rep in range(repeats)
+    ]
+    best = [math.inf] * len(cases)
+    found = [None] * len(cases)
+    for _ in range(samples):
+        for c, (_, _, instance) in enumerate(cases):
+            start = time.perf_counter()
+            if algo == "dp1d":
+                sol = solve_1d(instance)
+            elif algo == "dp2d":
+                sol = solve_2d(instance)
+            else:
+                sol = solve_bruteforce(instance, limit=_oracle_limit())
+            best[c] = min(best[c], time.perf_counter() - start)
+            found[c] = sol.weight
     rows = []
-    means = []
-    for n in sizes:
-        times = []
-        weight = None
-        for rep in range(repeats):
-            instance = gen_uniform(n, dimension, seed + rep, weights)
-            best = math.inf
-            for _ in range(samples):
-                start = time.perf_counter()
-                if algo == "dp1d":
-                    sol = solve_1d(instance)
-                elif algo == "dp2d":
-                    sol = solve_2d(instance)
-                else:
-                    sol = solve_bruteforce(instance, limit=_oracle_limit())
-                best = min(best, time.perf_counter() - start)
-            times.append(best)
-            weight = sol.weight
-            rows.append((algo, n, seed + rep, weight, times[-1]))
-        means.append((n, sum(times) / len(times)))
-    slope = _loglog_slope(means)
+    times = {}
+    for (n, s, _), w, t in zip(cases, found, best):
+        rows.append((algo, n, s, w, t))
+        times.setdefault(n, []).append(t)
+    slope = _loglog_slope([(n, sum(ts) / len(ts)) for n, ts in times.items()])
     return rows, slope
 
 

@@ -13,13 +13,21 @@ contained set, a bitmask over the instance points, from the subset lattice:
   contained(T) is the union of contained(T - x) over x in T.
 * If T is affinely independent, conv(T) is a simplex and a point lies in it
   exactly when its unique barycentric coordinates exist and are all >= 0.
-  One fraction-free integer Gauss-Jordan elimination of
-  ``[T | targets; 1 ... 1]`` decides every target at once, and only the
-  points outside the children's union are targets.
+  The fraction-free integer Gauss-Jordan elimination of ``[points; 1 ... 1]``
+  on T's columns decides every point at once.  T's elimination is its
+  parent's (T minus its largest member) plus one pivot on the new vertex's
+  column, so a depth-first walk over the subsets costs one pivot per
+  affinely independent subset of at most d + 1 members.
 
 Subsets are generated one size layer at a time from the previous layer, so
 at most two adjacent layers are live: O(C(m, m // 2)) masks for |S+| = m,
-not 2^m.  Coordinates are scaled to integers once per solve.
+not 2^m.  The walk holds the matrices of the subsets on its current path
+only, at most d + 1 of them with (d + 1) x n ints each, and it keeps one
+mask per affinely independent subset whose simplex holds a point other
+than its vertices: at most sum of C(m, k) over k <= r + 1 for a point set
+of affine rank r <= d, which is below C(m, m // 2) when r + 1 <= m / 4
+(for example d = 4 and m >= 20).  Coordinates are scaled to integers once
+per solve.
 """
 
 from __future__ import annotations
@@ -141,8 +149,9 @@ def containment_layers(coords, members):
 
 def _simplex_masks(coords, members):
     """Map each affinely independent subset of ``members`` (a bitmask as in
-    :func:`containment_layers`, at most d + 1 members) to the points inside
-    its simplex that no proper subset's simplex holds, when there are any.
+    :func:`containment_layers`, at most d + 1 members) to the points other
+    than its vertices inside its simplex but outside its parent's, when
+    there are any.  The parent is the subset minus its largest member.
 
     A depth-first walk over the subsets, each extended by a larger member:
     a subset reuses its parent's eliminated matrix and costs one pivot

@@ -179,10 +179,11 @@ def test_run_bench_samples_time_one_instance(monkeypatch):
 
     monkeypatch.setattr(cli, "solve_1d", solve)
     rows, _ = run_bench("dp1d", [16, 32], seed=2, repeats=2, samples=3)
-    # The CSV keeps one row per instance; each instance is solved 3 times.
+    # The CSV keeps one row per instance; the 4 instances are solved 3 times
+    # each, round-robin.
     assert [(r[1], r[2]) for r in rows] == [(16, 2), (16, 3), (32, 2), (32, 3)]
-    assert len(seen) == 12
-    assert all(seen[i] is seen[i - i % 3] for i in range(12))
+    assert len(seen) == 12 and len({id(i) for i in seen}) == 4
+    assert all(seen[i] is seen[i % 4] for i in range(12))
 
 
 def run_module(tmp_path, *args):
