@@ -33,6 +33,7 @@ per solve.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import reduce
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -160,27 +161,34 @@ def _simplex_masks(coords, members):
     superset of it is dependent too.
     """
     found = {}
-    if not coords:
-        return found
-    n = len(coords)
-    d = len(coords[0])
-    m = len(members)
-
-    def grow(s, parent, size):
-        for j in range(s.bit_length(), m):
-            child = _extend(parent, members[j], size <= d and j + 1 < m)
-            if child is None:
-                continue
-            t = s | 1 << j
-            inside, matrix = child
-            if inside:
-                found[t] = inside
-            if matrix is not None:
-                grow(t, matrix, size + 1)
-
-    # The empty subset: no pivots, every point an open column.
-    grow(0, (list(range(n)), [], [[1] * n] + [[p[a] for p in coords] for a in range(d)]), 1)
+    if coords:
+        n = len(coords)
+        d = len(coords[0])
+        # The empty subset: no pivots, every point an open column.
+        rows = [[1] * n] + [[p[a] for p in coords] for a in range(d)]
+        _grow(found, members, d, 0, (list(range(n)), [], rows))
     return found
+
+
+def _grow(found, members, d, s, parent):
+    """Record in ``found`` the simplex masks of the extensions of subset s,
+    whose eliminated matrix is ``parent``, by each larger member, and walk
+    on from each extension that has at most d members and a larger member
+    left to add.  A plain function, not a closure: a closure that calls
+    itself is a reference cycle, which kept every solve's map alive until
+    the next garbage collection."""
+    grows = s.bit_count() < d
+    m = len(members)
+    for j in range(s.bit_length(), m):
+        child = _extend(parent, members[j], grows and j + 1 < m)
+        if child is None:
+            continue
+        t = s | 1 << j
+        inside, matrix = child
+        if inside:
+            found[t] = inside
+        if matrix is not None:
+            _grow(found, members, d, t, matrix)
 
 
 def _extend(parent, v, keep):
@@ -226,7 +234,10 @@ def _extend(parent, v, keep):
         if f:
             vals = [x * pv - f * y for x, y in zip(vals, top)]
             p *= pv
-            g = gcd(p, *vals)
+            # Not gcd(p, *vals): the starred calls left about 400 KB of
+            # argument tuples in the interpreter's free lists over one pool
+            # of reduction4d solves (tracemalloc).
+            g = reduce(gcd, vals, p)
             if g > 1:
                 vals = [x // g for x in vals]
                 p //= g
