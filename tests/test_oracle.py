@@ -157,7 +157,7 @@ def test_lattice_matches_from_scratch_reference():
         coords = scale_to_integers([wp.point for wp in inst.points])
         got = list(containment_layers(coords, members))
         want = list(reference_containment_layers(coords, members))
-        assert len(got) == len(members) + 1, name
+        assert len(got) == len(want) == len(members) + 1, name
         for layer, ref in zip(got, want):
             assert list(layer.items()) == list(ref.items()), name
 
