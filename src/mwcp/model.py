@@ -89,6 +89,8 @@ def canonicalize(instance: Instance) -> Instance:
     ``meta["canonical_index_map"]`` records old index -> new index (None for
     points that were merged away or cancelled to zero weight).
     """
+    if _is_canonical(instance):
+        return instance
     order: list[Point] = []
     weights: dict[Point, Fraction] = {}
     for wp in instance.points:
@@ -97,8 +99,6 @@ def canonicalize(instance: Instance) -> Instance:
             order.append(wp.point)
         weights[wp.point] += wp.weight
     kept = [p for p in order if weights[p] != 0]
-    if len(kept) == len(instance.points):
-        return instance
     new_index = {p: i for i, p in enumerate(kept)}
     mapping = [new_index.get(wp.point) for wp in instance.points]
     meta = dict(instance.meta)
@@ -107,13 +107,16 @@ def canonicalize(instance: Instance) -> Instance:
     return Instance(instance.dimension, pts, meta)
 
 
+def _is_canonical(instance: Instance) -> bool:
+    """Every weight nonzero and the points pairwise distinct, in one pass each."""
+    pts = instance.points
+    return all(wp.weight for wp in pts) and len({wp.point for wp in pts}) == len(pts)
+
+
 def require_canonical(instance: Instance) -> None:
     """Raise unless points are pairwise distinct with nonzero weights."""
-    seen = set()
-    for wp in instance.points:
-        if wp.weight == 0 or wp.point in seen:
-            raise ValueError("instance is not canonical; run canonicalize() first")
-        seen.add(wp.point)
+    if not _is_canonical(instance):
+        raise ValueError("instance is not canonical; run canonicalize() first")
 
 
 def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> Solution:
@@ -224,15 +227,21 @@ class InstanceParseError(ValueError):
     """Malformed instance text; the message names the offending line."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def _parse_rational(token: str, lineno: int) -> Fraction:
-    if not _RATIONAL_RE.match(token):
+    """The rational that ``token`` spells, from the regex's own groups."""
+    match = _RATIONAL_RE.match(token)
+    if not match:
         raise InstanceParseError(f"line {lineno}: {token!r} is not a rational token")
-    if "/" in token and token.split("/")[1].lstrip("0") == "":
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    den = int(den)
+    if not den:
         raise InstanceParseError(f"line {lineno}: zero denominator in {token!r}")
-    return Fraction(token)
+    return Fraction(int(num), den)
 
 
 def parse_instance(text: str) -> Instance:

@@ -275,4 +275,10 @@ def _bits(mask):
 
 
 def _mask_weight(mask, iw):
-    return sum(iw[b.bit_length() - 1] for b in _bits(mask))
+    """Sum of ``iw[i]`` over the set bits i of ``mask``, lowest bit first."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += iw[low.bit_length() - 1]
+        mask ^= low
+    return total

@@ -172,22 +172,41 @@ def reduce_is_to_mwcp(graph: Graph) -> Instance:
 
 
 def _reduction_maps(instance: Instance):
+    """The graph and index maps that a reduced instance's meta records.
+
+    Every index must be an int in range: a vertex below the graph's vertex
+    count, a point below the instance's point count.  ``vertex_point_index``
+    names one point per vertex.  Anything else raises ``ValueError``.
+    """
     meta = instance.meta
+    n_points = len(instance.points)
     try:
-        graph = make_graph(
-            meta["graph"]["n_vertices"],
-            [tuple(e) for e in meta["graph"]["edges"]],
-        )
-        vertex_index = [int(i) for i in meta["vertex_point_index"]]
+        n_vertices = meta["graph"]["n_vertices"]
+        if type(n_vertices) is not int:
+            raise ValueError(f"vertex count {n_vertices!r} is not an int")
+        graph = make_graph(n_vertices, [tuple(e) for e in meta["graph"]["edges"]])
+        vertex_index = [_index(i, n_points, "point") for i in meta["vertex_point_index"]]
+        if len(vertex_index) != n_vertices:
+            raise ValueError(f"{len(vertex_index)} vertex points for {n_vertices} vertices")
         edge_gadgets = [
-            ((int(e[0][0]), int(e[0][1])), (int(e[1][0]), int(e[1][1])))
+            (
+                (_index(e[0][0], n_vertices, "vertex"), _index(e[0][1], n_vertices, "vertex")),
+                (_index(e[1][0], n_points, "point"), _index(e[1][1], n_points, "point")),
+            )
             for e in meta["edge_gadget_index"]
         ]
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(
             f"instance meta does not describe an independent-set reduction ({exc})"
         )
     return graph, vertex_index, edge_gadgets
+
+
+def _index(value, bound: int, what: str) -> int:
+    """``value`` if it is an int in [0, bound), else ``ValueError``."""
+    if type(value) is not int or not 0 <= value < bound:
+        raise ValueError(f"{what} index {value!r} is not an int in [0, {bound})")
+    return value
 
 
 def decode_solution(instance: Instance, solution: Solution) -> tuple[int, ...]:

@@ -11,11 +11,17 @@ Candidate vertices are the positive points only; other points contribute
 through edge weights.  Internally all coordinates and weights are plain
 integers: ``scale_to_integers`` scales each axis by a positive constant, and
 when two points share an x the integer view is sheared by x -> s*x + y with
-s = (y spread) + 1.  Integer x values that differ differ by at least 1, and
-|y - y'| <= s - 1, so the shear keeps the x order, breaks x ties by ascending
-y and leaves every x distinct; it is linear with determinant s > 0, so it
-keeps every orientation sign.  The hot loops therefore run on Python ints and
-stay exact, and every answer equals the one for the original instance.
+s = (y spread) // g + 2, where g is the smallest gap between distinct integer
+x values (g = 1 when there is only one).  Then s*g > (y spread) and
+|y - y'| <= (y spread), so for x < x' the sheared values differ by at least
+s*g - |y - y'| > 0: the shear keeps the x order, breaks x ties by ascending
+y and leaves every x distinct.  It is linear with determinant s > 0, so it
+keeps every orientation sign, and s >= 2 tells a shear from the identity.
+This is the integer form of the K of ``geometry.shear_normalize``.  It adds
+about log2((y spread) / g) bits to x; s = (y spread) + 1 would add the
+whole width of y, which doubles x when both are wide (the ngon family).
+The hot loops therefore run on Python ints and stay exact, and every answer
+equals the one for the original instance.
 
 Infeasible DP cells hold an exact integer sentinel, never a float or None:
 -(sum |w|) - 1 for C and sum |w| + 1 for V, with w the scaled weights.  A
@@ -132,8 +138,10 @@ class SolverContext:
     (the shear guarantees distinct x), ``orig`` maps sorted positions back
     to instance indices, and ``cand`` lists the sorted positions of the
     positive points.  DP indices below are ordinals into ``cand``.
-    ``shear_k`` is the shear factor s, and 1 exactly when no shear was
-    applied; ``slope_scale`` is M = (x_max - x_min)^2 for :func:`slope_key`.
+    ``shear_k`` is the shear factor s = (y spread) // g + 2 of the module
+    docstring (g the smallest gap between distinct integer x), so s*g
+    exceeds the y spread and s >= 2; it is 1 exactly when no shear was
+    applied.  ``slope_scale`` is M = (x_max - x_min)^2 for :func:`slope_key`.
     """
 
     instance: Instance
@@ -190,9 +198,12 @@ def build_context(instance: Instance) -> SolverContext:
         return SolverContext(instance, 1, 1, 0, [], [], [], [], [])
     scaled = scale_to_integers([wp.point for wp in instance.points])
     shear = 1
-    if len({x for x, _ in scaled}) < n:
+    distinct_x = {x for x, _ in scaled}
+    if len(distinct_x) < n:
         ys = [y for _, y in scaled]
-        shear = max(ys) - min(ys) + 1
+        xs = sorted(distinct_x)
+        gap = min((b - a for a, b in zip(xs, xs[1:])), default=1)
+        shear = (max(ys) - min(ys)) // gap + 2
         scaled = [(shear * x + y, y) for x, y in scaled]
     wscale = lcm(*(wp.weight.denominator for wp in instance.points))
     order = sorted(range(n), key=lambda i: scaled[i][0])

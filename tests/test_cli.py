@@ -318,3 +318,67 @@ def test_cli_fuzz_malformed_inputs(tmp_path, capsys):
             assert "Traceback" not in captured.err
             codes[code] += 1
     assert codes[0] and codes[2], codes
+
+
+META_VALUES = [-1, -7, 0, 1, 2, 3, 8, 9, 10**6, 2.0, "1", None, True, [], [0, 1], {}]
+
+
+def mutate_meta(rng, meta):
+    """Replace one number of the meta's graph or index maps by a seeded choice."""
+    meta = json.loads(json.dumps(meta))
+    slots = []
+
+    def walk(node):
+        for key in range(len(node)) if isinstance(node, list) else node:
+            if isinstance(node[key], (list, dict)):
+                walk(node[key])
+            elif isinstance(node[key], int):
+                slots.append((node, key))
+
+    walk({k: meta[k] for k in ("graph", "vertex_point_index", "edge_gadget_index")})
+    node, key = rng.choice(slots)
+    node[key] = rng.choice(META_VALUES)
+    return meta
+
+
+def test_cli_verify_gadget_refuses_bad_indices(tmp_path, capsys):
+    gpath = write(tmp_path, "edge.graph", "3 1\n0 1\n")
+    ipath = str(tmp_path / "edge.mwcp")
+    assert main(["reduce", gpath, ipath]) == 0
+    meta_line, rest = open(ipath).read().split("\n", 1)
+    meta = json.loads(meta_line[len("# meta: "):])
+    for value in (9, -1):
+        meta["edge_gadget_index"][0][0][0] = value
+        bad = write(tmp_path, "bad.mwcp", "# meta: " + json.dumps(meta) + "\n" + rest)
+        capsys.readouterr()
+        assert main(["verify", "--mode", "gadget", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"index {value} " in err
+        assert "Traceback" not in err
+
+
+def test_cli_fuzz_verify_gadget(tmp_path, capsys):
+    # A reduced K3 instance, mutated on its meta line or on one point line.
+    rng = random.Random(20261019)
+    gpath = write(tmp_path, "k3.graph", K3)
+    ipath = str(tmp_path / "k3.mwcp")
+    assert main(["reduce", gpath, ipath]) == 0
+    meta_line, header, *points = open(ipath).read().splitlines()
+    meta = json.loads(meta_line[len("# meta: "):])
+    fuzz = str(tmp_path / "fuzz")
+    codes = collections.Counter()
+    for t in range(300):
+        lines = [meta_line, header, *points]
+        if t % 3 == 0:
+            lines[0] = "# meta: " + json.dumps(mutate_meta(rng, meta))
+        else:
+            at = rng.choice([0] + list(range(2, len(lines))))
+            lines[at] = mutate(rng, lines[at]).decode(errors="replace").replace("\n", " ")
+        with open(fuzz, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code = main(["verify", "--mode", "gadget", fuzz])
+        captured = capsys.readouterr()
+        assert code in (0, 2, 4), (lines, code)
+        assert "Traceback" not in captured.err
+        codes[code] += 1
+    assert codes[0] and codes[2] and codes[4], codes

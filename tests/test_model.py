@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from mwcp.generators import gen_ngon_family, gen_uniform
 from mwcp.geometry import point_in_hull, shear_normalize
 from mwcp.model import (
     Instance,
     InstanceParseError,
     WeightedPoint,
+    _parse_rational,
     best_singleton,
     canonicalize,
     evaluate,
@@ -71,6 +73,50 @@ def test_require_canonical_rejects():
         require_canonical(make_instance(2, [((0, 0), 1), ((0, 0), 1)]))
     with pytest.raises(ValueError):
         require_canonical(make_instance(2, [((0, 0), 0)]))
+
+
+def merge_reference(instance):
+    """canonicalize's merge, written out: (points, weights, index map)."""
+    weights = {}
+    for wp in instance.points:
+        weights[wp.point] = weights.get(wp.point, 0) + wp.weight
+    kept = [p for p, w in weights.items() if w != 0]
+    new_index = {p: i for i, p in enumerate(kept)}
+    return kept, [weights[p] for p in kept], [new_index.get(wp.point) for wp in instance.points]
+
+
+def test_canonicalize_returns_canonical_input_itself():
+    rng = random.Random(17)
+    for _ in range(40):
+        inst = canonicalize(random_instance(rng, rng.randint(0, 10), rng.choice([1, 2, 4])))
+        require_canonical(inst)
+        assert canonicalize(inst) is inst
+    for inst in (make_instance(2, []), gen_ngon_family(24), gen_uniform(60, 2, 3)):
+        assert canonicalize(inst) is inst
+
+
+def test_canonicalize_merge_matches_reference():
+    rng = random.Random(18)
+    for t in range(120):
+        d = rng.choice([1, 2, 3])
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            coords = tuple(Fraction(rng.randint(0, 2), rng.choice([1, 1, 2])) for _ in range(d))
+            rows.append((coords, rng.choice([-2, -1, 0, 0, 1, Fraction(1, 2), 2])))
+        if t % 2:
+            rows.append((rows[0][0], -rows[0][1]))  # cancel the first point
+        inst = make_instance(d, rows, {"family": "x"})
+        points, weights, mapping = merge_reference(inst)
+        if len(points) == len(inst.points):
+            assert canonicalize(inst) is inst
+            continue
+        with pytest.raises(ValueError):
+            require_canonical(inst)
+        out = canonicalize(inst)
+        assert [wp.point for wp in out.points] == points
+        assert [wp.weight for wp in out.points] == weights
+        assert out.meta == {"family": "x", "canonical_index_map": mapping}
+        require_canonical(out)
 
 
 def test_evaluate_empty():
@@ -220,6 +266,28 @@ def test_roundtrip_write_parse():
         assert back.dimension == inst.dimension
         assert back.points == inst.points
         assert write_instance(back) == text
+
+
+def test_parse_rational_matches_fraction():
+    rng = random.Random(19)
+    tokens = ["0/7", "-0", "+0", "0", "-0/5", "007", "-007/0021", "+3/6"]
+    for _ in range(300):
+        sign = rng.choice(["", "+", "-"])
+        num = str(rng.choice([rng.randint(0, 99), rng.randint(2**300, 2**310)]))
+        num = "0" * rng.randint(0, 2) + num
+        den = rng.choice([None, rng.randint(1, 99), rng.randint(2**300, 2**310)])
+        tokens.append(sign + num if den is None else f"{sign}{num}/{'0' * rng.randint(0, 2)}{den}")
+    for tok in tokens:
+        assert _parse_rational(tok, 1) == Fraction(tok), tok
+
+
+def test_parse_rational_errors_unchanged():
+    for tok in ("x", "1.5", "1/", "/2", "1/-2", "--1", "1 /2", ""):
+        with pytest.raises(InstanceParseError, match=f"line 4: {tok!r} is not a rational token"):
+            _parse_rational(tok, 4)
+    for tok in ("1/0", "-3/000", "0/0"):
+        with pytest.raises(InstanceParseError, match=f"line 4: zero denominator in {tok!r}"):
+            _parse_rational(tok, 4)
 
 
 def test_parse_errors_name_lines():

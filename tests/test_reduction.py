@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import random
@@ -214,6 +215,45 @@ def test_verify_edge_gadget_guard():
         verify_edge_gadget(reduce_is_to_mwcp(cycle(9)))
     with pytest.raises(ValueError, match="reduction"):
         verify_edge_gadget(parse_instance("2 1\n0 0 1\n"))
+
+
+def bad_index_instances():
+    """A reduced one-edge 3-vertex graph with one meta index out of range or not an int."""
+    base = reduce_is_to_mwcp(make_graph(3, [(0, 1)]))
+    out = []
+    for key, where, value in [
+        ("edge_gadget_index", (0, 1, 0), 9),
+        ("edge_gadget_index", (0, 1, 1), -1),
+        ("edge_gadget_index", (0, 0, 1), 3),
+        ("edge_gadget_index", (0, 0, 0), -2),
+        ("edge_gadget_index", (0, 1, 0), "3"),
+        ("vertex_point_index", (2,), 5),
+        ("vertex_point_index", (0,), -5),
+        ("vertex_point_index", (1,), True),
+    ]:
+        meta = copy.deepcopy(base.meta)
+        *path, last = where
+        target = meta[key]
+        for step in path:
+            target = target[step]
+        target[last] = value
+        out.append(dataclasses.replace(base, meta=meta))
+    short = copy.deepcopy(base.meta)
+    short["vertex_point_index"].pop()
+    out.append(dataclasses.replace(base, meta=short))
+    return base, out
+
+
+def test_reduction_maps_refuse_bad_indices():
+    base, bad = bad_index_instances()
+    assert verify_edge_gadget(base).ok
+    sol = solve_bruteforce(base)
+    assert decode_solution(base, sol) == (0, 2)
+    for inst in bad:
+        with pytest.raises(ValueError, match="independent-set reduction"):
+            verify_edge_gadget(inst)
+        with pytest.raises(ValueError, match="independent-set reduction"):
+            decode_solution(inst, sol)
 
 
 def test_independence_number_small_cases():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mwcp.generators import gen_ngon_family, gen_uniform
-from mwcp.geometry import orientation, shear_normalize
+from mwcp.geometry import orientation, scale_to_integers, shear_normalize
 from mwcp.model import (
     Instance,
     WeightedPoint,
@@ -65,23 +65,66 @@ def test_edge_weight_no_intermediate():
     assert ew.bot[0][1] == 0
 
 
+def assert_shear_matches_rational(rng, inst):
+    """The integer view has the order and orientations of shear_normalize's."""
+    ctx = build_context(inst)
+    pts = [wp.point for wp in inst.points]
+    sheared, k = shear_normalize(pts)
+    assert (ctx.shear_k != 1) == (k != 1)
+    assert ctx.orig == sorted(range(len(pts)), key=lambda i: sheared[i][0])
+    assert all(a < b for a, b in zip(ctx.xs, ctx.xs[1:]))
+    view = list(zip(ctx.xs, ctx.ys))
+    orig = [pts[i] for i in ctx.orig]
+    for _ in range(30):
+        a, b, c = (rng.randrange(len(pts)) for _ in range(3))
+        assert orientation(view[a], view[b], view[c]) is orientation(
+            orig[a], orig[b], orig[c]
+        )
+    return ctx
+
+
 def test_integer_shear_keeps_order_and_orientation():
     rng = random.Random(71)
     for t in range(90):
         inst = degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 12))
+        assert_shear_matches_rational(rng, inst)
+
+
+def grid_instance(rng, xs, ys, n):
+    """n > len(xs) distinct grid points, at least one on every x, so two share an x."""
+    cells = {(x, rng.choice(ys)) for x in xs}
+    while len(cells) < n:
+        cells.add((rng.choice(xs), rng.choice(ys)))
+    return make_instance(2, [(p, rng.choice([-2, -1, 1, 3])) for p in cells])
+
+
+def test_integer_shear_factor_two_and_unit_gap():
+    rng = random.Random(75)
+    for _ in range(40):
+        # y spread 9 or less, x gap 10: s = spread // 10 + 2 = 2.
+        inst = grid_instance(rng, range(-20, 20, 10), range(-4, 6), rng.randint(5, 14))
+        assert assert_shear_matches_rational(rng, inst).shear_k == 2
+        # x gap 1: s = spread + 2, the smallest factor above the y spread.
+        inst = grid_instance(rng, range(3, 6), range(-6, 7), rng.randint(4, 14))
+        ctx = assert_shear_matches_rational(rng, inst)
+        ys = [wp.point[1] for wp in inst.points]
+        assert ctx.shear_k == max(ys) - min(ys) + 2
+    # One distinct x: the shear still orders the points by y.
+    inst = make_instance(2, [((7, y), 1) for y in (4, -3, 0)])
+    assert assert_shear_matches_rational(rng, inst).shear_k == 4 - (-3) + 2
+
+
+def test_integer_shear_keeps_ngon_width():
+    # The y spread of the ngon family is at most 2^9 times its smallest x
+    # gap, so the sheared x is at most 8 bits wider than the scaled x; a
+    # shear by (y spread) + 1 would double its width.
+    for n in range(24, 33):
+        inst = gen_ngon_family(n)
         ctx = build_context(inst)
-        pts = [wp.point for wp in inst.points]
-        sheared, k = shear_normalize(pts)
-        assert (ctx.shear_k != 1) == (k != 1)
-        assert ctx.orig == sorted(range(len(pts)), key=lambda i: sheared[i][0])
-        assert all(a < b for a, b in zip(ctx.xs, ctx.xs[1:]))
-        view = list(zip(ctx.xs, ctx.ys))
-        orig = [pts[i] for i in ctx.orig]
-        for _ in range(30):
-            a, b, c = (rng.randrange(len(pts)) for _ in range(3))
-            assert orientation(view[a], view[b], view[c]) is orientation(
-                orig[a], orig[b], orig[c]
-            )
+        scaled = scale_to_integers([wp.point for wp in inst.points])
+        width = max(abs(x).bit_length() for x, _ in scaled)
+        assert ctx.shear_k < 2**9
+        assert max(abs(x).bit_length() for x in ctx.xs) <= width + 8
 
 
 def farey_instance(span, sign):
