@@ -174,9 +174,10 @@ def reduce_is_to_mwcp(graph: Graph) -> Instance:
 def _reduction_maps(instance: Instance):
     """The graph and index maps that a reduced instance's meta records.
 
-    Every index must be an int in range: a vertex below the graph's vertex
-    count, a point below the instance's point count.  ``vertex_point_index``
-    names one point per vertex.  Anything else raises ``ValueError``.
+    Every index, in the graph's edges as in the two index maps, must be an
+    int in range: a vertex below the graph's vertex count, a point below the
+    instance's point count.  ``vertex_point_index`` names one point per
+    vertex.  Anything else raises ``ValueError``.
     """
     meta = instance.meta
     n_points = len(instance.points)
@@ -184,7 +185,11 @@ def _reduction_maps(instance: Instance):
         n_vertices = meta["graph"]["n_vertices"]
         if type(n_vertices) is not int:
             raise ValueError(f"vertex count {n_vertices!r} is not an int")
-        graph = make_graph(n_vertices, [tuple(e) for e in meta["graph"]["edges"]])
+        graph = make_graph(
+            n_vertices,
+            [(_index(u, n_vertices, "vertex"), _index(v, n_vertices, "vertex"))
+             for u, v in meta["graph"]["edges"]],
+        )
         vertex_index = [_index(i, n_points, "point") for i in meta["vertex_point_index"]]
         if len(vertex_index) != n_vertices:
             raise ValueError(f"{len(vertex_index)} vertex points for {n_vertices} vertices")

@@ -230,6 +230,8 @@ def bad_index_instances():
         ("vertex_point_index", (2,), 5),
         ("vertex_point_index", (0,), -5),
         ("vertex_point_index", (1,), True),
+        ("graph", ("edges", 0, 1), 2.0),
+        ("graph", ("edges", 0, 0), 3),
     ]:
         meta = copy.deepcopy(base.meta)
         *path, last = where
