@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .geometry import (
     convex_hull_2d,
-    point_in_convex_polygon,
+    convex_polygon_members,
     segments_intersect,
 )
 from .model import Instance, WeightedPoint
@@ -119,9 +119,8 @@ def gen_ngon_family(n: int) -> Instance:
 
 def _ngon_valid(hull, negs) -> bool:
     n = len(negs)
-    for p in negs:
-        if point_in_convex_polygon(p, hull):
-            return False
+    if any(convex_polygon_members(negs, hull)):
+        return False
     edges = [(hull[i - 1], hull[i]) for i in range(len(hull))]
     for i in range(n):
         a = negs[i]

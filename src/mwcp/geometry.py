@@ -1,16 +1,33 @@
 """Exact planar predicates, convex hulls, and convex-hull membership.
 
-The predicates, ``convex_hull_2d`` and ``point_in_convex_polygon`` work on
+The predicates, ``convex_hull_2d`` and ``convex_polygon_members`` work on
 tuples of plain ints or of ``fractions.Fraction`` (the two mix freely) and
 decide their answer exactly: no epsilons, no rounding, and results
 independent of evaluation order.  ``scale_to_integers`` maps rational points
 to an integer view with the same orientations and hull memberships, so the
 2D hot paths and the oracle can run on small ints instead of ``Fraction``.
 All functions are pure, so concurrent use needs no synchronization.
+
+2D membership splits the counterclockwise hull of ``convex_hull_2d`` once
+into two x-monotone chains from its lexicographically smallest vertex L to
+its largest R: the lower chain is the cycle from L to R, the upper chain the
+rest of the cycle read backwards.  Only two edges can be vertical: the last
+edge of the lower chain (up the right side, at x = x_R) and the first edge of
+the upper chain (up the left side, at x = x_L).  A point with x in [x_L, x_R]
+belongs exactly when it lies on or above the lower chain's edge over its x
+and on or below the upper chain's.  The lower edge is the first one whose
+right end has x >= p.x (``bisect_left``), the upper edge the last one whose
+left end has x <= p.x (``bisect_right``); a vertical lower edge follows an
+edge that also ends at x_R, and a vertical upper edge precedes one that also
+starts at x_L, so neither search ever picks a vertical edge.  A point costs
+two bisects and two cross products, O(log h) instead of one cross product
+per edge.  A hull whose vertices share one x (a point or a vertical segment)
+reduces to an interval of y.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -172,20 +189,43 @@ def segments_intersect(p1, p2, q1, q2) -> bool:
 
 def point_in_convex_polygon(p, hull) -> bool:
     """Inclusive membership against a CCW hull as built by convex_hull_2d."""
-    h = len(hull)
-    if h == 0:
-        return False
-    if h == 1:
-        return tuple(p) == tuple(hull[0])
-    if h == 2:
-        return point_on_segment(p, hull[0], hull[1])
-    px, py = p[0], p[1]
-    for i in range(h):
-        ax, ay = hull[i - 1]
-        bx, by = hull[i]
-        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0:
-            return False
-    return True
+    return convex_polygon_members([p], hull)[0]
+
+
+def convex_polygon_members(points, hull):
+    """For each 2D point, is it in the closed convex polygon ``hull``?
+
+    ``hull`` is a counterclockwise vertex cycle as built by
+    :func:`convex_hull_2d`, starting at its lexicographically smallest
+    vertex; the two-chain bisect is in the module docstring.
+    """
+    if not hull:
+        return [False] * len(points)
+    r = hull.index(max(hull))
+    lower = hull[: r + 1]
+    upper = [*hull[r:], hull[0]][::-1]
+    x0, x1 = lower[0][0], lower[-1][0]
+    if x0 == x1:
+        y0, y1 = lower[0][1], upper[-1][1]
+        return [px == x0 and y0 <= py <= y1 for px, py in points]
+    lx = [v[0] for v in lower]
+    ux = [v[0] for v in upper]
+    uend = len(upper) - 1
+    out = []
+    for px, py in points:
+        if not x0 <= px <= x1:
+            out.append(False)
+            continue
+        # Edge (chain[i - 1], chain[i]) covers px; see the module docstring.
+        i = bisect_left(lx, px, 1)
+        (ax, ay), (bx, by) = lower[i - 1], lower[i]
+        if (bx - ax) * (py - ay) < (by - ay) * (px - ax):
+            out.append(False)
+            continue
+        i = bisect_right(ux, px, 0, uend)
+        (ax, ay), (bx, by) = upper[i - 1], upper[i]
+        out.append((bx - ax) * (py - ay) <= (by - ay) * (px - ax))
+    return out
 
 
 def point_in_hull(v, vertices) -> bool:

@@ -10,12 +10,12 @@ from fractions import Fraction
 from .geometry import (
     Point,
     convex_hull_2d,
+    convex_polygon_members,
     hull_members,
-    point_in_convex_polygon,
     scale_to_integers,
 )
-# Not called here: perfbench/run.py --trace 1 wraps this name in this module.
-from .geometry import point_in_hull  # noqa: F401
+# Not called here: perfbench/run.py --trace 1 wraps these names in this module.
+from .geometry import point_in_convex_polygon, point_in_hull  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,11 @@ def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> 
     (boundary included).  The chosen set is normally a subset of the
     positive points; verifiers exercising arbitrary subsets pass
     ``allow_nonpositive=True``.  Membership is batched per dimension (an
-    interval scan in 1D, hull edges in 2D, exact feasibility above), all of
-    it equivalent to a per-point ``point_in_hull`` check.  In 2D the hull and
-    membership run on the integer view from ``scale_to_integers``; above 2D
-    that view feeds one exact LP per point on vertex rows built once
-    (``hull_members``).
+    interval scan in 1D, two bisected hull chains in 2D, exact feasibility
+    above), all of it equivalent to a per-point ``point_in_hull`` check.  In
+    2D the hull and ``convex_polygon_members`` run on the integer view from
+    ``scale_to_integers``; above 2D that view feeds one exact LP per point on
+    vertex rows built once (``hull_members``).
     """
     idx = sorted(set(chosen))
     n = len(instance.points)
@@ -153,9 +153,8 @@ def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> 
     elif d == 2:
         scaled = scale_to_integers([wp.point for wp in instance.points])
         hull_pts = convex_hull_2d([scaled[i] for i in idx])
-        contained = [
-            i for i, p in enumerate(scaled) if point_in_convex_polygon(p, hull_pts)
-        ]
+        inside = convex_polygon_members(scaled, hull_pts)
+        contained = [i for i, ok in enumerate(inside) if ok]
         back = {}
         for i in idx:
             back.setdefault(scaled[i], i)
@@ -220,14 +219,16 @@ def best_singleton(instance: Instance) -> Solution:
 #   # meta: {...}            optional, JSON on one comment line
 #   d n                      header
 #   x1 ... xd w              n point lines, exact rationals "p/q" or ints
-# Other "#" lines are comments.  Chosen for diffability and exactness.
+# Numbers use ASCII digits only.  Other "#" lines are comments.  Chosen for
+# diffability and exactness.
 # ---------------------------------------------------------------------------
 
 class InstanceParseError(ValueError):
     """Malformed instance text; the message names the offending line."""
 
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# ASCII digits only: ``\d`` in a str pattern matches every Unicode digit.
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
 def _parse_rational(token: str, lineno: int) -> Fraction:
@@ -264,7 +265,7 @@ def parse_instance(text: str) -> Instance:
             continue
         tokens = line.split()
         if header is None:
-            if len(tokens) != 2 or not all(t.isdigit() for t in tokens):
+            if len(tokens) != 2 or not all(t.isascii() and t.isdigit() for t in tokens):
                 raise InstanceParseError(f"line {lineno}: expected header 'd n'")
             d, n = int(tokens[0]), int(tokens[1])
             if d < 1:

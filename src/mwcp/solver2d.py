@@ -101,14 +101,24 @@ chain D (both running from L to R), the scaled hull weight is
         - sum(bot[a][b] for (a, b) in D),
 
 the C - V score the sweep maximises.  Pruning the reconstructed chains to a
-maximal vertex set therefore needs only a small integer hull per trial, never
-a ``Fraction`` re-evaluation of the whole instance.
+maximal vertex set therefore needs at most a small integer hull per trial,
+never a ``Fraction`` re-evaluation of the whole instance.  Usually it needs
+none.  When every walked vertex is a vertex of the walked set's hull, the
+set is in strictly convex position, and so is each of its subsets: a point
+of a subset that is not a vertex of the subset's hull lies in the hull of
+the subset's other points, so it is no vertex of the whole set's hull either.
+A subset of a strictly convex set is strictly convex in the inherited cyclic
+order, so the hull of a trial subset is the walked cycle with the dropped
+vertices left out, and each trial filters and rotates one cycle and sums the
+tables along it.  The hull is rebuilt per trial only when some walked vertex
+is not a hull vertex (collinear chain points), since dropping a vertex can
+then expose it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import islice, repeat
@@ -162,11 +172,15 @@ class EdgeWeights:
     Indexed by candidate ordinals a < b; sums run over every instance point
     strictly between the endpoints in x.  ``top - bot`` is exactly the
     weight sitting on the open segment, which is what makes boundary points
-    of degenerate inputs count once overall.
+    of degenerate inputs count once overall.  ``nkey[i][j - i - 1]`` is
+    -key(i, j) for ordinals i < j, the rows :func:`build_angular_lists`
+    sorts; ``solve_2d`` drops them once the lists are built, and equality
+    compares only ``top`` and ``bot``.
     """
 
     top: list[list[int]]
     bot: list[list[int]]
+    nkey: list[list[int]] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -239,6 +253,7 @@ def precompute_edge_weights(ctx: SolverContext) -> EdgeWeights:
     n, m = len(xs), len(cand)
     top = [[0] * m for _ in range(m)]
     bot = [[0] * m for _ in range(m)]
+    nkey = [[] for _ in range(m)]
     ordinal = dict(zip(cand, range(m)))
     # below[a][b - a - 1] = bot(a, b) over all points.  Inside the loop the
     # offsets o = b - a - 1 index wr, rows, keys, brow and trow.
@@ -276,17 +291,18 @@ def precompute_edge_weights(ctx: SolverContext) -> EdgeWeights:
             offsets = [b - a - 1 for b in cand[i + 1:]]
             top[i][i + 1:] = map(trow.__getitem__, offsets)
             bot[i][i + 1:] = map(brow.__getitem__, offsets)
-    return EdgeWeights(top, bot)
+            nkey[i] = list(map(neg, map(keys.__getitem__, offsets)))
+    return EdgeWeights(top, bot, nkey)
 
 
-def build_angular_lists(ctx: SolverContext) -> AngularLists:
-    """Clockwise orderings around every candidate, O(n^2 log n) total."""
-    cx = [ctx.xs[p] for p in ctx.cand]
-    cy = [ctx.ys[p] for p in ctx.cand]
-    scale = ctx.slope_scale
-    m = len(cx)
-    # nkey[i][j - i - 1] = -key(i, j); one int object serves both lists.
-    nkey = [list(map(neg, _key_row(cx, cy, i, scale))) for i in range(m)]
+def build_angular_lists(ctx: SolverContext, nkey) -> AngularLists:
+    """Clockwise orderings around every candidate, O(n^2 log n) total.
+
+    ``nkey[i][j - i - 1]`` = -key(i, j) for candidate ordinals i < j, as
+    ``precompute_edge_weights`` leaves them in ``EdgeWeights.nkey``; one int
+    object serves both lists.
+    """
+    m = len(ctx.cand)
     left, right, left_key, right_key = [], [], [], []
     for j in range(m):
         lk = [nkey[i][j - i - 1] for i in range(j)]
@@ -495,9 +511,23 @@ def hull_weight_from_tables(ctx: SolverContext, ew: EdgeWeights, ordinals):
     point gives its own weight and the empty set 0.  This equals
     ``evaluate(instance, T).weight * weight_scale``.
     """
-    xs, ys, ws, cand = ctx.xs, ctx.ys, ctx.ws, ctx.cand
+    return _cycle_weight(ctx, ew, _hull_ordinals(ctx, ordinals))
+
+
+def _hull_ordinals(ctx: SolverContext, ordinals) -> list[int]:
+    """The CCW hull of candidate ordinals, as ordinals, from the leftmost."""
+    xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
     at = {(xs[cand[c]], ys[cand[c]]): c for c in ordinals}
-    hull = [at[p] for p in convex_hull_2d(at)]
+    return [at[p] for p in convex_hull_2d(at)]
+
+
+def _cycle_weight(ctx: SolverContext, ew: EdgeWeights, hull) -> int:
+    """:func:`hull_weight_from_tables` for the CCW hull cycle of ordinals.
+
+    ``hull`` starts at its leftmost vertex (the smallest ordinal), as
+    ``convex_hull_2d`` does on the distinct sheared x.
+    """
+    ws, cand = ctx.ws, ctx.cand
     if len(hull) <= 1:
         return sum(ws[cand[c]] for c in hull)
     # CCW from the leftmost vertex: the lower chain runs L -> R, then the
@@ -520,11 +550,27 @@ def prune_with_tables(ctx: SolverContext, ew: EdgeWeights, ordinals):
     Same rules (``prune_by_weight``), so the same vertices go.  Returns the
     kept vertices as sorted instance indices, exactly as the model does, and
     their scaled hull weight.
+
+    The hull of the whole set is built once.  When every member is one of
+    its vertices (strictly convex position), every subset is in strictly
+    convex position too, and its hull is the cycle in the inherited order
+    with the other vertices left out: a trial only filters the cycle and
+    rotates it to start at its smallest ordinal.  Otherwise dropping a
+    vertex can expose a point that was inside or on an edge, and each trial
+    builds its hull again.
     """
     ordinal = {ctx.orig[ctx.cand[c]]: c for c in ordinals}
+    cycle = _hull_ordinals(ctx, ordinal.values())
 
-    def weight_of(kept):
-        return hull_weight_from_tables(ctx, ew, [ordinal[i] for i in kept])
+    if len(cycle) == len(ordinal):
+        def weight_of(kept):
+            keep = set(map(ordinal.__getitem__, kept))
+            hull = list(filter(keep.__contains__, cycle))
+            s = hull.index(min(hull)) if hull else 0
+            return _cycle_weight(ctx, ew, hull[s:] + hull[:s])
+    else:
+        def weight_of(kept):
+            return hull_weight_from_tables(ctx, ew, [ordinal[i] for i in kept])
 
     return prune_by_weight(ordinal, weight_of)
 
@@ -548,7 +594,8 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
         return best_singleton(instance)
     ws, cand = ctx.ws, ctx.cand
     ew = precompute_edge_weights(ctx)
-    lists = build_angular_lists(ctx)
+    lists = build_angular_lists(ctx, ew.nkey)
+    ew.nkey = None  # the lists hold the keys they sorted by
     upper, lower = _chains(ctx, ew, lists, *compute_first_compatible(ctx, lists))
     del lists  # frees the slope keys; the chains keep the lists they use
     slab_c, slab_v = _empty_slab(upper), _empty_slab(lower)

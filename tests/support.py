@@ -7,9 +7,9 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
-from mwcp.geometry import Orientation, orientation
+from mwcp.geometry import Orientation, orientation, point_on_segment
 from mwcp.model import Instance, Solution, WeightedPoint, evaluate
-from mwcp.solver2d import EdgeWeights
+from mwcp.solver2d import EdgeWeights, _key_row
 
 
 def random_instance(rng, n, dimension, weight_lo=-5, weight_hi=5, grid=None):
@@ -58,6 +58,24 @@ def degenerate_instance_2d(rng, kind, n):
         w = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
         rows.append(WeightedPoint(p, w))
     return Instance(2, tuple(rows))
+
+
+def convex_polygon_reference(p, hull) -> bool:
+    """Inclusive membership in a CCW hull by one cross product per edge, O(h)."""
+    h = len(hull)
+    if h == 0:
+        return False
+    if h == 1:
+        return tuple(p) == tuple(hull[0])
+    if h == 2:
+        return point_on_segment(p, hull[0], hull[1])
+    px, py = p[0], p[1]
+    for i in range(h):
+        ax, ay = hull[i - 1]
+        bx, by = hull[i]
+        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0:
+            return False
+    return True
 
 
 def in_hull_reference(v, vertices):
@@ -267,6 +285,13 @@ def cmp_angular_lists(ctx):
         left.append(sorted(range(j), key=key))
         right.append(sorted(range(j + 1, m), key=key))
     return left, right
+
+
+def direct_key_rows(ctx):
+    """rows[i][j - i - 1] = -key(i, j) over candidate ordinals, from ``_key_row``."""
+    cx = [ctx.xs[p] for p in ctx.cand]
+    cy = [ctx.ys[p] for p in ctx.cand]
+    return [[-k for k in _key_row(cx, cy, i, ctx.slope_scale)] for i in range(len(cx))]
 
 
 def _base_top(ctx, ew, i, k):

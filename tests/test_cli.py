@@ -66,6 +66,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["1 2\n\u0663 1\n\uff17/\u0662 -1\n", "2 \u00b2\n0 0 1\n1 1 1\n"])
+def test_parse_error_exit_code_non_ascii_digits(tmp_path, capsys, text):
+    path = tmp_path / "digits.mwcp"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "line " in err
+
+
 def test_oracle_size_refusal_exit_code(tmp_path, capsys, monkeypatch):
     rows = "\n".join(f"{i} {i * i} 1" for i in range(6))
     path = write(tmp_path, "big.mwcp", f"2 6\n{rows}\n")

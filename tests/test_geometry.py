@@ -7,6 +7,7 @@ from mwcp.geometry import (
     Orientation,
     _convex_combination_feasible,
     convex_hull_2d,
+    convex_polygon_members,
     cross2,
     hull_members,
     is_concave_turn,
@@ -18,7 +19,7 @@ from mwcp.geometry import (
     segments_intersect,
     shear_normalize,
 )
-from support import in_hull_reference, random_rational
+from support import convex_polygon_reference, in_hull_reference, random_rational
 
 
 def test_cross2_unit_basis():
@@ -217,6 +218,81 @@ def test_segments_intersect():
     assert segments_intersect((0, 0), (2, 0), (1, 0), (1, 5)) is True  # touch
     assert segments_intersect((0, 0), (2, 0), (1, 0), (3, 0)) is True  # overlap
     assert segments_intersect((0, 0), (1, 1), (2, 2), (3, 3)) is False
+
+
+def _membership_hulls(rng):
+    """(hull, unit) pairs: degenerate, vertical-edged, collinear and random
+    hulls on ints, small Fractions and a 2^-60 grid; ``unit`` is the step the
+    outside probes take."""
+    tiny = Fraction(1, 2**60)
+    sets = [
+        [],
+        [(3, 4)],
+        [(0, 0), (5, 2)],
+        [(2, 0), (2, 7)],  # vertical segment
+        [(0, 0), (1, 1), (2, 2), (5, 5)],  # collinear
+        [(0, 0), (0, 1), (0, 5)],  # collinear and vertical
+        [(0, 0), (0, 4), (4, 0), (4, 4)],  # vertical left and right edges
+        [(0, 1), (0, 3), (2, 0), (3, 2)],  # vertical left edge only
+        [(0, 0), (2, 3), (3, 1), (3, 4)],  # vertical right edge only
+        [(0, 0), (0, 2), (1, 5), (2, -1), (2, 2)],
+    ]
+    out = [([tuple(map(Fraction, p)) for p in pts], Fraction(1)) for pts in sets]
+    for t in range(180):
+        k = rng.randint(1, 9)
+        kind = t % 3
+        if kind == 0:
+            pts = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(k)]
+            if t % 2:  # share the smallest and largest x
+                xs = [x for x, _ in pts]
+                pts += [(min(xs), rng.randint(-6, 6)), (max(xs), rng.randint(-6, 6))]
+            unit = 1
+        elif kind == 1:
+            pts = [(random_rational(rng, 6, 5), random_rational(rng, 6, 5)) for _ in range(k)]
+            unit = Fraction(1)
+        else:
+            pts = [(3 + rng.randint(-4, 4) * tiny, rng.randint(-4, 4) * tiny) for _ in range(k)]
+            unit = tiny
+        out.append((pts, unit))
+    return [(convex_hull_2d(pts), unit) for pts, unit in out]
+
+
+def _membership_probes(rng, hull, unit):
+    """Every vertex, every edge midpoint, a point one unit outside each edge,
+    and points around the bounding box (vertex x values included)."""
+    probes = list(hull)
+    for i in range(len(hull)):
+        (ax, ay), (bx, by) = hull[i - 1], hull[i]
+        mx, my = Fraction(ax + bx) / 2, Fraction(ay + by) / 2
+        dx, dy = bx - ax, by - ay
+        probes.append((mx, my))
+        # Right of the CCW edge: its cross product is -unit * (|dx| + |dy|).
+        probes.append((mx + unit * ((dy > 0) - (dy < 0)), my - unit * ((dx > 0) - (dx < 0))))
+    if hull:
+        xs = sorted({p[0] for p in hull})
+        ys = [p[1] for p in hull]
+        lo, hi = min(ys) - unit, max(ys) + unit
+        for x in [xs[0] - unit, *xs, xs[-1] + unit]:
+            for _ in range(4):
+                probes.append((x, lo + (hi - lo) * Fraction(rng.randint(0, 8), 8)))
+    else:
+        probes += [(0, 0), (unit, -unit)]
+    return probes
+
+
+def test_convex_polygon_members_matches_edge_loop():
+    rng = random.Random(97)
+    checks = 0
+    for hull, unit in _membership_hulls(rng):
+        probes = _membership_probes(rng, hull, unit)
+        expect = [convex_polygon_reference(p, hull) for p in probes]
+        assert convex_polygon_members(probes, hull) == expect, hull
+        assert [point_in_convex_polygon(p, hull) for p in probes] == expect
+        checks += len(probes)
+        if len(hull) >= 2:
+            assert not all(expect)
+            assert any(expect)
+    assert checks > 5000
 
 
 def test_point_in_convex_polygon_inclusive():

@@ -308,6 +308,22 @@ def test_parse_errors_name_lines():
         parse_instance("")
 
 
+def test_parse_refuses_non_ascii_digits():
+    # Arabic-Indic three, a fullwidth seven over an Arabic-Indic two.
+    with pytest.raises(InstanceParseError, match="line 2"):
+        parse_instance("1 2\n\u0663 1\n\uff17/\u0662 -1\n")
+    with pytest.raises(InstanceParseError, match="line 3"):
+        parse_instance("1 2\n3 1\n\uff17/\u0662 -1\n")
+    for tok in ("\u0663", "\uff17/2", "7/\u0662", "-\u0661", "\u00b2"):
+        with pytest.raises(InstanceParseError, match=re.escape(f"line 4: {tok!r} is not a rational token")):
+            _parse_rational(tok, 4)
+    # A superscript two passes str.isdigit but not int().
+    for text in ("2\u00b2 1\n", "# c\n\n1 \u00b2\n"):
+        line = text.count("\n", 0, text.index("\u00b2")) + 1
+        with pytest.raises(InstanceParseError, match=f"line {line}: expected header"):
+            parse_instance(text)
+
+
 def test_solution_json_roundtrip():
     inst = make_instance(2, [((0, 0), 1), ((4, 0), 1), ((2, 3), 1), ((2, 1), -1)])
     sol = evaluate(inst, [0, 1, 2])

@@ -31,6 +31,7 @@ from support import (
     brute_edge_weights,
     cmp_angular_lists,
     degenerate_instance_2d,
+    direct_key_rows,
     naive_C_tables,
     naive_V_tables,
     random_instance,
@@ -216,7 +217,7 @@ def test_angular_lists_match_comparator_sort():
     instances += [gen_uniform(60, 2, seed) for seed in range(4)]
     for inst in instances:
         ctx = build_context(inst)
-        lists = build_angular_lists(ctx)
+        lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
         assert (lists.left, lists.right) == cmp_angular_lists(ctx)
         assert lists.left_ccw == [row[::-1] for row in lists.left]
         assert lists.right_ccw == [row[::-1] for row in lists.right]
@@ -226,9 +227,24 @@ def test_angular_lists_match_comparator_sort():
             assert lists.right_key[j] == [-slope_key(ctx, cand[j], cand[r]) for r in lists.right[j]]
 
 
+def test_angular_lists_from_shared_key_rows():
+    rng = random.Random(75)
+    instances = [
+        degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 12))
+        for t in range(90)
+    ]
+    instances += [gen_ngon_family(n) for n in range(24, 33)]
+    for inst in instances:
+        ctx = build_context(inst)
+        rows = direct_key_rows(ctx)
+        shared = precompute_edge_weights(ctx).nkey
+        assert shared == rows
+        assert build_angular_lists(ctx, shared) == build_angular_lists(ctx, rows)
+
+
 def test_angular_lists_collinear_middle():
     ctx = ctx_for([((0, 0), 1), ((1, 0), 1), ((2, 0), 1)])
-    lists = build_angular_lists(ctx)
+    lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
     assert lists.left[1] == [0]
     assert lists.right[1] == [2]
 
@@ -236,7 +252,7 @@ def test_angular_lists_collinear_middle():
 def test_angular_lists_clockwise_top_to_bottom():
     # right points at +45, 0, -45 degrees around the origin point
     ctx = ctx_for([((0, 0), 1), ((1, 1), 1), ((2, 0), 1), ((1, -1), 1)])
-    lists = build_angular_lists(ctx)
+    lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
     j = 0  # ordinal of (0,0)
     pts = [ctx.instance.points[ctx.orig[ctx.cand[c]]].point for c in lists.right[j]]
     assert pts == [(1, 1), (2, 0), (1, -1)]
@@ -247,7 +263,7 @@ def test_angular_lists_sizes_and_order():
     for _ in range(100):
         inst = random_instance(rng, rng.randint(2, 9), 2, 1, 3)
         ctx = build_context(inst)
-        lists = build_angular_lists(ctx)
+        lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
         m = len(ctx.cand)
         xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
         for j in range(m):
@@ -266,7 +282,7 @@ def test_first_compatible_monotone():
     for _ in range(60):
         inst = random_instance(rng, rng.randint(2, 9), 2, 1, 3)
         ctx = build_context(inst)
-        lists = build_angular_lists(ctx)
+        lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
         fc_top, fc_bot = compute_first_compatible(ctx, lists)
         for rows in (fc_top, fc_bot):
             for row in rows:
@@ -300,7 +316,7 @@ def test_first_compatible_matches_direct_search():
     instances += [gen_uniform(60, 2, seed) for seed in range(4)]
     for inst in instances:
         ctx = build_context(inst)
-        lists = build_angular_lists(ctx)
+        lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
         fc_top, fc_bot = compute_first_compatible(ctx, lists)
         assert fc_top == direct_first_compatible(ctx, lists.left, lists.right, 1)
         assert fc_bot == direct_first_compatible(ctx, lists.left_ccw, lists.right_ccw, -1)
@@ -309,7 +325,7 @@ def test_first_compatible_matches_direct_search():
 def test_c_base_two_points():
     ctx = ctx_for([((0, 0), 2), ((3, 1), 4), ((1, -2), -1)])
     ew = precompute_edge_weights(ctx)
-    lists = build_angular_lists(ctx)
+    lists = build_angular_lists(ctx, ew.nkey)
     ctab = compute_C_tables(ctx, ew, lists)
     # candidates: (0,0)=0, (3,1)=1; the negative point only feeds edge weights
     assert ctab[(0, 1, 1)] == ew.top[0][1] + 2 + 4
@@ -319,7 +335,7 @@ def test_c_base_infeasible_is_none():
     # middle candidate strictly below the chord: C[i, j, k] = -inf
     ctx = ctx_for([((0, 2), 1), ((1, 0), 1), ((2, 2), 1)])
     ew = precompute_edge_weights(ctx)
-    lists = build_angular_lists(ctx)
+    lists = build_angular_lists(ctx, ew.nkey)
     ctab = compute_C_tables(ctx, ew, lists)
     assert ctab[(0, 1, 2)] is None
     vtab = compute_V_tables(ctx, ew, lists)
@@ -332,7 +348,7 @@ def test_tables_match_naive():
         inst = random_instance(rng, rng.randint(1, 9), 2, -4, 4)
         ctx = build_context(inst)
         ew = precompute_edge_weights(ctx)
-        lists = build_angular_lists(ctx)
+        lists = build_angular_lists(ctx, ew.nkey)
         assert compute_C_tables(ctx, ew, lists) == naive_C_tables(ctx, ew)
         assert compute_V_tables(ctx, ew, lists) == naive_V_tables(ctx, ew)
 
@@ -345,7 +361,7 @@ def test_solver_matches_table_weight():
         if not ctx.cand:
             continue
         ew = precompute_edge_weights(ctx)
-        lists = build_angular_lists(ctx)
+        lists = build_angular_lists(ctx, ew.nkey)
         w = best_weight_from_tables(
             ctx, naive_C_tables(ctx, ew), naive_V_tables(ctx, ew)
         )
@@ -383,7 +399,25 @@ def test_hull_weight_from_tables_collinear_set():
     assert hull_weight_from_tables(ctx, ew, [1]) == 1
 
 
-def test_prune_with_tables_matches_model_prune():
+def count_hulls(monkeypatch):
+    """Count solver2d's ``convex_hull_2d`` calls: a prune that builds exactly
+    one hull took the cyclic-order branch, any other took the fallback."""
+    import mwcp.solver2d as solver2d
+
+    calls = [0]
+    hull = solver2d.convex_hull_2d
+
+    def counted(points):
+        calls[0] += 1
+        return hull(points)
+
+    monkeypatch.setattr(solver2d, "convex_hull_2d", counted)
+    return calls
+
+
+def test_prune_with_tables_matches_model_prune(monkeypatch):
+    calls = count_hulls(monkeypatch)
+    branches = {"cyclic": 0, "fallback": 0}
     rng = random.Random(61)
     for t in range(150):
         inst = degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 10))
@@ -395,7 +429,9 @@ def test_prune_with_tables_matches_model_prune():
         ]
         for seq in subsets:
             chosen = {ctx.orig[ctx.cand[c]] for c in seq}
+            calls[0] = 0
             kept, w = prune_with_tables(ctx, ew, seq)
+            branches["cyclic" if calls[0] == 1 else "fallback"] += 1
             assert kept == prune_to_maximal(inst, chosen)
             assert w == evaluate(inst, kept).weight * ctx.weight_scale
         for allow_empty in (True, False):
@@ -403,6 +439,39 @@ def test_prune_with_tables_matches_model_prune():
             assert sol.weight == solve_bruteforce(inst, allow_empty=allow_empty).weight
             if sol.weight > 0:
                 assert prune_to_maximal(inst, sol.chosen) == sol.chosen
+    assert branches["cyclic"] >= 300 and branches["fallback"] >= 50, branches
+
+
+def test_prune_fallback_when_a_drop_exposes_an_interior_point(monkeypatch):
+    # P lies inside the triangle ABC, so it is no vertex of the walked set's
+    # hull.  Without A, P is a vertex of conv{B, C, P}, which holds Q: the
+    # walked cycle minus A would be the segment BC and miss both.
+    a, b, c, p, q = (0, 0), (4, 0), (2, 4), (2, 1), (3, 1)
+    inst = make_instance(2, [(a, 1), (b, 1), (c, 1), (p, 1), (q, -5)])
+    ctx = build_context(inst)
+    ew = precompute_edge_weights(ctx)
+    at = {inst.points[ctx.orig[v]].point: o for o, v in enumerate(ctx.cand)}
+    walked = [at[a], at[b], at[c], at[p]]
+    without_a = [at[b], at[c], at[p]]
+    assert hull_weight_from_tables(ctx, ew, without_a) == -2
+    assert hull_weight_from_tables(ctx, ew, [at[b], at[c]]) == 2
+    calls = count_hulls(monkeypatch)
+    kept, w = prune_with_tables(ctx, ew, walked)
+    assert calls[0] > 1  # the fallback rebuilt a hull per trial
+    assert kept == prune_to_maximal(inst, range(4)) == (0, 2, 3)
+    assert w == evaluate(inst, kept).weight * ctx.weight_scale == 3
+
+
+def test_ngon_witness_is_maximal_by_cyclic_prune(monkeypatch):
+    calls = count_hulls(monkeypatch)
+    for n in range(24, 33):
+        inst = gen_ngon_family(n)
+        calls[0] = 0
+        sol = solve_2d(inst)
+        # One hull for the prune, none per trial: the cyclic branch ran.
+        assert calls[0] == 1
+        assert sol.weight == n
+        assert prune_to_maximal(inst, sol.chosen) == sol.chosen
 
 
 def test_witness_checks_raise(monkeypatch):
