@@ -6,16 +6,7 @@ forge with geometric verifiers, and deterministic instance generators.
 All arithmetic is exact rational.
 """
 
-from .geometry import (
-    Orientation,
-    convex_hull_2d,
-    cross2,
-    is_concave_turn,
-    is_convex_turn,
-    orientation,
-    point_in_hull,
-    shear_normalize,
-)
+from .geometry import convex_hull_2d, point_in_hull, shear_normalize
 from .model import (
     Instance,
     InstanceParseError,

@@ -172,12 +172,7 @@ def run_bench(algo: str, sizes, seed: int, repeats: int = 1, weights=(-9, 9), sa
     for _ in range(samples):
         for c, (_, _, instance) in enumerate(cases):
             start = time.perf_counter()
-            if algo == "dp1d":
-                sol = solve_1d(instance)
-            elif algo == "dp2d":
-                sol = solve_2d(instance)
-            else:
-                sol = solve_bruteforce(instance, limit=_oracle_limit())
+            sol = _dispatch(instance, algo, True)
             best[c] = min(best[c], time.perf_counter() - start)
             found[c] = sol.weight
     rows = []

@@ -6,11 +6,7 @@ import math
 import random
 from fractions import Fraction
 
-from .geometry import (
-    convex_hull_2d,
-    convex_polygon_members,
-    segments_intersect,
-)
+from .geometry import convex_hull_2d, convex_polygon_members, scale_to_integers
 from .model import Instance, WeightedPoint
 
 # Rational circle points come from the tan-half-angle map; the parameter is
@@ -118,13 +114,42 @@ def gen_ngon_family(n: int) -> Instance:
 
 
 def _ngon_valid(hull, negs) -> bool:
-    n = len(negs)
-    if any(convex_polygon_members(negs, hull)):
+    """Is every negative point strictly outside the hull, and does the closed
+    segment between each two consecutive ones meet it?
+
+    Both answers are decided on one integer view of the hull and the ring
+    (``scale_to_integers`` keeps every orientation sign).
+    """
+    pts = scale_to_integers([*hull, *negs])
+    ring, negs = pts[: len(hull)], pts[len(hull) :]
+    if any(convex_polygon_members(negs, ring)):
         return False
-    edges = [(hull[i - 1], hull[i]) for i in range(len(hull))]
-    for i in range(n):
-        a = negs[i]
-        b = negs[(i + 1) % n]
-        if not any(segments_intersect(a, b, e1, e2) for e1, e2 in edges):
+    pairs = zip(negs, negs[1:] + negs[:1])
+    return all(_segment_meets_polygon(a, b, ring) for a, b in pairs)
+
+
+def _segment_meets_polygon(a, b, poly) -> bool:
+    """Does the closed segment ab meet the closed convex polygon ``poly``?
+
+    ``poly`` is a counterclockwise cycle of at least three vertices.  The
+    segment misses it exactly when every vertex lies strictly on one side of
+    line ab, or a and b both lie strictly outside one edge.  Proof: the two
+    sets are disjoint exactly when the origin is outside the convex polygon
+    poly - ab (their Minkowski difference), that is strictly outside one of
+    its edges.  Each edge of poly - ab has the outward normal of an edge of
+    poly or one of the two normals of ab.  For the normal u of an edge of
+    poly, "strictly outside" reads min(u.a, u.b) > max over poly of u.p,
+    which the edge's own line attains: a and b are strictly outside that
+    edge.  For a normal u of ab, u.a = u.b, and it reads max over poly of
+    u.p < u.a: every vertex is strictly on one side of line ab.
+    """
+    (ax, ay), (bx, by) = a, b
+    dx, dy = bx - ax, by - ay
+    cross = [dx * (y - ay) - dy * (x - ax) for x, y in poly]
+    if min(cross) > 0 or max(cross) < 0:
+        return False
+    for (px, py), (qx, qy) in zip(poly[-1:] + poly[:-1], poly):
+        ex, ey = qx - px, qy - py
+        if ex * (ay - py) < ey * (ax - px) and ex * (by - py) < ey * (bx - px):
             return False
     return True

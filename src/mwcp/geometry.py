@@ -1,12 +1,12 @@
-"""Exact planar predicates, convex hulls, and convex-hull membership.
+"""Exact convex hulls and convex-hull membership.
 
-The predicates, ``convex_hull_2d`` and ``convex_polygon_members`` work on
-tuples of plain ints or of ``fractions.Fraction`` (the two mix freely) and
-decide their answer exactly: no epsilons, no rounding, and results
-independent of evaluation order.  ``scale_to_integers`` maps rational points
-to an integer view with the same orientations and hull memberships, so the
-2D hot paths and the oracle can run on small ints instead of ``Fraction``.
-All functions are pure, so concurrent use needs no synchronization.
+``convex_hull_2d`` and ``convex_polygon_members`` work on tuples of plain
+ints or of ``fractions.Fraction`` (the two mix freely) and decide their
+answer exactly: no epsilons, no rounding, and results independent of
+evaluation order.  ``scale_to_integers`` maps rational points to an integer
+view with the same orientations and hull memberships, so the 2D hot paths
+and the oracle can run on small ints instead of ``Fraction``.  All
+functions are pure, so concurrent use needs no synchronization.
 
 2D membership splits the counterclockwise hull of ``convex_hull_2d`` once
 into two x-monotone chains from its lexicographically smallest vertex L to
@@ -28,55 +28,11 @@ reduces to an interval of y.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
 # A point is a tuple of rationals whose length is the ambient dimension.
 Point = tuple
-
-
-class Orientation(Enum):
-    """Turn direction of an ordered point triple (sign of the 2D cross)."""
-
-    CLOCKWISE = -1
-    COLLINEAR = 0
-    COUNTERCLOCKWISE = 1
-
-
-def cross2(u, v):
-    """Exact 2D cross product ``u.x * v.y - u.y * v.x``."""
-    if len(u) != 2 or len(v) != 2:
-        raise ValueError("cross2 requires 2-dimensional vectors")
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def orientation(p, q, r) -> Orientation:
-    """Orientation of the path p -> q -> r."""
-    s = cross2((q[0] - p[0], q[1] - p[1]), (r[0] - p[0], r[1] - p[1]))
-    if s > 0:
-        return Orientation.COUNTERCLOCKWISE
-    if s < 0:
-        return Orientation.CLOCKWISE
-    return Orientation.COLLINEAR
-
-
-def is_concave_turn(p, q, r) -> bool:
-    """True when the x-monotone path p -> q -> r turns clockwise or not at all.
-
-    Collinear triples count as concave; the middle point then lies on the
-    edge and disappears when the polygon is canonicalized.
-    """
-    if not (p[0] < q[0] < r[0]):
-        raise ValueError("is_concave_turn requires p.x < q.x < r.x")
-    return cross2((r[0] - p[0], r[1] - p[1]), (q[0] - p[0], q[1] - p[1])) >= 0
-
-
-def is_convex_turn(p, q, r) -> bool:
-    """Mirror of :func:`is_concave_turn`; collinear triples count as convex."""
-    if not (p[0] < q[0] < r[0]):
-        raise ValueError("is_convex_turn requires p.x < q.x < r.x")
-    return cross2((r[0] - p[0], r[1] - p[1]), (q[0] - p[0], q[1] - p[1])) <= 0
 
 
 def shear_normalize(points):
@@ -155,36 +111,6 @@ def convex_hull_2d(points):
     lower = half(pts)
     upper = half(list(reversed(pts)))
     return lower[:-1] + upper[:-1]
-
-
-def point_on_segment(p, a, b) -> bool:
-    """Is p on the closed segment ab?  Exact, 2D."""
-    if orientation(a, b, p) is not Orientation.COLLINEAR:
-        return False
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
-
-
-def segments_intersect(p1, p2, q1, q2) -> bool:
-    """Do the closed segments p1p2 and q1q2 share at least one point?"""
-    o1 = orientation(p1, p2, q1)
-    o2 = orientation(p1, p2, q2)
-    o3 = orientation(q1, q2, p1)
-    o4 = orientation(q1, q2, p2)
-    if o1 is not o2 and o3 is not o4:
-        return True
-    col = Orientation.COLLINEAR
-    if o1 is col and point_on_segment(q1, p1, p2):
-        return True
-    if o2 is col and point_on_segment(q2, p1, p2):
-        return True
-    if o3 is col and point_on_segment(p1, q1, q2):
-        return True
-    if o4 is col and point_on_segment(p2, q1, q2):
-        return True
-    return False
 
 
 def point_in_convex_polygon(p, hull) -> bool:

@@ -56,11 +56,11 @@ def parse_graph(text: str) -> Graph:
             continue
         tokens = line.split()
         if header is None:
-            if len(tokens) != 2 or not all(t.isdigit() for t in tokens):
+            if len(tokens) != 2 or not all(t.isascii() and t.isdigit() for t in tokens):
                 raise GraphParseError(f"line {lineno}: expected header 'n m'")
             header = (int(tokens[0]), int(tokens[1]))
             continue
-        if len(tokens) != 2 or not all(t.isdigit() for t in tokens):
+        if len(tokens) != 2 or not all(t.isascii() and t.isdigit() for t in tokens):
             raise GraphParseError(f"line {lineno}: expected edge 'u v'")
         edges.append((int(tokens[0]), int(tokens[1])))
     if header is None:

@@ -2,26 +2,30 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from fractions import Fraction
-
-from .model import (
-    Instance,
-    Solution,
-    empty_solution,
-    evaluate,
-    prune_to_maximal,
-    require_canonical,
-)
+from .model import Instance, Solution, empty_solution, evaluate, require_canonical
 
 
 def solve_1d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     """Exact optimum in one dimension, O(n log n) from the sort.
 
     Sorting by x reduces the problem to the maximum-sum contiguous run of
-    weights.  Ties among optimal intervals break toward the leftmost start,
-    then the shortest interval; the returned witness is pruned to a maximal
-    vertex set.  The witness's weight is checked against the scan's, raising
+    weights, found by one Kadane pass that extends its run while the running
+    sum is >= 0.  So the run ending at e starts at the smallest start among
+    the best runs ending at e, and the pass keeps the first end e that
+    reaches the maximum, with that start s.  No optimal run (s', e') has
+    s' < s: then e' > e, the parts s'..s-1 and e+1..e' would sum to 0 and
+    neither could be positive (else s'..e or s..e' would beat the maximum),
+    so s'..e would be optimal and start before s.  Ties thus break toward
+    the smallest start, then the smallest end.
+
+    Positions count in x order.  The witness is {e} when point e alone
+    weighs the optimum, else the endpoints {s, e}.  Weights are nonzero, so
+    with a positive optimum both endpoints are positive (dropping a negative
+    one would beat the maximum), and the witness is maximal: w[s] < optimum,
+    or s..s would be an optimal run ending before e, and w[e] < optimum by
+    the choice of witness.  With a nonpositive optimum (``allow_empty=False``
+    on an all-negative instance) s = e is the first point of largest weight.
+    The witness's weight is checked against the scan's, raising
     ``RuntimeError``, so the check survives ``python -O``.
     """
     if instance.dimension != 1:
@@ -36,40 +40,19 @@ def solve_1d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     w = [instance.points[i].weight for i in order]
 
     best = None
-    cur = None
-    for x in w:
-        cur = x if cur is None or cur <= 0 else cur + x
+    cur = start = s = e = 0
+    for i, x in enumerate(w):
+        if cur < 0:
+            cur, start = x, i
+        else:
+            cur += x
         if best is None or cur > best:
-            best = cur
+            best, s, e = cur, start, i
     if allow_empty and best <= 0:
         return empty_solution(1)
 
-    # Recover the optimal (start, end) with the smallest start, then the
-    # smallest end, from prefix sums: weight(s..e) = P[e+1] - P[s].
-    prefix = [Fraction(0)]
-    for x in w:
-        prefix.append(prefix[-1] + x)
-    ends_by_value: dict[Fraction, list[int]] = {}
-    for e in range(n):
-        ends_by_value.setdefault(prefix[e + 1], []).append(e)
-    s = e = None
-    for start in range(n):
-        hits = ends_by_value.get(best + prefix[start])
-        if not hits:
-            continue
-        pos = bisect_left(hits, start)
-        if pos < len(hits):
-            s, e = start, hits[pos]
-            break
-    if s is None:
-        raise RuntimeError("no interval attains the maximum-subarray weight")
-
-    if best <= 0:
-        # Only reachable with allow_empty=False on an all-negative instance;
-        # the optimum is a single point and maximality is unattainable.
-        sol = evaluate(instance, [order[s]], allow_nonpositive=True)
-    else:
-        sol = evaluate(instance, prune_to_maximal(instance, {order[s], order[e]}))
+    chosen = [order[e]] if w[e] == best else [order[s], order[e]]
+    sol = evaluate(instance, chosen, allow_nonpositive=best <= 0)
     if sol.weight != best:
         raise RuntimeError(f"1D witness weighs {sol.weight}, the scan found {best}")
     return sol

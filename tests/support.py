@@ -7,7 +7,6 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
-from mwcp.geometry import Orientation, orientation, point_on_segment
 from mwcp.model import Instance, Solution, WeightedPoint, evaluate
 from mwcp.solver2d import EdgeWeights, _key_row
 
@@ -58,6 +57,35 @@ def degenerate_instance_2d(rng, kind, n):
         w = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
         rows.append(WeightedPoint(p, w))
     return Instance(2, tuple(rows))
+
+
+def orientation(p, q, r) -> int:
+    """Sign of the turn p -> q -> r: 1 counterclockwise, -1 clockwise, 0 none."""
+    c = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    return (c > 0) - (c < 0)
+
+
+def point_on_segment(p, a, b) -> bool:
+    """Is p on the closed segment ab?"""
+    return (
+        orientation(a, b, p) == 0
+        and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def segments_intersect(p1, p2, q1, q2) -> bool:
+    """Do the closed segments p1p2 and q1q2 share a point?  Four orientations."""
+    o1, o2 = orientation(p1, p2, q1), orientation(p1, p2, q2)
+    o3, o4 = orientation(q1, q2, p1), orientation(q1, q2, p2)
+    if o1 != o2 and o3 != o4:
+        return True
+    return (
+        (o1 == 0 and point_on_segment(q1, p1, p2))
+        or (o2 == 0 and point_on_segment(q2, p1, p2))
+        or (o3 == 0 and point_on_segment(p1, q1, q2))
+        or (o4 == 0 and point_on_segment(p2, q1, q2))
+    )
 
 
 def convex_polygon_reference(p, hull) -> bool:
@@ -222,7 +250,7 @@ def assert_valid_witness(instance, sol: Solution):
                 turn = orientation(
                     hull_pts[a], hull_pts[(a + 1) % h], hull_pts[(a + 2) % h]
                 )
-                assert turn is Orientation.COUNTERCLOCKWISE
+                assert turn == 1
         assert set(sol.hull or ()) <= set(sol.chosen)
     for v in sol.chosen:
         rest = [u for u in sol.chosen if u != v]

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from mwcp.generators import gen_ngon_family, gen_uniform
-from mwcp.geometry import convex_hull_2d, point_in_convex_polygon, segments_intersect
+from mwcp.geometry import convex_hull_2d, point_in_convex_polygon
 from mwcp.oracle import solve_bruteforce
 from mwcp.reduction import (
     decode_solution,
@@ -30,7 +30,12 @@ from mwcp.solver2d import (
     precompute_edge_weights,
 )
 from mwcp.cli import run_bench
-from support import assert_valid_witness, naive_C_tables, naive_V_tables
+from support import (
+    assert_valid_witness,
+    naive_C_tables,
+    naive_V_tables,
+    segments_intersect,
+)
 
 MASTER_SEED = 20240901
 

@@ -120,6 +120,14 @@ def test_reduce_unwritable_output_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
 
+@pytest.mark.parametrize("text", ["\u00b2 0\n", "\u0663 1\n0 \uff12\n"])
+def test_reduce_non_ascii_digits_exit_code(tmp_path, capsys, text):
+    gpath = tmp_path / "digits.graph"
+    gpath.write_text(text, encoding="utf-8")
+    assert main(["reduce", str(gpath), str(tmp_path / "o.mwcp")]) == 2
+    assert capsys.readouterr().err == "error: line 1: expected header 'n m'\n"
+
+
 def test_gen_uniform_deterministic(tmp_path):
     a = str(tmp_path / "a.mwcp")
     b = str(tmp_path / "b.mwcp")
@@ -221,15 +229,31 @@ def test_module_entry_point(tmp_path):
 
 
 def test_solve_2d_under_optimize_flag(tmp_path, capsys):
-    # The solver's output checks raise instead of asserting, so -O keeps them.
-    path = write(tmp_path, "t.mwcp", TRIANGLE)
-    args = ["solve", path, "--algo", "dp2d", "--format", "json"]
-    proc = run_module(tmp_path, "-O", "-m", "mwcp", *args)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["weight"] == "2"
-    assert main(args) == 0
-    assert out == json.loads(capsys.readouterr().out)
+    # The solvers' output checks raise instead of asserting, so -O keeps them.
+    for algo, text, weight in (("dp2d", TRIANGLE, "2"), ("dp1d", ONE_D, "6")):
+        path = write(tmp_path, f"{algo}.mwcp", text)
+        args = ["solve", path, "--algo", algo, "--format", "json"]
+        proc = run_module(tmp_path, "-O", "-m", "mwcp", *args)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["weight"] == weight
+        assert main(args) == 0
+        assert out == json.loads(capsys.readouterr().out)
+    # Under -O, solve_1d still raises on a witness that misses the scan.
+    child = (
+        "import dataclasses, sys\n"
+        "import mwcp.solver1d as s1\n"
+        "from mwcp.model import parse_instance\n"
+        "ev = s1.evaluate\n"
+        "def off(*a, **k):\n"
+        "    sol = ev(*a, **k)\n"
+        "    return dataclasses.replace(sol, weight=sol.weight + 1)\n"
+        "s1.evaluate = off\n"
+        "s1.solve_1d(parse_instance(sys.argv[1]))\n"
+    )
+    proc = run_module(tmp_path, "-O", "-c", child, ONE_D)
+    assert proc.returncode == 1
+    assert "RuntimeError: 1D witness weighs 7, the scan found 6" in proc.stderr
 
 
 def test_solve_oracle_under_optimize_flag(tmp_path, capsys):

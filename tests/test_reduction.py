@@ -60,6 +60,17 @@ def test_graph_file_roundtrip():
         parse_graph("3 2\n0 1\n")  # missing an edge line
 
 
+def test_graph_parse_refuses_non_ascii_digits():
+    # An Arabic-Indic three in the header, a fullwidth two in an edge.
+    with pytest.raises(GraphParseError, match="line 1: expected header"):
+        parse_graph("\u0663 1\n0 \uff12\n")
+    with pytest.raises(GraphParseError, match="line 3: expected edge"):
+        parse_graph("3 2\n0 1\n0 \uff12\n")
+    # A superscript two passes str.isdigit but not int().
+    with pytest.raises(GraphParseError, match="line 2: expected header"):
+        parse_graph("# c\n\u00b2 0\n")
+
+
 def test_cyclic_embedding_values():
     assert cyclic_embedding(1) == [(1, 1, 1, 1)]
     assert cyclic_embedding(3) == [

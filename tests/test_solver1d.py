@@ -50,18 +50,38 @@ def test_non_canonical_rejected():
 
 
 def test_matches_interval_bruteforce_with_ties():
-    rng = random.Random(2)
-    for _ in range(300):
-        inst = random_instance(rng, rng.randint(1, 10), 1, -5, 5)
-        sol = solve_1d(inst)
-        (bw, s, e), order = brute_max_interval(inst)
-        if bw <= 0:
-            assert sol.weight == 0 and sol.chosen == ()
-            continue
-        assert sol.weight == bw
-        expected = prune_to_maximal(inst, {order[s], order[e]})
-        assert sol.chosen == expected
-        assert_valid_witness(inst, sol)
+    # Small integer weights, or the same divided by 1..3, give many zero-sum
+    # runs and so many optimal intervals to break ties between.
+    modes = ((2, False, True), (3, False, False), (4, True, True), (5, True, False))
+    for seed, rational, allow_empty in modes:
+        rng = random.Random(seed)
+        for _ in range(300):
+            inst = random_instance(rng, rng.randint(1, 10), 1, -5, 5)
+            if rational:
+                rows = [replace(wp, weight=wp.weight / rng.randint(1, 3)) for wp in inst.points]
+                inst = replace(inst, points=tuple(rows))
+            sol = solve_1d(inst, allow_empty=allow_empty)
+            (bw, s, e), order = brute_max_interval(inst)
+            if bw <= 0 and allow_empty:
+                assert sol.weight == 0 and sol.chosen == ()
+                continue
+            assert sol.weight == bw
+            if bw <= 0:
+                assert s == e and sol.chosen == (order[s],)
+                continue
+            assert sol.chosen == prune_to_maximal(inst, {order[s], order[e]})
+            assert_valid_witness(inst, sol)
+
+
+def test_tie_break_pinned():
+    # [1, -1, 2]: the runs 0..2 and 2..2 both weigh 2; the last point alone
+    # weighs the optimum, so it is the witness.
+    sol = solve_1d(make_instance(1, [((0,), 1), ((1,), -1), ((2,), 2)]))
+    assert (sol.chosen, sol.contained, sol.weight) == ((2,), (2,), 2)
+    # [1, -1, 2, 1]: 0..3 and 2..3 both weigh 3; the smallest start wins and
+    # neither endpoint alone weighs 3, so both stay.
+    sol = solve_1d(make_instance(1, [((0,), 1), ((1,), -1), ((2,), 2), ((3,), 1)]))
+    assert (sol.chosen, sol.contained, sol.weight) == ((0, 3), (0, 1, 2, 3), 3)
 
 
 def test_matches_oracle():

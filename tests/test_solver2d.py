@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mwcp.generators import gen_ngon_family, gen_uniform
-from mwcp.geometry import orientation, scale_to_integers, shear_normalize
+from mwcp.geometry import scale_to_integers, shear_normalize
 from mwcp.model import (
     Instance,
     WeightedPoint,
@@ -34,6 +34,7 @@ from support import (
     direct_key_rows,
     naive_C_tables,
     naive_V_tables,
+    orientation,
     random_instance,
 )
 
@@ -78,7 +79,7 @@ def assert_shear_matches_rational(rng, inst):
     orig = [pts[i] for i in ctx.orig]
     for _ in range(30):
         a, b, c = (rng.randrange(len(pts)) for _ in range(3))
-        assert orientation(view[a], view[b], view[c]) is orientation(
+        assert orientation(view[a], view[b], view[c]) == orientation(
             orig[a], orig[b], orig[c]
         )
     return ctx
