@@ -10,6 +10,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 import time
 
@@ -40,13 +41,27 @@ EXIT_SIZE = 3
 EXIT_VERIFY = 4
 
 
+_INT_RE = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
+
+
+def _ascii_int(text: str) -> int:
+    """The integer ``text`` spells in ASCII digits; ``int`` takes any Unicode digit.
+
+    Integer options and fields use this, as the instance and graph formats
+    do; spaces and tabs around the digits are allowed, as ``int`` allows them.
+    """
+    if not _INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _oracle_limit() -> int:
     raw = os.environ.get("MWCP_ORACLE_LIMIT")
     if raw is None:
         return DEFAULT_LIMIT
     try:
-        return int(raw)
-    except ValueError:
+        return _ascii_int(raw)
+    except argparse.ArgumentTypeError:
         raise InstanceParseError(f"MWCP_ORACLE_LIMIT={raw!r} is not an integer")
 
 
@@ -115,8 +130,8 @@ def _cmd_gen(args) -> int:
 def _parse_weights(spec: str):
     try:
         lo, hi = spec.split(":")
-        return int(lo), int(hi)
-    except ValueError:
+        return _ascii_int(lo), _ascii_int(hi)
+    except (ValueError, argparse.ArgumentTypeError):
         raise InstanceParseError(f"bad weight range {spec!r}, expected 'LO:HI'")
 
 
@@ -197,8 +212,8 @@ def _loglog_slope(means) -> float:
 
 def _cmd_bench(args) -> int:
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
+        sizes = [_ascii_int(s) for s in args.sizes.split(",") if s]
+    except argparse.ArgumentTypeError:
         raise InstanceParseError(f"bad sizes {args.sizes!r}, expected 'N1,N2,...'")
     weights = _parse_weights(args.weights)
     rows, slope = run_bench(args.algo, sizes, args.seed, args.repeats, weights)
@@ -237,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance family")
     p.add_argument("--family", choices=["uniform", "ngon"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_ascii_int, required=True)
+    p.add_argument("--dim", type=_ascii_int, default=2)
+    p.add_argument("--seed", type=_ascii_int, default=0)
     p.add_argument("--weights", default="-9:9", help="uniform weight range 'LO:HI'")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
@@ -253,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time a solver across sizes, emit CSV")
     p.add_argument("--algo", choices=["dp1d", "dp2d", "oracle"], default="dp2d")
     p.add_argument("--sizes", default="100,200,400")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=1)
+    p.add_argument("--seed", type=_ascii_int, default=0)
+    p.add_argument("--repeats", type=_ascii_int, default=1)
     p.add_argument("--weights", default="-9:9")
     p.set_defaults(func=_cmd_bench)
 

@@ -23,13 +23,12 @@ whole width of y, which doubles x when both are wide (the ngon family).
 The hot loops therefore run on Python ints and stay exact, and every answer
 equals the one for the original instance.
 
-Infeasible DP cells hold an exact integer sentinel, never a float or None:
--(sum |w|) - 1 for C and sum |w| + 1 for V, with w the scaled weights.  A
-feasible C or V value sums the weights of distinct points, so it lies in
-[-sum |w|, sum |w|]: the sentinel loses every max (C) and min (V) against a
-feasible value, and (by the feasible prefix below) no cell is ever computed
-from a sentinel, so nothing is added to it.  The sweep stores -V, so both
-chains maximise and share the sentinel -(sum |w|) - 1.
+Infeasible DP cells are never stored, and the one sentinel is an exact
+integer, never a float or None: none = -(sum |w|) - 1, with w the scaled
+weights.  The sweep stores -V, so both chains maximise.  A feasible C or -V
+value sums the weights of distinct points, so it lies in [-sum |w|, sum |w|]
+and beats none; the suffix maxima below say how none enters a max and why it
+never wins one.
 
 Three facts make the pipeline run on plain int compares.
 
@@ -49,7 +48,7 @@ exactly when key(i, j) <= key(j, r).  A point q with x_a < x_q < x_b lies on
 or below edge (a, b) exactly when key(a, q) <= key(a, b), strictly below
 when key(a, q) < key(a, b).  Both angular lists around j are sorted by -key
 with stable ties (by decreasing slope, i.e. clockwise), so each first-
-compatible row is one ``bisect`` of the left keys into the right keys.
+compatible pointer is one ``bisect`` of a left key into the right keys.
 
 Edge weights by recurrence.  ``bot(a, b)`` / ``top(a, b)`` sum the weights
 strictly below / on or below edge (a, b) with x strictly between.  Anchors a
@@ -76,22 +75,46 @@ all points are kept (a triangular table, since the recurrence reaches bot(c,
 b) and bot(b, c') for any points), ``top`` for the current anchor only.  With
 one sort per anchor this is O(n^2 log n).
 
-Feasible prefix.  A concave x-monotone chain lies on or above its chord, so
+Suffix maxima.  A concave x-monotone chain lies on or above its chord, so
 C[i, j, k] (a concave chain i -> j -> ... -> k) exists exactly when (i, j, k)
-is concave: then i -> j -> k itself is one.  The feasible i are the prefix of
-``left[j]`` with key(i, j) >= key(j, k); its length is the number of
-first-compatible pointers fc[j][t] <= p, where p is the last position of k's
-tie group in ``right[j]``.  Likewise, for c <= k, C[j, c, k] is feasible
-exactly when c sits at a position <= p of ``right[j]``; columns right of k
-are not part of slab k and read as the sentinel.  For every feasible i,
-fc[j][t] is at most the first position of k's tie group, so k itself lies
-between fc[j][t] and p and the suffix maximum the recurrence reads is
-feasible.  Each column is stored in ``left[j]`` order: the feasible prefix
-is one ``map`` over the fc row, the rest is the sentinel, and the suffix
-maximum at position 0 is the best cell for the pair (j, k).  The bottom
-chain is the same kernel on the counterclockwise lists with -bot bases: the
-min of V is minus the max of -V, and convex turns are concave ones under the
-reflection y -> -y, which negates every key.
+is concave: then i -> j -> k itself is one.  Let p = p(j, k) be the last
+position of k's tie group in ``right[j]``, which is sorted by decreasing
+key(j, .).  The c <= k at positions <= p are exactly the c <= k with key(j,
+c) >= key(j, k), so by the weighted mean they are exactly the c that make
+(j, c, k) concave.  The first-compatible pointer fc(i, j), the first position
+of ``right[j]`` that turns concavely after i, always starts a tie group, so
+(i, j, k) is concave exactly when fc(i, j) <= p, and then k itself lies
+between fc(i, j) and p.  So the sweep stores, for slab k, only the suffix
+maxima of each column j < k: sufmax(j, f), the best cell (j, c, k) over
+positions f..p, for f = 0..p.  Cell (i, j, k) is never stored: it is base(i,
+j) + sufmax(j, fc(i, j)), and cell (i, k, k) is base(i, k) + tip(k).  Column
+j's maxima come from one pass over the cells (j, c, k) for c at positions p,
+p-1, ..., 0, each read as base(j, c) + sufmax(c, fc(j, c)).  Two facts make
+every such read exact.
+
+- c <= k at a position <= p(j, k) implies fc(j, c) <= p(c, k).  For c = k
+  there is nothing to show: column k holds tip(k) in every slot.  For c < k,
+  key(j, c) >= key(j, k), and key(j, k) is a weighted mean of key(j, c) and
+  key(c, k) (the key is order-isomorphic to the slope), so key(c, k) <=
+  key(j, k) <= key(j, c).  So (j, c, k) is concave, k is compatible after j
+  at c, and fc(j, c) is at most the first position of k's tie group in
+  ``right[c]``, which is <= p(c, k).  A read of a column left of k therefore
+  never reaches the positions past p(c, k), which keep stale maxima of
+  earlier slabs.
+- Columns right of k hold 2 * none, so a read from one is base + 2 * none.
+  Every base is a signed sum of weights of distinct points, so base <=
+  sum |w|, and base + 2 * none <= -sum |w| - 2 < none < every feasible
+  value.  Such a read never wins a max: k itself, feasible, sits at a
+  position <= p.
+
+Each column has a slot for every fc in 0..|right[c]|, since fc(j, c) can be
+past the last position of ``right[c]``.  The rows of the sweep run over each
+right list in reverse reading order, so slab k reads a tail of each row: one
+gather-add and one running max per column, stored with one slice
+assignment.  The suffix maximum at position 0 is the best cell for the pair
+(j, k).  The bottom chain is the same kernel on the counterclockwise lists
+with -bot bases: the min of V is minus the max of -V, and convex turns are
+concave ones under the reflection y -> -y, which negates every key.
 
 Witness finishing reuses the same edge tables.  For a candidate set T whose
 hull has leftmost vertex L, rightmost vertex R, upper chain U and lower
@@ -120,10 +143,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from itertools import islice, repeat
+from functools import cached_property, partial
+from itertools import accumulate, repeat
 from math import lcm
-from operator import add, itemgetter, neg
+from operator import add, itemgetter, neg, sub
 
 from .geometry import convex_hull_2d, scale_to_integers
 from .model import (
@@ -174,8 +197,8 @@ class EdgeWeights:
     weight sitting on the open segment, which is what makes boundary points
     of degenerate inputs count once overall.  ``nkey[i][j - i - 1]`` is
     -key(i, j) for ordinals i < j, the rows :func:`build_angular_lists`
-    sorts; ``solve_2d`` drops them once the lists are built, and equality
-    compares only ``top`` and ``bot``.
+    sorts and :func:`_chains` reads; ``solve_2d`` drops them once the chains
+    are built, and equality compares only ``top`` and ``bot``.
     """
 
     top: list[list[int]]
@@ -187,20 +210,43 @@ class EdgeWeights:
 class AngularLists:
     """Per-candidate angular orderings of the other candidates.
 
-    ``left[j]``/``right[j]`` hold the ordinals on each side of candidate j
-    sorted clockwise around it, i.e. by decreasing slope of the outgoing
-    direction (ties by ascending ordinal).  ``left_ccw``/``right_ccw`` are
-    the reversals, used by the convex (bottom-chain) mirror.
-    ``left_key[j]``/``right_key[j]`` are the sort keys, -key(i, j) and
-    -key(j, r) in list order, so both rows ascend.
+    ``right[j]`` holds the ordinals right of candidate j sorted clockwise
+    around it, i.e. by decreasing slope of the outgoing direction (ties by
+    ascending ordinal), and ``right_key[j]`` the sort keys -key(j, r) in
+    list order, so each row ascends.  The sweep reads only these.  The left
+    side is derived from them on first use: ``left[j]`` holds the ordinals
+    left of j in the same clockwise order and ``left_key[j]`` their keys
+    -key(i, j).  ``left_ccw``/``right_ccw`` are the reversals, the lists of
+    the convex (bottom-chain) mirror.
     """
 
-    left: list[list[int]]
     right: list[list[int]]
-    left_ccw: list[list[int]]
-    right_ccw: list[list[int]]
-    left_key: list[list[int]]
     right_key: list[list[int]]
+
+    @cached_property
+    def _left(self):
+        cols = [[] for _ in self.right]
+        for i, (row, keys) in enumerate(zip(self.right, self.right_key)):
+            for j, v in zip(row, keys):
+                cols[j].append((v, i))
+        cols = [sorted(col) for col in cols]
+        return [[i for _, i in col] for col in cols], [[v for v, _ in col] for col in cols]
+
+    @property
+    def left(self) -> list[list[int]]:
+        return self._left[0]
+
+    @property
+    def left_key(self) -> list[list[int]]:
+        return self._left[1]
+
+    @property
+    def left_ccw(self) -> list[list[int]]:
+        return [row[::-1] for row in self.left]
+
+    @property
+    def right_ccw(self) -> list[list[int]]:
+        return [row[::-1] for row in self.right]
 
 
 def build_context(instance: Instance) -> SolverContext:
@@ -296,26 +342,18 @@ def precompute_edge_weights(ctx: SolverContext) -> EdgeWeights:
 
 
 def build_angular_lists(ctx: SolverContext, nkey) -> AngularLists:
-    """Clockwise orderings around every candidate, O(n^2 log n) total.
+    """Clockwise orderings right of every candidate, O(n^2 log n) total.
 
     ``nkey[i][j - i - 1]`` = -key(i, j) for candidate ordinals i < j, as
-    ``precompute_edge_weights`` leaves them in ``EdgeWeights.nkey``; one int
-    object serves both lists.
+    ``precompute_edge_weights`` leaves them in ``EdgeWeights.nkey``; the
+    lists keep the same int objects.
     """
-    m = len(ctx.cand)
-    left, right, left_key, right_key = [], [], [], []
-    for j in range(m):
-        lk = [nkey[i][j - i - 1] for i in range(j)]
-        rk = nkey[j]
-        lo = sorted(range(j), key=lk.__getitem__)
+    right, right_key = [], []
+    for j, rk in enumerate(nkey):
         hi = sorted(range(len(rk)), key=rk.__getitem__)
-        left.append(lo)
-        left_key.append([lk[i] for i in lo])
         right.append([j + 1 + o for o in hi])
-        right_key.append([rk[o] for o in hi])
-    left_ccw = [l[::-1] for l in left]
-    right_ccw = [r[::-1] for r in right]
-    return AngularLists(left, right, left_ccw, right_ccw, left_key, right_key)
+        right_key.append(list(map(rk.__getitem__, hi)))
+    return AngularLists(right, right_key)
 
 
 def compute_first_compatible(ctx: SolverContext, lists: AngularLists):
@@ -336,159 +374,124 @@ def compute_first_compatible(ctx: SolverContext, lists: AngularLists):
 
 @dataclass
 class _Chain:
-    """One chain recurrence on a flat triangular slab, maximised.
+    """One chain recurrence as per-column suffix maxima, maximised.
 
     The top chain stores C; the bottom chain stores -V, so both run the same
-    max kernel and ``sign * value`` is the table entry.  Cell (i, j, k), for
-    i = lefts[j][t], sits at slab[j * (j - 1) // 2 + t]: it is base[j][t]
-    plus the best cell (j, c, k) over c at positions >= fc[j][t] of
-    rights[j], and cell (i, k, k) is base[k][t] + tip[k].  cell[j][pos] is
-    the slab index of cell (j, rights[j][pos], .), and reach[j][k - j - 1]
-    the last position in rights[j] of k's tie group.  ``none`` is the
-    infeasible sentinel.
+    max kernel and ``sign * value`` is the table entry.  Positions f of
+    column j are positions in j's reading list (``right[j]`` for the top
+    chain, ``right_ccw[j]`` for the bottom one).  For slab k, column j < k
+    holds ``sufmax[doff[j] + f]``, the best cell (j, c, k) over positions
+    f..p of the list, p = p(j, k) the last position of k's tie group;
+    column k holds ``tip[k]`` and columns right of k hold ``2 * none``.
+    Cell (i, j, k) is never stored: it is base(i, j) + sufmax[doff[j] +
+    fc(i, j)], and cell (i, k, k) is base(i, k) + tip[k].
+
+    Row i runs over i's reading list in reverse (the order the sweep reads
+    it): ``order[i][x]`` is the candidate c at position L - 1 - x, with L =
+    m - 1 - i, ``bases[i][x]`` is base(i, c) and ``addrs[i][x]`` is doff[c] +
+    fc(i, c).  ``start[i][k - i - 1]`` is L - 1 - p(i, k), the first row
+    index slab k reads.  ``none`` is the infeasible sentinel.
     """
 
-    lefts: list[list[int]]
-    rights: list[list[int]]
-    fc: list[list[int]]
-    reach: list[list[int]]
-    cell: list[list[int]]
-    base: list[list[int]]
+    order: list[list[int]]
+    bases: list[list[int]]
+    addrs: list[list[int]]
+    start: list[list[int]]
+    doff: list[int]
     tip: list[int]
     none: int
     sign: int
 
 
-def _reach(rights, keys):
-    out = []
-    for j, (row, key) in enumerate(zip(rights, keys)):
-        reach = [0] * len(row)
-        end = len(row) - 1
-        for pos in range(len(row) - 1, -1, -1):
-            if key[pos] != key[end]:
-                end = pos
-            reach[row[pos] - j - 1] = end
-        out.append(reach)
-    return out
+def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
+    """The top-chain (C) and bottom-chain (-V) recurrences over the same lists.
 
-
-def _cells(lefts, rights):
-    """cell[j][pos], the slab index of cell (j, rights[j][pos], .)."""
-    where = []
-    for c, row in enumerate(lefts):
-        inv = [0] * c
-        for x, i in enumerate(row, c * (c - 1) // 2):
-            inv[i] = x
-        where.append(inv)
-    return [[where[c][j] for c in row] for j, row in enumerate(rights)]
-
-
-def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists, fc_top, fc_bot):
-    """The top-chain (C) and bottom-chain (-V) recurrences over the same lists."""
+    One pass over the right lists builds every row: fc(i, c) is one
+    ``bisect`` of -key(i, c) into c's right keys, ``bisect_left`` for the
+    concave test and the mirrored ``bisect_right`` for the convex one.
+    Needs ``ew.nkey`` for the tie groups.
+    """
     wc = [ctx.ws[p] for p in ctx.cand]
+    m = len(wc)
     none = -sum(map(abs, ctx.ws)) - 1
-    top, bot = ew.top, ew.bot
-    upper = _Chain(
-        lists.left, lists.right, fc_top,
-        _reach(lists.right, lists.right_key),
-        _cells(lists.left, lists.right),
-        [[top[i][j] + wc[i] for i in row] for j, row in enumerate(lists.left)],
-        wc, none, 1,
-    )
-    lower = _Chain(
-        lists.left_ccw, lists.right_ccw, fc_bot,
-        _reach(lists.right_ccw, [key[::-1] for key in lists.right_key]),
-        _cells(lists.left_ccw, lists.right_ccw),
-        [[-bot[i][j] for i in row] for j, row in enumerate(lists.left_ccw)],
-        [0] * len(wc), none, -1,
-    )
+    # Column c has a slot for each fc(., c) in 0..m - 1 - c.
+    doff = list(accumulate(range(m, 0, -1), initial=0))
+    last = [d - 1 for d in doff[1:]]  # last[c]: the slot of fc = m - 1 - c
+    upper = _Chain([], [], [], [], doff, wc, none, 1)
+    lower = _Chain([], [], [], [], doff, [0] * m, none, -1)
+    rk = lists.right_key
+    for i, (row, keys) in enumerate(zip(lists.right, rk)):
+        after = list(map(rk.__getitem__, row))  # the right keys of each c in row
+        back = range(len(row) - 1, -1, -1)
+        # The top chain reads right[i] from position p down to 0, so its row
+        # runs in reversed right[i] order; p(i, k) is the last position of
+        # k's tie group.
+        order = row[::-1]
+        addrs = list(map(add, map(doff.__getitem__, row), map(bisect_left, after, keys)))
+        addrs.reverse()
+        upper.order.append(order)
+        upper.bases.append(list(map(wc[i].__add__, map(ew.top[i].__getitem__, order))))
+        upper.addrs.append(addrs)
+        upper.start.append(list(map(dict(zip(keys, back)).__getitem__, ew.nkey[i])))
+        # The bottom chain reads right_ccw[i], so its row runs in right[i]
+        # order and starts at the first position of k's tie group there.
+        lower.order.append(row)
+        lower.bases.append(list(map(neg, map(ew.bot[i].__getitem__, row))))
+        lower.addrs.append(list(map(sub, map(last.__getitem__, row), map(bisect_right, after, keys))))
+        lower.start.append(list(map(dict(zip(reversed(keys), back)).__getitem__, ew.nkey[i])))
     return upper, lower
 
 
-def _fill_slab(ch: _Chain, slab, k: int, best) -> None:
-    """Fill columns k, k-1, ..., 1 of slab k; best[j] := best cell (j, c, k).
+def _fill_slab(ch: _Chain, sufmax, k: int, best) -> None:
+    """Fill columns k, k-1, ..., 0 of slab k; best[j] := best cell (j, c, k).
 
-    Columns right of k must hold the sentinel.
+    Columns right of k must hold ``2 * none``.  Every base is at most
+    sum |w|, so a read from them is below ``none`` and never wins.
     """
-    cell, reach, fc, base, none = ch.cell, ch.reach, ch.fc, ch.base, ch.none
-    get = slab.__getitem__
-    off = k * (k - 1) // 2
-    slab[off:off + k] = map(add, base[k], repeat(ch.tip[k]))
+    bases, addrs, start, doff = ch.bases, ch.addrs, ch.start, ch.doff
+    none = ch.none
+    get = sufmax.__getitem__
+    sufmax[doff[k]:doff[k + 1]] = repeat(ch.tip[k], doff[k + 1] - doff[k])
     for j in range(k - 1, -1, -1):
-        p = reach[j][k - j - 1]
-        # Suffix maxima over positions p, p-1, ..., 0 of rights[j].
+        s = start[j][k - j - 1]
+        # Running maxima of the cells (j, c, k) over positions p, p-1, ..., 0
+        # of j's reading list, so d[::-1] holds the suffix maxima.
         b = none
-        d = []
-        push = d.append
-        for v in map(get, cell[j][p::-1]):
-            if v > b:
-                b = v
-            push(b)
+        d = [(b := v) if v > b else b for v in map(add, bases[j][s:], map(get, addrs[j][s:]))]
         best[j] = b
-        if j:
+        if j:  # no reader ever reads column 0
             d.reverse()
-            row = fc[j]
-            q = bisect_right(row, p)
-            off = j * (j - 1) // 2
-            slab[off:off + q] = map(add, base[j], map(d.__getitem__, islice(row, q)))
-            slab[off + q:off + j] = repeat(none, j - q)
+            sufmax[doff[j]:doff[j] + len(d)] = d
 
 
 def _empty_slab(ch: _Chain) -> list[int]:
-    m = len(ch.lefts)
-    return [ch.none] * (m * (m - 1) // 2)
+    return [2 * ch.none] * ch.doff[-1]
 
 
-def _tables(ch: _Chain) -> dict:
-    m = len(ch.lefts)
-    slab = _empty_slab(ch)
-    best = [0] * m
-    out = {}
-    for k in range(m):
-        _fill_slab(ch, slab, k, best)
-        for j in range(1, k + 1):
-            off = j * (j - 1) // 2
-            for i, v in zip(ch.lefts[j], slab[off:off + j]):
-                out[(i, j, k)] = None if v == ch.none else ch.sign * v
-    return out
-
-
-def compute_C_tables(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists) -> dict:
-    """Every C[i, j, k] entry as a dict (None = infeasible).
-
-    Read off the solver's own slab sweep for the recurrence-isolation suite;
-    the solver streams one rightmost-vertex slab at a time.
-    """
-    return _tables(_chains(ctx, ew, lists, *compute_first_compatible(ctx, lists))[0])
-
-
-def compute_V_tables(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists) -> dict:
-    """Every V[i, j, k] entry as a dict (None = infeasible)."""
-    return _tables(_chains(ctx, ew, lists, *compute_first_compatible(ctx, lists))[1])
-
-
-def _walk(ctx: SolverContext, ch: _Chain, slab, i0: int, k: int):
+def _walk(ctx: SolverContext, ch: _Chain, sufmax, i0: int, k: int):
     """Recover the best chain from i0 to k out of a filled slab k.
 
     Ties go to the smallest second vertex, then to the first candidate in
-    each right list, as the recurrence reads them.
+    each reading list, as the recurrence reads them.  Past p(j, k) a column
+    holds stale maxima of earlier slabs, so only the feasible positions
+    f..p are read: there c <= k is exactly a compatible turn to k.
     """
-    first = {c: slab[x] for c, x in zip(ch.rights[i0], ch.cell[i0]) if c <= k}
-    j = max(sorted(first), key=first.__getitem__)
+
+    def steps(j, f):
+        # (cell (j, c, k), c, its address) for c <= k at positions f..p(j, k).
+        order, bases, addrs = ch.order[j], ch.bases[j], ch.addrs[j]
+        s = ch.start[j][k - j - 1]
+        assert f <= len(order) - 1 - s, "walked into an infeasible cell"
+        rows = range(len(order) - 1 - f, s - 1, -1)
+        return [(bases[x] + sufmax[addrs[x]], order[x], addrs[x]) for x in rows if order[x] <= k]
+
+    v, j, at = max(sorted(steps(i0, 0), key=itemgetter(1)), key=itemgetter(0))
     path = [i0, j]
-    cur = i0
     while j != k:
-        t = ch.lefts[j].index(cur)
-        start = ch.fc[j][t]
-        steps = [
-            (slab[x], c)
-            for c, x in zip(ch.rights[j][start:], ch.cell[j][start:])
-            if c <= k
-        ]
-        v, nxt = max(steps, key=itemgetter(0))
-        assert slab[j * (j - 1) // 2 + t] == ch.base[j][t] + v != ch.none
-        path.append(nxt)
-        cur, j = j, nxt
+        v, j, nxt = max(steps(j, at - ch.doff[j]), key=itemgetter(0))
+        assert sufmax[at] == v, "the sweep's suffix maximum is not the best step"
+        path.append(j)
+        at = nxt
     keys = [ch.sign * slope_key(ctx, ctx.cand[a], ctx.cand[b]) for a, b in zip(path, path[1:])]
     assert keys == sorted(keys, reverse=True), "chain turns the wrong way"
     return path
@@ -579,10 +582,10 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     """Exact planar optimum with a reconstructed, maximal vertex witness.
 
     Runs in O(n^3) time and O(n^2) memory: for each rightmost candidate k
-    one slab of C/V columns is filled (right to left, work linear in the
-    feasible part of each column thanks to the first-compatible pointers),
-    and the best cell per (i, k) falls out of the column fill.  The winning
-    slab is refilled once for reconstruction.
+    one slab of per-column suffix maxima is filled (right to left, one read
+    per position <= p(j, k) of each column), and the best cell per (j, k)
+    falls out of the column fill.  The winning slab is refilled once for
+    reconstruction.
     """
     if instance.dimension != 2:
         raise ValueError("solve_2d requires a 2-dimensional instance")
@@ -595,26 +598,28 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     ws, cand = ctx.ws, ctx.cand
     ew = precompute_edge_weights(ctx)
     lists = build_angular_lists(ctx, ew.nkey)
-    ew.nkey = None  # the lists hold the keys they sorted by
-    upper, lower = _chains(ctx, ew, lists, *compute_first_compatible(ctx, lists))
-    del lists  # frees the slope keys; the chains keep the lists they use
-    slab_c, slab_v = _empty_slab(upper), _empty_slab(lower)
+    upper, lower = _chains(ctx, ew, lists)
+    ew.nkey = None  # frees the slope keys; the chains keep the rows they use
+    del lists
+    suf_c, suf_v = _empty_slab(upper), _empty_slab(lower)
     rm_c = [0] * m  # rm_c[i]: best C[i, j, k] over j for the current k
     rm_v = [0] * m  # rm_v[i]: best -V[i, j, k] over j
 
-    # (scaled weight, -i, -k): the max prefers the higher weight, then the
-    # lexicographically smallest (i, k).
-    best = (ws[cand[0]], 0, 0)
+    # The best scaled weight, then the lexicographically smallest (i, k).
+    # k only grows, so a later k wins a tie only with a smaller i.
+    bw, bi, bk = ws[cand[0]], 0, 0
     for k in range(m):
-        _fill_slab(upper, slab_c, k, rm_c)
-        _fill_slab(lower, slab_v, k, rm_v)
-        best = max(
-            best,
-            (ws[cand[k]], -k, -k),
-            *zip(map(add, rm_c[:k], rm_v[:k]), range(0, -k, -1), repeat(-k)),
-        )
+        _fill_slab(upper, suf_c, k, rm_c)
+        _fill_slab(lower, suf_v, k, rm_v)
+        w, i = ws[cand[k]], k
+        if k:
+            row = list(map(add, rm_c[:k], rm_v[:k]))
+            top = max(row)
+            if top >= w:
+                w, i = top, row.index(top)
+        if w > bw or (w == bw and i < bi):
+            bw, bi, bk = w, i, k
 
-    bw, bi, bk = best[0], -best[1], -best[2]
     weight = Fraction(bw, ctx.weight_scale)
     if allow_empty and weight <= 0:
         return empty_solution(2)
@@ -622,13 +627,13 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     if bi == bk:
         ordinals = [bi]
     else:
-        for ch, slab, rm in ((upper, slab_c, rm_c), (lower, slab_v, rm_v)):
-            tail = bk * (bk + 1) // 2
-            slab[tail:] = repeat(ch.none, len(slab) - tail)
-            _fill_slab(ch, slab, bk, rm)
+        for ch, suf, rm in ((upper, suf_c, rm_c), (lower, suf_v, rm_v)):
+            tail = ch.doff[bk + 1]
+            suf[tail:] = repeat(2 * ch.none, len(suf) - tail)
+            _fill_slab(ch, suf, bk, rm)
         assert rm_c[bi] + rm_v[bi] == bw
-        ordinals = set(_walk(ctx, upper, slab_c, bi, bk))
-        ordinals |= set(_walk(ctx, lower, slab_v, bi, bk))
+        ordinals = set(_walk(ctx, upper, suf_c, bi, bk))
+        ordinals |= set(_walk(ctx, lower, suf_v, bi, bk))
 
     chosen, chosen_w = prune_with_tables(ctx, ew, ordinals)
     if chosen_w != bw:

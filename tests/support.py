@@ -8,6 +8,7 @@ from functools import cmp_to_key
 from math import gcd
 
 from mwcp.model import Instance, Solution, WeightedPoint, evaluate
+from mwcp import solver2d
 from mwcp.solver2d import EdgeWeights, _key_row
 
 
@@ -374,6 +375,41 @@ def naive_V_tables(ctx, ew):
                             best = v
                 out[(i, j, k)] = None if best is None else ew.bot[i][j] + best
     return out
+
+
+def _tables(ch) -> dict:
+    """Every cell (i, j, k) of one chain, read off the solver's own sweep.
+
+    Cell (i, j, k) is base(i, j) + sufmax at fc(i, j) of column j, feasible
+    when j == k or fc(i, j) <= p(j, k); positions past p hold stale maxima.
+    """
+    m = len(ch.order)
+    sufmax = solver2d._empty_slab(ch)
+    best = [0] * m
+    out = {}
+    for k in range(m):
+        solver2d._fill_slab(ch, sufmax, k, best)
+        for i in range(k):
+            for j, base, at in zip(ch.order[i], ch.bases[i], ch.addrs[i]):
+                if j <= k:
+                    ok = j == k or at - ch.doff[j] < len(ch.order[j]) - ch.start[j][k - j - 1]
+                    out[(i, j, k)] = ch.sign * (base + sufmax[at]) if ok else None
+    return out
+
+
+def compute_C_tables(ctx, ew, lists) -> dict:
+    """Every C[i, j, k] entry as a dict (None = infeasible).
+
+    Read off the solver's own sweep (``solver2d._chains`` and
+    ``_fill_slab``) for the recurrence-isolation suite; the solver streams
+    one rightmost-vertex slab at a time.
+    """
+    return _tables(solver2d._chains(ctx, ew, lists)[0])
+
+
+def compute_V_tables(ctx, ew, lists) -> dict:
+    """Every V[i, j, k] entry as a dict (None = infeasible)."""
+    return _tables(solver2d._chains(ctx, ew, lists)[1])
 
 
 def best_weight_from_tables(ctx, c_tab, v_tab):

@@ -7,6 +7,7 @@ final criterion re-validates every witness those suites produced.
 import itertools
 import random
 import time
+from math import lcm
 
 import pytest
 
@@ -25,13 +26,13 @@ from mwcp.solver1d import solve_1d
 from mwcp.solver2d import (
     build_angular_lists,
     build_context,
-    compute_C_tables,
-    compute_V_tables,
     precompute_edge_weights,
 )
 from mwcp.cli import run_bench
 from support import (
     assert_valid_witness,
+    compute_C_tables,
+    compute_V_tables,
     naive_C_tables,
     naive_V_tables,
     segments_intersect,
@@ -203,8 +204,12 @@ def test_criterion_5_gadget_iff_property():
 def test_criterion_6_ngon_family(corpus_ngon):
     for n, inst, sol in corpus_ngon:
         assert sol.weight == n, f"ngon {n}: got {sol.weight}"
-        pos = [wp.point for wp in inst.points if wp.weight == 1]
-        neg = [wp.point for wp in inst.points if wp.weight == -1]
+        # Scaled by one common denominator (a similarity keeps every
+        # predicate below), so the checks run on ints.
+        den = lcm(*(c.denominator for wp in inst.points for c in wp.point))
+        scaled = [(int(x * den), int(y * den)) for x, y in (wp.point for wp in inst.points)]
+        pos = [p for p, wp in zip(scaled, inst.points) if wp.weight == 1]
+        neg = [p for p, wp in zip(scaled, inst.points) if wp.weight == -1]
         hull = convex_hull_2d(pos)
         assert len(hull) == n
         for p in neg:

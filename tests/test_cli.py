@@ -86,6 +86,52 @@ def test_oracle_size_refusal_exit_code(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+GEN_UNIFORM = ["gen", "--family", "uniform", "--n", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "uniform", "--n", "\u0663"],
+    GEN_UNIFORM + ["--dim", "\uff12"],
+    GEN_UNIFORM + ["--seed", "\u0663"],
+    ["bench", "--sizes", "4", "--repeats", "\u0663"],
+])
+def test_integer_options_refuse_non_ascii_digits(tmp_path, capsys, argv):
+    out = tmp_path / "u.mwcp"
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    GEN_UNIFORM + ["--weights=-\u0663:\u0663"],
+    GEN_UNIFORM + ["--weights=-3:\u00b3"],
+    ["bench", "--sizes", "\u0663,4"],
+    ["bench", "--sizes", "4", "--weights=-\uff13:3"],
+])
+def test_integer_fields_refuse_non_ascii_digits(tmp_path, capsys, argv):
+    out = tmp_path / "u.mwcp"
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad ") and not captured.out
+    assert not out.exists()
+
+
+def test_oracle_limit_refuses_non_ascii_digits(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "t.mwcp", TRIANGLE)
+    monkeypatch.setenv("MWCP_ORACLE_LIMIT", "\u0663")
+    assert main(["solve", path, "--algo", "oracle"]) == 2
+    assert capsys.readouterr().err == "error: MWCP_ORACLE_LIMIT='\u0663' is not an integer\n"
+    monkeypatch.setenv("MWCP_ORACLE_LIMIT", " 2 ")
+    assert main(["solve", path, "--algo", "oracle"]) == 3
+    capsys.readouterr()
+
+
 def test_reduce_then_solve_pipeline(tmp_path, capsys):
     gpath = write(tmp_path, "k3.graph", K3)
     ipath = str(tmp_path / "k3.mwcp")

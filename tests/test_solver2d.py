@@ -14,11 +14,10 @@ from mwcp.model import (
 )
 from mwcp.oracle import solve_bruteforce
 from mwcp.solver2d import (
+    _chains,
     build_angular_lists,
     build_context,
-    compute_C_tables,
     compute_first_compatible,
-    compute_V_tables,
     hull_weight_from_tables,
     precompute_edge_weights,
     prune_with_tables,
@@ -30,12 +29,15 @@ from support import (
     best_weight_from_tables,
     brute_edge_weights,
     cmp_angular_lists,
+    compute_C_tables,
+    compute_V_tables,
     degenerate_instance_2d,
     direct_key_rows,
     naive_C_tables,
     naive_V_tables,
     orientation,
     random_instance,
+    turn_sign,
 )
 
 DEGENERACIES = ("collinear", "shared_x", "rational")
@@ -323,6 +325,34 @@ def test_first_compatible_matches_direct_search():
         assert fc_bot == direct_first_compatible(ctx, lists.left_ccw, lists.right_ccw, -1)
 
 
+def test_chain_rows_match_direct_search():
+    # The sweep's rows against the direct pointer search: fc(i, c) from the
+    # addresses, and p(i, k), the last position of k's tie group in i's
+    # reading list, from the start indices.
+    rng = random.Random(24)
+    instances = [
+        degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 12))
+        for t in range(60)
+    ]
+    instances += [gen_ngon_family(n) for n in (24, 29)]
+    for inst in instances:
+        ctx = build_context(inst)
+        ew = precompute_edge_weights(ctx)
+        lists = build_angular_lists(ctx, ew.nkey)
+        chains = _chains(ctx, ew, lists)
+        readers = ((lists.left, lists.right, 1), (lists.left_ccw, lists.right_ccw, -1))
+        for ch, (lefts, rights, sign) in zip(chains, readers):
+            direct = direct_first_compatible(ctx, lefts, rights, sign)
+            for c, row in enumerate(lefts):
+                for i, f in zip(row, direct[c]):
+                    assert ch.addrs[i][ch.order[i].index(c)] == ch.doff[c] + f
+            for i, reading in enumerate(rights):
+                assert ch.order[i] == reading[::-1]
+                for k in reading:
+                    p = max(x for x, c in enumerate(reading) if turn_sign(ctx, i, c, k) == 0)
+                    assert ch.start[i][k - i - 1] == len(reading) - 1 - p
+
+
 def test_c_base_two_points():
     ctx = ctx_for([((0, 0), 2), ((3, 1), 4), ((1, -2), -1)])
     ew = precompute_edge_weights(ctx)
@@ -506,6 +536,19 @@ def test_triangle_with_outer_negative():
     sol = solve_2d(inst)
     assert sol.weight == 3
     assert sol.chosen == (0, 1, 2)
+    assert_valid_witness(inst, sol)
+
+
+def test_tie_goes_to_smallest_leftmost_then_rightmost():
+    # Two (leftmost, rightmost) candidate pairs weigh 4 in x order: (0, 3),
+    # the points 5, 3 and 4, and (1, 2), the points 1 and 3.  The pair with
+    # the smaller leftmost wins although its rightmost comes later.
+    inst = make_instance(
+        2, [((5, 3), -1), ((4, 0), 2), ((2, 3), -2), ((4, 4), 2), ((6, 6), 1), ((0, 5), 1)]
+    )
+    sol = solve_2d(inst)
+    assert sol.weight == 4
+    assert sol.chosen == (3, 4, 5)
     assert_valid_witness(inst, sol)
 
 
