@@ -391,9 +391,14 @@ def _tables(ch) -> dict:
         solver2d._fill_slab(ch, sufmax, k, best)
         for i in range(k):
             for j, base, at in zip(ch.order[i], ch.bases[i], ch.addrs[i]):
-                if j <= k:
-                    ok = j == k or at - ch.doff[j] < len(ch.order[j]) - ch.start[j][k - j - 1]
-                    out[(i, j, k)] = ch.sign * (base + sufmax[at]) if ok else None
+                if j > k:
+                    continue
+                if j < k:
+                    p = len(ch.order[j]) - 1 - ch.start[j][k - j - 1]
+                    if at - ch.doff[j] > p:  # fc(i, j) > p(j, k): infeasible
+                        out[(i, j, k)] = None
+                        continue
+                out[(i, j, k)] = ch.sign * (base + sufmax[at])
     return out
 
 
