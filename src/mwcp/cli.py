@@ -175,7 +175,13 @@ def run_bench(algo: str, sizes, seed: int, repeats: int = 1, weights=(-9, 9), sa
     instance is solved ``samples`` times and keeps its fastest time.  The
     samples go round-robin over all instances, so a slow spell of the host
     that spans several solves cannot slow every sample of one size.
+    Raises ``ValueError`` when that leaves nothing to time.
     """
+    if not sizes or repeats < 1 or samples < 1:
+        raise ValueError(
+            f"bench needs a size, repeats >= 1 and samples >= 1; got {len(sizes)} sizes,"
+            f" repeats {repeats}, samples {samples}"
+        )
     dimension = 1 if algo == "dp1d" else 2
     cases = [
         (n, seed + rep, gen_uniform(n, dimension, seed + rep, weights))

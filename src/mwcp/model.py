@@ -125,12 +125,12 @@ def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> 
     ``contained`` collects every instance point inside the closed hull
     (boundary included).  The chosen set is normally a subset of the
     positive points; verifiers exercising arbitrary subsets pass
-    ``allow_nonpositive=True``.  Membership is batched per dimension (an
-    interval scan in 1D, two bisected hull chains in 2D, exact feasibility
-    above), all of it equivalent to a per-point ``point_in_hull`` check.  In
-    2D the hull and ``convex_polygon_members`` run on the integer view from
-    ``scale_to_integers``; above 2D that view feeds one exact LP per point on
-    vertex rows built once (``hull_members``).
+    ``allow_nonpositive=True``.  Membership runs on the integer view from
+    ``scale_to_integers``, batched per dimension, and is equivalent to a
+    per-point ``point_in_hull`` check.  In 2D the hull and
+    ``convex_polygon_members`` decide it with two bisected hull chains;
+    otherwise ``hull_members`` does, with one exact LP per point on vertex
+    rows built once, and in 1D its bounding box alone.
     """
     idx = sorted(set(chosen))
     n = len(instance.points)
@@ -142,27 +142,19 @@ def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> 
     d = instance.dimension
     if not idx:
         return empty_solution(d)
-    pts = [instance.points[i].point for i in idx]
     hull_idx: tuple[int, ...] | None = None
-    if d == 1:
-        lo = min(p[0] for p in pts)
-        hi = max(p[0] for p in pts)
-        contained = [
-            i for i, wp in enumerate(instance.points) if lo <= wp.point[0] <= hi
-        ]
-    elif d == 2:
-        scaled = scale_to_integers([wp.point for wp in instance.points])
-        hull_pts = convex_hull_2d([scaled[i] for i in idx])
+    scaled = scale_to_integers([wp.point for wp in instance.points])
+    vertices = [scaled[i] for i in idx]
+    if d == 2:
+        hull_pts = convex_hull_2d(vertices)
         inside = convex_polygon_members(scaled, hull_pts)
-        contained = [i for i, ok in enumerate(inside) if ok]
         back = {}
         for i in idx:
             back.setdefault(scaled[i], i)
         hull_idx = tuple(back[p] for p in hull_pts)
     else:
-        scaled = scale_to_integers([wp.point for wp in instance.points])
-        inside = hull_members(scaled, [scaled[i] for i in idx])
-        contained = [i for i, ok in enumerate(inside) if ok]
+        inside = hull_members(scaled, vertices)
+    contained = [i for i, ok in enumerate(inside) if ok]
     weight = sum((instance.points[i].weight for i in contained), Fraction(0))
     return Solution(tuple(idx), hull_idx, tuple(contained), weight)
 

@@ -19,6 +19,7 @@ from .model import Instance, Solution, WeightedPoint, evaluate
 
 GADGET_T1 = Fraction(1, 3)
 GADGET_T2 = Fraction(2, 3)
+GADGET_VERIFY_MAX_VERTICES = 8
 
 
 @dataclass(frozen=True)
@@ -130,16 +131,16 @@ class Embedding:
     gadget_points: dict = field(default_factory=dict)
 
 
-def build_embedding(graph: Graph, t1: Fraction = GADGET_T1, t2: Fraction = GADGET_T2) -> Embedding:
-    if not (0 < t1 < 1 and 0 < t2 < 1 and t1 != t2):
-        raise ValueError("gadget parameters must be distinct and interior")
+def build_embedding(graph: Graph) -> Embedding:
+    """The cyclic embedding plus the two gadget points of each edge, at
+    ``GADGET_T1`` and ``GADGET_T2`` along the edge."""
     verts = cyclic_embedding(graph.n_vertices)
     gadget = {}
     for u, v in graph.edges:
         a, b = verts[u], verts[v]
-        p1 = tuple(ac + (bc - ac) * t1 for ac, bc in zip(a, b))
-        p2 = tuple(ac + (bc - ac) * t2 for ac, bc in zip(a, b))
-        gadget[(u, v)] = ((p1, t1), (p2, t2))
+        p1 = tuple(ac + (bc - ac) * GADGET_T1 for ac, bc in zip(a, b))
+        p2 = tuple(ac + (bc - ac) * GADGET_T2 for ac, bc in zip(a, b))
+        gadget[(u, v)] = ((p1, GADGET_T1), (p2, GADGET_T2))
     return Embedding(verts, gadget)
 
 
@@ -258,11 +259,12 @@ class GadgetReport:
         return not self.violations
 
 
-def verify_edge_gadget(instance: Instance, *, max_vertices: int = 8) -> GadgetReport:
+def verify_edge_gadget(instance: Instance) -> GadgetReport:
     """Check, for every vertex subset C and negative point g of edge (u, v),
     that g lies in conv(C) exactly when both u and v are in C.
 
-    Exhaustive over all 2^n subsets, so n is bounded by ``max_vertices``.
+    Exhaustive over all 2^n subsets, so n is bounded by
+    ``GADGET_VERIFY_MAX_VERTICES``.
     The instance is scaled to integers once, and each subset decides all
     gadget points with one call of ``hull_members``.  Violations are
     reported with their witness subset; a clean report means the
@@ -270,8 +272,8 @@ def verify_edge_gadget(instance: Instance, *, max_vertices: int = 8) -> GadgetRe
     """
     graph, vertex_index, edge_gadgets = _reduction_maps(instance)
     n = graph.n_vertices
-    if n > max_vertices:
-        raise ValueError(f"gadget verification limited to {max_vertices} vertices")
+    if n > GADGET_VERIFY_MAX_VERTICES:
+        raise ValueError(f"gadget verification limited to {GADGET_VERIFY_MAX_VERTICES} vertices")
     scaled = scale_to_integers([wp.point for wp in instance.points])
     gadget_points = [scaled[gi] for _, gadget_idx in edge_gadgets for gi in gadget_idx]
     violations = []

@@ -112,43 +112,46 @@ past the last position of ``right[c]``.  The rows of the sweep run over each
 right list in reverse reading order, so slab k reads a tail of each row: one
 gather-add and one running max per column, stored with one slice
 assignment.  The suffix maximum at position 0 is the best cell for the pair
-(j, k).  The bottom chain is the same kernel on the counterclockwise lists
-with -bot bases: the min of V is minus the max of -V, and convex turns are
-concave ones under the reflection y -> -y, which negates every key.
+(j, k).  The bottom chain is the top chain of the reflection y -> -y, which
+negates every key and turns convex chains into concave ones: one builder
+makes its rows from the counterclockwise lists, with each key row reversed
+and negated (so it ascends again) and -bot bases, and the same kernel
+maximises -V, whose max is minus the min of V.
 
-Witness finishing reuses the same edge tables.  For a candidate set T whose
-hull has leftmost vertex L, rightmost vertex R, upper chain U and lower
-chain D (both running from L to R), the scaled hull weight is
+Witness finishing reuses the same edge tables.  The walk gives the top
+path i0 -> ... -> k and the bottom path i0 -> ... -> k of the optimum, and
+the prune runs on one cycle: the bottom path, then the top path back
+without its ends or any point already on the bottom path.  Every trial
+filters that cycle, rotates it to its smallest ordinal and sums the tables
+along it (``_cycle_weight``); no hull is built.  This is exact on every
+input:
 
-    sum(top[a][b] for (a, b) in U) + sum(ws[u] for u in U)
-        - sum(bot[a][b] for (a, b) in D),
-
-the C - V score the sweep maximises.  Pruning the reconstructed chains to a
-maximal vertex set therefore needs at most a small integer hull per trial,
-never a ``Fraction`` re-evaluation of the whole instance.  Usually it needs
-none.  When every walked vertex is a vertex of the walked set's hull, the
-set is in strictly convex position, and so is each of its subsets: a point
-of a subset that is not a vertex of the subset's hull lies in the hull of
-the subset's other points, so it is no vertex of the whole set's hull either.
-A subset of a strictly convex set is strictly convex in the inherited cyclic
-order, so the hull of a trial subset is the walked cycle with the dropped
-vertices left out, and each trial filters and rotates one cycle and sums the
-tables along it.  The hull is rebuilt per trial only when some walked vertex
-is not a hull vertex (collinear chain points), since dropping a vertex can
-then expose it.
+- The top path is a weakly concave x-monotone chain, so it lies on or
+  above the chord i0 k; the bottom path is weakly convex, so it lies on or
+  below it.  Their union is therefore in weakly convex position, and the
+  cycle lists every walked point on the hull boundary, counterclockwise.
+- If a point lies on both paths, the concave function (top - chord) is
+  >= 0 and vanishes at an interior point, so it vanishes everywhere: the
+  whole top path lies on the chord, and dropping the repeat is safe.
+- Any subset of boundary points lies on the boundary of its own hull, in
+  the inherited order.
+- The table sum is exact on a boundary cycle that holds points which are
+  no hull vertex.  For u on the open segment ab (x is distinct after the
+  shear), top(a, u) + w_u + top(u, b) = top(a, b) and bot(a, u) + bot(u, b)
+  = bot(a, b).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, repeat
 from math import lcm
-from operator import add, itemgetter, neg, sub
+from operator import add, itemgetter, neg
 
-from .geometry import convex_hull_2d, scale_to_integers
+from .geometry import scale_to_integers
 from .model import (
     Instance,
     Solution,
@@ -174,7 +177,7 @@ class SolverContext:
     ``shear_k`` is the shear factor s = (y spread) // g + 2 of the module
     docstring (g the smallest gap between distinct integer x), so s*g
     exceeds the y spread and s >= 2; it is 1 exactly when no shear was
-    applied.  ``slope_scale`` is M = (x_max - x_min)^2 for :func:`slope_key`.
+    applied.  ``slope_scale`` is M = (x_max - x_min)^2 of the slope key.
     """
 
     instance: Instance
@@ -284,11 +287,6 @@ def _key_row(xs, ys, a: int, scale: int) -> list[int]:
     return [(y - ya) * scale // (x - xa) for x, y in zip(xs[a + 1:], ys[a + 1:])]
 
 
-def slope_key(ctx: SolverContext, a: int, b: int) -> int:
-    """key(a, b) for sorted positions a < b."""
-    return _key_row((ctx.xs[a], ctx.xs[b]), (ctx.ys[a], ctx.ys[b]), 0, ctx.slope_scale)[0]
-
-
 def precompute_edge_weights(ctx: SolverContext) -> EdgeWeights:
     """Edge weights for all candidate pairs by the slope-group recurrence.
 
@@ -356,20 +354,27 @@ def build_angular_lists(ctx: SolverContext, nkey) -> AngularLists:
     return AngularLists(right, right_key)
 
 
+def _mirrored(rows) -> list[list[int]]:
+    """Key rows under y -> -y: read counterclockwise and negated, so ascending."""
+    return [list(map(neg, reversed(row))) for row in rows]
+
+
 def compute_first_compatible(ctx: SolverContext, lists: AngularLists):
     """First-compatible pointer tables for both chain recurrences.
 
     ``fc_top[j][t]`` is the position in ``right[j]`` of the first candidate
     r such that (left[j][t], j, r) is a concave turn, i.e. key(j, r) <=
-    key(i, j): the number of right keys above key(i, j).  ``fc_bot`` is the
-    same on the counterclockwise lists with the convex test, key(j, r) >=
-    key(i, j).  Both rows are nondecreasing.
+    key(i, j): the number of right keys above key(i, j), one ``bisect_left``
+    of the left key into the ascending right keys.  ``fc_bot`` is the same
+    search on the mirror, the counterclockwise lists with :func:`_mirrored`
+    keys, where the convex test key(j, r) >= key(i, j) is the concave one.
+    Both rows are nondecreasing.
     """
-    fc_top, fc_bot = [], []
-    for lk, rk in zip(lists.left_key, lists.right_key):
-        fc_top.append(list(map(partial(bisect_left, rk), lk)))
-        fc_bot.append([len(rk) - bisect_right(rk, v) for v in reversed(lk)])
-    return fc_top, fc_bot
+    def fc(left_key, right_key):
+        return [list(map(partial(bisect_left, rk), lk)) for lk, rk in zip(left_key, right_key)]
+
+    left, right = lists.left_key, lists.right_key
+    return fc(left, right), fc(_mirrored(left), _mirrored(right))
 
 
 @dataclass
@@ -403,43 +408,53 @@ class _Chain:
     sign: int
 
 
-def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
-    """The top-chain (C) and bottom-chain (-V) recurrences over the same lists.
+def _chain_rows(orders, keys, ordinal_keys, base, doff):
+    """The rows ``order``, ``bases``, ``addrs`` and ``start`` of one :class:`_Chain`.
 
-    One pass over the right lists builds every row: fc(i, c) is one
-    ``bisect`` of -key(i, c) into c's right keys, ``bisect_left`` for the
-    concave test and the mirrored ``bisect_right`` for the convex one.
-    Needs ``ew.nkey`` for the tie groups.
+    ``orders[i]`` is i's reading list, clockwise in the chain's own frame,
+    read backwards (the order the sweep reads it, from position p down to
+    0); ``keys[i]`` holds the reading list's sort keys (ascending) and
+    ``ordinal_keys[i][k - i - 1]`` the key of k.  fc(i, c) is one
+    ``bisect_left`` of c's key in i's list into c's keys: the first position
+    of c's reading list that turns concavely after i.  p(i, k) is the last
+    position of k's tie group.  ``base(i, cs)`` gives base(i, c) for the
+    candidates cs.
+    """
+    bases, addrs, start = [], [], []
+    for i, (order, ks, ordinal) in enumerate(zip(orders, keys, ordinal_keys)):
+        fc = map(bisect_left, map(keys.__getitem__, order), reversed(ks))
+        back = range(len(order) - 1, -1, -1)  # a tie group keeps its last position
+        bases.append(base(i, order))
+        addrs.append(list(map(add, map(doff.__getitem__, order), fc)))
+        start.append(list(map(dict(zip(ks, back)).__getitem__, ordinal)))
+    return orders, bases, addrs, start
+
+
+def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
+    """The top-chain (C) and bottom-chain (-V) recurrences, one builder twice.
+
+    The top chain reads ``right`` with keys ``right_key`` and bases w_i +
+    top(i, c).  The bottom chain is the top chain of the reflection y -> -y:
+    it reads ``right_ccw`` with the :func:`_mirrored` keys and bases
+    -bot(i, c).  Needs ``ew.nkey`` for the tie groups.
     """
     wc = [ctx.ws[p] for p in ctx.cand]
     m = len(wc)
     none = -sum(map(abs, ctx.ws)) - 1
     # Column c has a slot for each fc(., c) in 0..m - 1 - c.
     doff = list(accumulate(range(m, 0, -1), initial=0))
-    last = [d - 1 for d in doff[1:]]  # last[c]: the slot of fc = m - 1 - c
-    upper = _Chain([], [], [], [], doff, wc, none, 1)
-    lower = _Chain([], [], [], [], doff, [0] * m, none, -1)
-    rk = lists.right_key
-    for i, (row, keys) in enumerate(zip(lists.right, rk)):
-        after = list(map(rk.__getitem__, row))  # the right keys of each c in row
-        back = range(len(row) - 1, -1, -1)
-        # The top chain reads right[i] from position p down to 0, so its row
-        # runs in reversed right[i] order; p(i, k) is the last position of
-        # k's tie group.
-        order = row[::-1]
-        addrs = list(map(add, map(doff.__getitem__, row), map(bisect_left, after, keys)))
-        addrs.reverse()
-        upper.order.append(order)
-        upper.bases.append(list(map(wc[i].__add__, map(ew.top[i].__getitem__, order))))
-        upper.addrs.append(addrs)
-        upper.start.append(list(map(dict(zip(keys, back)).__getitem__, ew.nkey[i])))
-        # The bottom chain reads right_ccw[i], so its row runs in right[i]
-        # order and starts at the first position of k's tie group there.
-        lower.order.append(row)
-        lower.bases.append(list(map(neg, map(ew.bot[i].__getitem__, row))))
-        lower.addrs.append(list(map(sub, map(last.__getitem__, row), map(bisect_right, after, keys))))
-        lower.start.append(list(map(dict(zip(reversed(keys), back)).__getitem__, ew.nkey[i])))
-    return upper, lower
+    top, bot = ew.top, ew.bot
+    # The bottom chain first: its mirrored key rows are freed before the top
+    # chain's rows are built.  It reads right_ccw, so it sweeps in right order.
+    lower = _chain_rows(
+        lists.right, _mirrored(lists.right_key), (map(neg, row) for row in ew.nkey),
+        lambda i, cs: list(map(neg, map(bot[i].__getitem__, cs))), doff,
+    )
+    upper = _chain_rows(
+        [row[::-1] for row in lists.right], lists.right_key, ew.nkey,
+        lambda i, cs: list(map(wc[i].__add__, map(top[i].__getitem__, cs))), doff,
+    )
+    return _Chain(*upper, doff, wc, none, 1), _Chain(*lower, doff, [0] * m, none, -1)
 
 
 def _fill_slab(ch: _Chain, sufmax, k: int, best) -> None:
@@ -492,52 +507,39 @@ def _walk(ctx: SolverContext, ch: _Chain, sufmax, i0: int, k: int):
         assert sufmax[at] == v, "the sweep's suffix maximum is not the best step"
         path.append(j)
         at = nxt
-    keys = [ch.sign * slope_key(ctx, ctx.cand[a], ctx.cand[b]) for a, b in zip(path, path[1:])]
+    # Each step's key in the chain's frame; zip(a, b) is (x_a, x_b), (y_a, y_b).
+    xy = [(ctx.xs[p], ctx.ys[p]) for p in map(ctx.cand.__getitem__, path)]
+    keys = [ch.sign * _key_row(*zip(a, b), 0, ctx.slope_scale)[0] for a, b in zip(xy, xy[1:])]
     assert keys == sorted(keys, reverse=True), "chain turns the wrong way"
     return path
 
 
-def hull_weight_from_tables(ctx: SolverContext, ew: EdgeWeights, ordinals):
-    """Scaled weight of conv(T) for a set T of candidate ordinals, from the tables.
+def _cycle_weight(ctx: SolverContext, ew: EdgeWeights, cycle) -> int:
+    """Scaled weight of conv(T) from the tables, for a boundary cycle of T.
 
-    With L/R the leftmost/rightmost hull vertices and U/D the upper/lower
-    hull chains from L to R, every instance point strictly between L and R
-    in x that lies on or below U is in some ``top`` edge sum, the points
-    strictly below D are in the ``bot`` sums, and the points level with a
-    vertex of U are that vertex alone (x is distinct after the shear).  So
+    ``cycle`` lists T's candidate ordinals, all on the boundary of conv(T),
+    counterclockwise from the leftmost (the smallest ordinal); some may be
+    no hull vertex.  With L/R its leftmost/rightmost points, D the cycle
+    from L to R and U the rest, from R back to L, every instance point
+    strictly between L and R in x on or below U is in some ``top`` edge sum,
+    the points strictly below D are in the ``bot`` sums, and the points level
+    with a point of U are that point alone (x is distinct).  So
 
         weight(conv T) * weight_scale
-            = sum top[a][b] over edges of U + sum ws[u] over vertices of U
+            = sum top[a][b] over edges of U + sum ws[u] over points of U
               - sum bot[a][b] over edges of D.
 
-    A collinear T has U = D = [L, R], giving top - bot + w_L + w_R; a single
-    point gives its own weight and the empty set 0.  This equals
-    ``evaluate(instance, T).weight * weight_scale``.
-    """
-    return _cycle_weight(ctx, ew, _hull_ordinals(ctx, ordinals))
-
-
-def _hull_ordinals(ctx: SolverContext, ordinals) -> list[int]:
-    """The CCW hull of candidate ordinals, as ordinals, from the leftmost."""
-    xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
-    at = {(xs[cand[c]], ys[cand[c]]): c for c in ordinals}
-    return [at[p] for p in convex_hull_2d(at)]
-
-
-def _cycle_weight(ctx: SolverContext, ew: EdgeWeights, hull) -> int:
-    """:func:`hull_weight_from_tables` for the CCW hull cycle of ordinals.
-
-    ``hull`` starts at its leftmost vertex (the smallest ordinal), as
-    ``convex_hull_2d`` does on the distinct sheared x.
+    A point on an open edge changes nothing (module docstring), so a
+    collinear T gives top - bot + w_L + w_R whichever side holds its inner
+    points; a single point gives its own weight and the empty cycle 0.
     """
     ws, cand = ctx.ws, ctx.cand
-    if len(hull) <= 1:
-        return sum(ws[cand[c]] for c in hull)
-    # CCW from the leftmost vertex: the lower chain runs L -> R, then the
-    # upper chain runs R -> L.  Ordinals ascend with x, so R is the largest.
-    r = hull.index(max(hull))
-    lower = hull[: r + 1]
-    upper = hull[r:] + hull[:1]
+    if len(cycle) <= 1:
+        return sum(ws[cand[c]] for c in cycle)
+    # Ordinals ascend with x, so R is the largest.
+    r = cycle.index(max(cycle))
+    lower = cycle[: r + 1]
+    upper = cycle[r:] + cycle[:1]
     top, bot = ew.top, ew.bot
     w = sum(ws[cand[c]] for c in upper)
     for b, a in zip(upper, upper[1:]):
@@ -547,33 +549,22 @@ def _cycle_weight(ctx: SolverContext, ew: EdgeWeights, hull) -> int:
     return w
 
 
-def prune_with_tables(ctx: SolverContext, ew: EdgeWeights, ordinals):
-    """``model.prune_to_maximal`` on candidate ordinals, scored from the tables.
+def prune_with_tables(ctx: SolverContext, ew: EdgeWeights, cycle):
+    """``model.prune_to_maximal`` on a boundary cycle, scored from the tables.
 
-    Same rules (``prune_by_weight``), so the same vertices go.  Returns the
-    kept vertices as sorted instance indices, exactly as the model does, and
-    their scaled hull weight.
-
-    The hull of the whole set is built once.  When every member is one of
-    its vertices (strictly convex position), every subset is in strictly
-    convex position too, and its hull is the cycle in the inherited order
-    with the other vertices left out: a trial only filters the cycle and
-    rotates it to start at its smallest ordinal.  Otherwise dropping a
-    vertex can expose a point that was inside or on an edge, and each trial
-    builds its hull again.
+    ``cycle`` is the walked boundary cycle of the module docstring.  Same
+    rules (``prune_by_weight``), so the same vertices go.  Returns the kept
+    vertices as sorted instance indices, exactly as the model does, and
+    their scaled hull weight.  A trial filters the cycle, rotates it to its
+    smallest ordinal and sums the tables along it.
     """
-    ordinal = {ctx.orig[ctx.cand[c]]: c for c in ordinals}
-    cycle = _hull_ordinals(ctx, ordinal.values())
+    ordinal = {ctx.orig[ctx.cand[c]]: c for c in cycle}
 
-    if len(cycle) == len(ordinal):
-        def weight_of(kept):
-            keep = set(map(ordinal.__getitem__, kept))
-            hull = list(filter(keep.__contains__, cycle))
-            s = hull.index(min(hull)) if hull else 0
-            return _cycle_weight(ctx, ew, hull[s:] + hull[:s])
-    else:
-        def weight_of(kept):
-            return hull_weight_from_tables(ctx, ew, [ordinal[i] for i in kept])
+    def weight_of(kept):
+        keep = set(map(ordinal.__getitem__, kept))
+        hull = list(filter(keep.__contains__, cycle))
+        s = hull.index(min(hull)) if hull else 0
+        return _cycle_weight(ctx, ew, hull[s:] + hull[:s])
 
     return prune_by_weight(ordinal, weight_of)
 
@@ -625,17 +616,21 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
         return empty_solution(2)
 
     if bi == bk:
-        ordinals = [bi]
+        cycle = [bi]
     else:
         for ch, suf, rm in ((upper, suf_c, rm_c), (lower, suf_v, rm_v)):
             tail = ch.doff[bk + 1]
             suf[tail:] = repeat(2 * ch.none, len(suf) - tail)
             _fill_slab(ch, suf, bk, rm)
         assert rm_c[bi] + rm_v[bi] == bw
-        ordinals = set(_walk(ctx, upper, suf_c, bi, bk))
-        ordinals |= set(_walk(ctx, lower, suf_v, bi, bk))
+        # CCW from bi: the bottom path, then the top path back without its
+        # ends or the points it shares with the bottom path.
+        upper_path = _walk(ctx, upper, suf_c, bi, bk)
+        lower_path = _walk(ctx, lower, suf_v, bi, bk)
+        on_lower = set(lower_path)
+        cycle = lower_path + [c for c in reversed(upper_path[1:-1]) if c not in on_lower]
 
-    chosen, chosen_w = prune_with_tables(ctx, ew, ordinals)
+    chosen, chosen_w = prune_with_tables(ctx, ew, cycle)
     if chosen_w != bw:
         raise RuntimeError("pruned witness does not keep the optimal table weight")
     sol = evaluate(instance, chosen)

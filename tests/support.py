@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
+from mwcp.geometry import convex_hull_2d
 from mwcp.model import Instance, Solution, WeightedPoint, evaluate
 from mwcp import solver2d
 from mwcp.solver2d import EdgeWeights, _key_row
@@ -270,6 +271,52 @@ def turn_sign(ctx, i, j, r):
     pi, pj, pr = cand[i], cand[j], cand[r]
     v = (xs[pr] - xs[pi]) * (ys[pj] - ys[pi]) - (ys[pr] - ys[pi]) * (xs[pj] - xs[pi])
     return (v > 0) - (v < 0)
+
+
+def slope_key(ctx, a, b):
+    """key(a, b) of the ``solver2d`` docstring for sorted positions a < b."""
+    return _key_row((ctx.xs[a], ctx.xs[b]), (ctx.ys[a], ctx.ys[b]), 0, ctx.slope_scale)[0]
+
+
+def boundary_cycle(ctx, ordinals):
+    """The candidate ordinals on the boundary of their own hull, as a cycle.
+
+    Counterclockwise from the smallest ordinal, with the points inside hull
+    edges in order along each edge.  A collinear set comes out ascending.
+    Built from ``convex_hull_2d`` on the sheared view and one segment test
+    per point and edge, independent of the solver's walk.
+    """
+    at = {(ctx.xs[ctx.cand[c]], ctx.ys[ctx.cand[c]]): c for c in ordinals}
+    hull = convex_hull_2d(at)
+    if len(hull) <= 2:
+        return sorted(at.values())
+    cycle = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        inner = [p for p in at if p not in (a, b) and point_on_segment(p, a, b)]
+        inner.sort(key=lambda p: abs(p[0] - a[0]))
+        cycle += [at[a]] + [at[p] for p in inner]
+    return cycle
+
+
+def corner_count(ctx, ordinals) -> int:
+    """The number of hull vertices of the candidates with these ordinals."""
+    return len(convex_hull_2d({(ctx.xs[ctx.cand[c]], ctx.ys[ctx.cand[c]]) for c in ordinals}))
+
+
+def is_boundary_cycle(ctx, cycle) -> bool:
+    """Is ``cycle`` a boundary cycle of its own points, as ``_cycle_weight`` takes?
+
+    Outside the collinear case it must equal :func:`boundary_cycle`; a
+    collinear set may put its inner points on either side, so it must rise
+    from its smallest ordinal to its largest and fall back.
+    """
+    if len(set(cycle)) != len(cycle) or cycle[0] != min(cycle):
+        return False
+    if corner_count(ctx, cycle) >= 3:
+        return cycle == boundary_cycle(ctx, cycle)
+    r = cycle.index(max(cycle))
+    rise, fall = cycle[: r + 1], cycle[r:]
+    return rise == sorted(rise) and fall == sorted(fall, reverse=True)
 
 
 def brute_edge_weights(ctx):

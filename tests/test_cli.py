@@ -9,13 +9,16 @@ from pathlib import Path
 import pytest
 
 import mwcp
-from mwcp import cli
+from mwcp import cli, solver2d
 from mwcp.cli import main, run_bench
 from mwcp.model import parse_instance
 from mwcp.solver1d import solve_1d
 
 TRIANGLE = "2 4\n0 0 1\n4 0 1\n2 3 1\n2 1 -1\n"
 ONE_D = "1 4\n0 -2\n1 3\n2 -1\n3 4\n"
+# Four positive points on one line: the walked top path is 0, 1, 2, 3 and
+# the bottom path 0, 1, 3, so 1 is on both paths and 1 and 2 are no vertex.
+COLLINEAR = "2 5\n0 0 1\n1 1 1\n2 2 1\n3 3 1\n3 0 -1\n"
 K3 = "3 3\n0 1\n1 2\n0 2\n"
 
 
@@ -227,6 +230,24 @@ def test_bench_csv_and_slope(tmp_path, capsys):
     assert out[-1].startswith("# loglog_slope=")
 
 
+@pytest.mark.parametrize(
+    "extra", [["--sizes", "5", "--repeats", "0"], ["--sizes", "5", "--repeats", "-2"],
+              ["--sizes", ","], ["--sizes", ""]],
+)
+def test_bench_refuses_empty_runs(extra, capsys):
+    assert main(["bench", "--algo", "dp1d", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_run_bench_refuses_empty_runs():
+    for kwargs in ({"repeats": 0}, {"samples": 0}, {"sizes": []}):
+        args = {"sizes": [5], "seed": 0, **kwargs}
+        with pytest.raises(ValueError):
+            run_bench("dp1d", **args)
+
+
 def test_run_bench_rows():
     rows, slope = run_bench("dp1d", [16, 32], seed=2, repeats=2)
     assert len(rows) == 4
@@ -274,10 +295,19 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["weight"] == "6"
 
 
-def test_solve_2d_under_optimize_flag(tmp_path, capsys):
+def test_solve_2d_under_optimize_flag(tmp_path, capsys, monkeypatch):
     # The solvers' output checks raise instead of asserting, so -O keeps them.
-    for algo, text, weight in (("dp2d", TRIANGLE, "2"), ("dp1d", ONE_D, "6")):
-        path = write(tmp_path, f"{algo}.mwcp", text)
+    walks = {}
+    walk = solver2d._walk
+
+    def recorded_walk(ctx, ch, *args):
+        walks[ch.sign] = walk(ctx, ch, *args)
+        return walks[ch.sign]
+
+    monkeypatch.setattr(solver2d, "_walk", recorded_walk)
+    cases = (("dp2d", TRIANGLE, "2"), ("dp2d", COLLINEAR, "4"), ("dp1d", ONE_D, "6"))
+    for t, (algo, text, weight) in enumerate(cases):
+        path = write(tmp_path, f"case{t}.mwcp", text)
         args = ["solve", path, "--algo", algo, "--format", "json"]
         proc = run_module(tmp_path, "-O", "-m", "mwcp", *args)
         assert proc.returncode == 0, proc.stderr
@@ -285,6 +315,7 @@ def test_solve_2d_under_optimize_flag(tmp_path, capsys):
         assert out["weight"] == weight
         assert main(args) == 0
         assert out == json.loads(capsys.readouterr().out)
+    assert walks == {1: [0, 1, 2, 3], -1: [0, 1, 3]}  # the collinear walk
     # Under -O, solve_1d still raises on a witness that misses the scan.
     child = (
         "import dataclasses, sys\n"

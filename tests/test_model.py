@@ -200,11 +200,16 @@ def test_evaluate_matches_point_in_hull_per_point():
         chosen = pos[: rng.randint(1, len(pos))]
         sol = evaluate(inst, chosen)
         verts = [inst.points[i].point for i in chosen]
-        expect = [
-            i
-            for i, wp in enumerate(inst.points)
-            if point_in_hull(wp.point, verts)
-        ]
+        if inst.dimension == 1:
+            # A plain interval, apart from the hull_members path.
+            lo, hi = min(verts), max(verts)
+            expect = [i for i, wp in enumerate(inst.points) if lo <= wp.point <= hi]
+        else:
+            expect = [
+                i
+                for i, wp in enumerate(inst.points)
+                if point_in_hull(wp.point, verts)
+            ]
         assert list(sol.contained) == expect
         assert set(chosen) <= set(sol.contained)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mwcp import solver2d
 from mwcp.generators import gen_ngon_family, gen_uniform
 from mwcp.geometry import scale_to_integers, shear_normalize
 from mwcp.model import (
@@ -15,28 +16,31 @@ from mwcp.model import (
 from mwcp.oracle import solve_bruteforce
 from mwcp.solver2d import (
     _chains,
+    _cycle_weight,
     build_angular_lists,
     build_context,
     compute_first_compatible,
-    hull_weight_from_tables,
     precompute_edge_weights,
     prune_with_tables,
-    slope_key,
     solve_2d,
 )
 from support import (
     assert_valid_witness,
     best_weight_from_tables,
+    boundary_cycle,
     brute_edge_weights,
     cmp_angular_lists,
     compute_C_tables,
     compute_V_tables,
+    corner_count,
     degenerate_instance_2d,
     direct_key_rows,
+    is_boundary_cycle,
     naive_C_tables,
     naive_V_tables,
     orientation,
     random_instance,
+    slope_key,
     turn_sign,
 )
 
@@ -400,7 +404,7 @@ def test_solver_matches_table_weight():
         assert sol.weight == w
 
 
-def test_hull_weight_from_tables_matches_evaluate():
+def test_cycle_weight_matches_evaluate():
     rng = random.Random(52)
     for t in range(150):
         inst = degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 10))
@@ -414,44 +418,30 @@ def test_hull_weight_from_tables_matches_evaluate():
         for seq in subsets:
             chosen = [ctx.orig[ctx.cand[c]] for c in seq]
             expect = evaluate(inst, chosen).weight * ctx.weight_scale
-            assert hull_weight_from_tables(ctx, ew, seq) == expect
+            assert _cycle_weight(ctx, ew, boundary_cycle(ctx, seq)) == expect
 
 
-def test_hull_weight_from_tables_collinear_set():
+def test_cycle_weight_collinear_set():
     # three candidates on one line with a negative point on the open segment
-    # and one just below it
+    # and one just below it; the middle candidate may sit on either side
     inst = make_instance(
         2, [((0, 0), 2), ((2, 2), 1), ((4, 4), 3), ((1, 1), -1), ((3, 2), -5)]
     )
     ctx = build_context(inst)
     ew = precompute_edge_weights(ctx)
-    assert hull_weight_from_tables(ctx, ew, [0, 1, 2]) == 5
-    assert hull_weight_from_tables(ctx, ew, [0, 2]) == 5
-    assert hull_weight_from_tables(ctx, ew, [1]) == 1
+    assert _cycle_weight(ctx, ew, [0, 1, 2]) == 5
+    assert _cycle_weight(ctx, ew, [0, 2, 1]) == 5
+    assert _cycle_weight(ctx, ew, [0, 2]) == 5
+    assert _cycle_weight(ctx, ew, [1]) == 1
 
 
-def count_hulls(monkeypatch):
-    """Count solver2d's ``convex_hull_2d`` calls: a prune that builds exactly
-    one hull took the cyclic-order branch, any other took the fallback."""
-    import mwcp.solver2d as solver2d
+def test_prune_with_tables_matches_model_prune():
+    # The boundary cycles of random candidate subsets, pruned from the tables
+    # and by the model, on the degenerate corpus and on small grids.
+    with_inner = 0
 
-    calls = [0]
-    hull = solver2d.convex_hull_2d
-
-    def counted(points):
-        calls[0] += 1
-        return hull(points)
-
-    monkeypatch.setattr(solver2d, "convex_hull_2d", counted)
-    return calls
-
-
-def test_prune_with_tables_matches_model_prune(monkeypatch):
-    calls = count_hulls(monkeypatch)
-    branches = {"cyclic": 0, "fallback": 0}
-    rng = random.Random(61)
-    for t in range(150):
-        inst = degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 10))
+    def check(rng, inst):
+        nonlocal with_inner
         ctx = build_context(inst)
         m = len(ctx.cand)
         ew = precompute_edge_weights(ctx)
@@ -459,10 +449,10 @@ def test_prune_with_tables_matches_model_prune(monkeypatch):
             [c for c in range(m) if rng.random() < 0.6] for _ in range(3)
         ]
         for seq in subsets:
-            chosen = {ctx.orig[ctx.cand[c]] for c in seq}
-            calls[0] = 0
-            kept, w = prune_with_tables(ctx, ew, seq)
-            branches["cyclic" if calls[0] == 1 else "fallback"] += 1
+            cycle = boundary_cycle(ctx, seq)
+            with_inner += len(cycle) > corner_count(ctx, cycle)
+            chosen = {ctx.orig[ctx.cand[c]] for c in cycle}
+            kept, w = prune_with_tables(ctx, ew, cycle)
             assert kept == prune_to_maximal(inst, chosen)
             assert w == evaluate(inst, kept).weight * ctx.weight_scale
         for allow_empty in (True, False):
@@ -470,44 +460,61 @@ def test_prune_with_tables_matches_model_prune(monkeypatch):
             assert sol.weight == solve_bruteforce(inst, allow_empty=allow_empty).weight
             if sol.weight > 0:
                 assert prune_to_maximal(inst, sol.chosen) == sol.chosen
-    assert branches["cyclic"] >= 300 and branches["fallback"] >= 50, branches
+
+    rng = random.Random(61)
+    for t in range(150):
+        check(rng, degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 10)))
+    rng = random.Random(62)
+    for _ in range(60):
+        check(rng, grid_instance(rng, range(4), range(4), rng.randint(6, 12)))
+    assert with_inner >= 80, with_inner
 
 
-def test_prune_fallback_when_a_drop_exposes_an_interior_point(monkeypatch):
-    # P lies inside the triangle ABC, so it is no vertex of the walked set's
-    # hull.  Without A, P is a vertex of conv{B, C, P}, which holds Q: the
-    # walked cycle minus A would be the segment BC and miss both.
-    a, b, c, p, q = (0, 0), (4, 0), (2, 4), (2, 1), (3, 1)
-    inst = make_instance(2, [(a, 1), (b, 1), (c, 1), (p, 1), (q, -5)])
-    ctx = build_context(inst)
-    ew = precompute_edge_weights(ctx)
-    at = {inst.points[ctx.orig[v]].point: o for o, v in enumerate(ctx.cand)}
-    walked = [at[a], at[b], at[c], at[p]]
-    without_a = [at[b], at[c], at[p]]
-    assert hull_weight_from_tables(ctx, ew, without_a) == -2
-    assert hull_weight_from_tables(ctx, ew, [at[b], at[c]]) == 2
-    calls = count_hulls(monkeypatch)
-    kept, w = prune_with_tables(ctx, ew, walked)
-    assert calls[0] > 1  # the fallback rebuilt a hull per trial
-    assert kept == prune_to_maximal(inst, range(4)) == (0, 2, 3)
-    assert w == evaluate(inst, kept).weight * ctx.weight_scale == 3
+def test_walked_cycles_are_boundary_cycles(monkeypatch):
+    # Every cycle solve_2d hands to the prune is a boundary cycle of its
+    # points, also when a walked point is no hull vertex (non-strict) and
+    # when a point lies on both walked paths (shared).
+    walks, cycles = {}, []
+    walk, prune = solver2d._walk, solver2d.prune_with_tables
+
+    def recorded_walk(ctx, ch, *args):
+        walks[ch.sign] = walk(ctx, ch, *args)  # 1: top path, -1: bottom path
+        return walks[ch.sign]
+
+    def recorded_prune(ctx, ew, cycle):
+        cycles.append((ctx, list(cycle)))
+        return prune(ctx, ew, cycle)
+
+    monkeypatch.setattr(solver2d, "_walk", recorded_walk)
+    monkeypatch.setattr(solver2d, "prune_with_tables", recorded_prune)
+    counts = {"walks": 0, "non-strict": 0, "shared": 0}
+    rng = random.Random(90)
+    for t in range(1000):
+        inst = degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 10))
+        for allow_empty in (True, False):
+            walks.clear()
+            cycles.clear()
+            solve_2d(inst, allow_empty=allow_empty)
+            if not walks:
+                continue
+            (ctx, cycle), top, bottom = cycles[0], walks[1], walks[-1]
+            assert is_boundary_cycle(ctx, cycle), (bottom, top, cycle)
+            assert set(cycle) == set(bottom) | set(top)
+            counts["walks"] += 1
+            counts["non-strict"] += len(cycle) > corner_count(ctx, cycle)
+            counts["shared"] += bool(set(top[1:-1]) & set(bottom))
+    assert counts["non-strict"] >= 120 and counts["shared"] >= 40, counts
 
 
-def test_ngon_witness_is_maximal_by_cyclic_prune(monkeypatch):
-    calls = count_hulls(monkeypatch)
+def test_ngon_witness_is_maximal_by_cyclic_prune():
     for n in range(24, 33):
         inst = gen_ngon_family(n)
-        calls[0] = 0
         sol = solve_2d(inst)
-        # One hull for the prune, none per trial: the cyclic branch ran.
-        assert calls[0] == 1
         assert sol.weight == n
         assert prune_to_maximal(inst, sol.chosen) == sol.chosen
 
 
 def test_witness_checks_raise(monkeypatch):
-    import mwcp.solver2d as solver2d
-
     inst = make_instance(2, [((0, 0), 1), ((4, 0), 1), ((2, 3), 1), ((2, 1), -1)])
     prune = solver2d.prune_with_tables
 
