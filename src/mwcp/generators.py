@@ -68,7 +68,9 @@ def gen_ngon_family(n: int) -> Instance:
     1 + delta to place a -1 point; delta is halved until two facts verify
     exactly: every negative point is strictly outside the positive hull, and
     each segment between consecutive negative points intersects that hull.
-    The full polygon is then optimal with weight n.
+    The full polygon is then optimal with weight n.  Every refusal depends on
+    n alone and raises ``ValueError``; odd n from 403 up, for one, make two
+    capped circle parameters collide.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -79,11 +81,11 @@ def gen_ngon_family(n: int) -> Instance:
         t = max(min(t, _T_CAP), -_T_CAP)
         ts.append(Fraction(round(t * _SNAP_DEN), _SNAP_DEN))
     if len(set(ts)) != n:
-        raise RuntimeError(f"circle parameters collide for n={n}")
+        raise ValueError(f"circle parameters collide for n={n}")
     vertices = [_circle_point(t) for t in ts]
     hull = convex_hull_2d(vertices)
     if len(hull) != n:
-        raise RuntimeError(f"positive points not in convex position for n={n}")
+        raise ValueError(f"positive points not in convex position for n={n}")
 
     mids = []
     for i in range(n):
@@ -91,7 +93,7 @@ def gen_ngon_family(n: int) -> Instance:
         b = vertices[(i + 1) % n]
         mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
         if mid == (0, 0):
-            raise RuntimeError("edge midpoint at the circle center")
+            raise ValueError("edge midpoint at the circle center")
         mids.append(mid)
 
     delta = Fraction(1, 2)
@@ -102,13 +104,13 @@ def gen_ngon_family(n: int) -> Instance:
             break
         delta /= 2
     else:
-        raise RuntimeError(f"no valid offset found for n={n}")
+        raise ValueError(f"no valid offset found for n={n}")
 
     rows = [WeightedPoint(p, Fraction(1)) for p in vertices]
     rows += [WeightedPoint(p, Fraction(-1)) for p in negs]
     pts = [wp.point for wp in rows]
     if len(set(pts)) != len(pts):
-        raise RuntimeError("generated points collide")
+        raise ValueError("generated points collide")
     meta = {"family": "ngon", "n": n, "delta": str(delta)}
     return Instance(2, tuple(rows), meta)
 

@@ -5,8 +5,10 @@ ints or of ``fractions.Fraction`` (the two mix freely) and decide their
 answer exactly: no epsilons, no rounding, and results independent of
 evaluation order.  ``scale_to_integers`` maps rational points to an integer
 view with the same orientations and hull memberships, so the 2D hot paths
-and the oracle can run on small ints instead of ``Fraction``.  All
-functions are pure, so concurrent use needs no synchronization.
+and the oracle can run on small ints instead of ``Fraction``;
+``shear_normalize`` then gives that view pairwise distinct x, as the planar
+solver needs.  All functions are pure, so concurrent use needs no
+synchronization.
 
 2D membership splits the counterclockwise hull of ``convex_hull_2d`` once
 into two x-monotone chains from its lexicographically smallest vertex L to
@@ -36,29 +38,28 @@ Point = tuple
 
 
 def shear_normalize(points):
-    """Shear (x, y) -> (x + y/K, y) until distinct points get distinct x.
+    """Shear integer points (x, y) -> (s*x + y, y) so that distinct points get
+    distinct x.  Returns ``(new_points, s)``.
 
-    Returns ``(new_points, K)``.  K = 1 signals the identity: the input
-    already had pairwise distinct x coordinates and is returned unchanged.
-    Otherwise K = 1 + (y spread) / (smallest nonzero x gap), which provably
-    breaks every tie.  The map is affine with unit determinant, so it
-    preserves orientations, hull membership, and polytope weights exactly.
+    s = 1 signals the identity: the input already had pairwise distinct x
+    and is returned unchanged.  Otherwise s = (y spread) // g + 2, where g is
+    the smallest gap between distinct x values (g = 1 when there is only
+    one).  Then s*g > (y spread) >= |y - y'|, so for x < x' the sheared
+    values differ by s*(x' - x) + (y' - y) >= s*g - |y - y'| > 0: the shear
+    keeps the x order, breaks x ties by ascending y and leaves every x
+    distinct.  It is linear with determinant s > 0, so it keeps every
+    orientation sign and hull membership, and s >= 2 tells a shear from the
+    identity.  It adds about log2((y spread) / g) bits to x; s = (y spread) +
+    1 would add the whole width of y, which doubles x when both are wide.
     """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    for p in pts:
-        if len(p) != 2:
-            raise ValueError("shear_normalize requires 2-dimensional points")
-    distinct = set(pts)
-    xs = sorted({p[0] for p in distinct})
-    if len(xs) == len(distinct):
-        return pts, Fraction(1)
-    ys = [p[1] for p in distinct]
-    spread = max(ys) - min(ys)
-    gaps = [b - a for a, b in zip(xs, xs[1:])]
-    k = Fraction(1) + (spread / min(gaps) if gaps else spread)
-    sheared = [(p[0] + p[1] / k, p[1]) for p in pts]
-    assert len({q[0] for q in set(sheared)}) == len(set(sheared))
-    return sheared, k
+    distinct_x = {x for x, _ in points}
+    if len(distinct_x) == len(points):
+        return points, 1
+    xs = sorted(distinct_x)
+    gap = min((b - a for a, b in zip(xs, xs[1:])), default=1)
+    ys = [y for _, y in points]
+    s = (max(ys) - min(ys)) // gap + 2
+    return [(s * x + y, y) for x, y in points], s
 
 
 def scale_to_integers(points):

@@ -11,7 +11,7 @@ independence number, and maximal witnesses decode back to independent sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Point, hull_members, scale_to_integers
@@ -123,42 +123,22 @@ def cyclic_embedding(n: int) -> list[Point]:
     ]
 
 
-@dataclass
-class Embedding:
-    """Vertex placements plus per-edge gadget points and their parameters."""
-
-    vertex_points: list[Point]
-    gadget_points: dict = field(default_factory=dict)
-
-
-def build_embedding(graph: Graph) -> Embedding:
-    """The cyclic embedding plus the two gadget points of each edge, at
-    ``GADGET_T1`` and ``GADGET_T2`` along the edge."""
-    verts = cyclic_embedding(graph.n_vertices)
-    gadget = {}
-    for u, v in graph.edges:
-        a, b = verts[u], verts[v]
-        p1 = tuple(ac + (bc - ac) * GADGET_T1 for ac, bc in zip(a, b))
-        p2 = tuple(ac + (bc - ac) * GADGET_T2 for ac, bc in zip(a, b))
-        gadget[(u, v)] = ((p1, GADGET_T1), (p2, GADGET_T2))
-    return Embedding(verts, gadget)
-
-
 def reduce_is_to_mwcp(graph: Graph) -> Instance:
     """Compile a maximum-independent-set instance into a 4D instance.
 
-    Produces n positive points and 2|E| negative ones; meta records the
-    source graph and both index maps so solutions can be decoded and the
-    gadget geometry re-verified.
+    Produces n positive points, the cyclic embedding, and 2|E| negative
+    ones, the points at ``GADGET_T1`` and ``GADGET_T2`` along each edge;
+    meta records the source graph and both index maps so solutions can be
+    decoded and the gadget geometry re-verified.
     """
-    emb = build_embedding(graph)
-    rows = [WeightedPoint(p, Fraction(1)) for p in emb.vertex_points]
+    verts = cyclic_embedding(graph.n_vertices)
+    rows = [WeightedPoint(p, Fraction(1)) for p in verts]
     edge_gadget_index = []
     for u, v in graph.edges:
-        (p1, _), (p2, _) = emb.gadget_points[(u, v)]
         edge_gadget_index.append([[u, v], [len(rows), len(rows) + 1]])
-        rows.append(WeightedPoint(p1, Fraction(-1)))
-        rows.append(WeightedPoint(p2, Fraction(-1)))
+        for t in (GADGET_T1, GADGET_T2):
+            p = tuple(ac + (bc - ac) * t for ac, bc in zip(verts[u], verts[v]))
+            rows.append(WeightedPoint(p, Fraction(-1)))
     meta = {
         "generator": "independent_set_reduction",
         "graph": {

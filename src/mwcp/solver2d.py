@@ -10,18 +10,11 @@ pair.
 Candidate vertices are the positive points only; other points contribute
 through edge weights.  Internally all coordinates and weights are plain
 integers: ``scale_to_integers`` scales each axis by a positive constant, and
-when two points share an x the integer view is sheared by x -> s*x + y with
-s = (y spread) // g + 2, where g is the smallest gap between distinct integer
-x values (g = 1 when there is only one).  Then s*g > (y spread) and
-|y - y'| <= (y spread), so for x < x' the sheared values differ by at least
-s*g - |y - y'| > 0: the shear keeps the x order, breaks x ties by ascending
-y and leaves every x distinct.  It is linear with determinant s > 0, so it
-keeps every orientation sign, and s >= 2 tells a shear from the identity.
-This is the integer form of the K of ``geometry.shear_normalize``.  It adds
-about log2((y spread) / g) bits to x; s = (y spread) + 1 would add the
-whole width of y, which doubles x when both are wide (the ngon family).
-The hot loops therefore run on Python ints and stay exact, and every answer
-equals the one for the original instance.
+``geometry.shear_normalize`` shears that view by x -> s*x + y when two points
+share an x.  Its docstring proves that the shear keeps the x order, breaks x
+ties by ascending y, leaves every x distinct and keeps every orientation
+sign.  The hot loops therefore run on Python ints and stay exact, and every
+answer equals the one for the original instance.
 
 Infeasible DP cells are never stored, and the one sentinel is an exact
 integer, never a float or None: none = -(sum |w|) - 1, with w the scaled
@@ -46,9 +39,9 @@ weighted mean of the slopes of (i, j) and (j, r), so (i, j, r) is concave
 (clockwise or collinear) exactly when key(j, r) <= key(i, j), and convex
 exactly when key(i, j) <= key(j, r).  A point q with x_a < x_q < x_b lies on
 or below edge (a, b) exactly when key(a, q) <= key(a, b), strictly below
-when key(a, q) < key(a, b).  Both angular lists around j are sorted by -key
-with stable ties (by decreasing slope, i.e. clockwise), so each first-
-compatible pointer is one ``bisect`` of a left key into the right keys.
+when key(a, q) < key(a, b).  The angular list right of each candidate is
+sorted by -key with stable ties (by decreasing slope, i.e. clockwise), so
+each first-compatible pointer is one ``bisect`` of a key into such a list.
 
 Edge weights by recurrence.  ``bot(a, b)`` / ``top(a, b)`` sum the weights
 strictly below / on or below edge (a, b) with x strictly between.  Anchors a
@@ -146,12 +139,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
 from itertools import accumulate, repeat
 from math import lcm
 from operator import add, itemgetter, neg
 
-from .geometry import scale_to_integers
+from .geometry import scale_to_integers, shear_normalize
 from .model import (
     Instance,
     Solution,
@@ -161,8 +153,7 @@ from .model import (
     prune_by_weight,
     require_canonical,
 )
-# Not called here: perfbench/run.py --trace 1 wraps these names in this module.
-from .geometry import shear_normalize  # noqa: F401
+# Not called here: perfbench/run.py --trace 1 wraps this name in this module.
 from .model import prune_to_maximal  # noqa: F401
 
 
@@ -174,10 +165,9 @@ class SolverContext:
     (the shear guarantees distinct x), ``orig`` maps sorted positions back
     to instance indices, and ``cand`` lists the sorted positions of the
     positive points.  DP indices below are ordinals into ``cand``.
-    ``shear_k`` is the shear factor s = (y spread) // g + 2 of the module
-    docstring (g the smallest gap between distinct integer x), so s*g
-    exceeds the y spread and s >= 2; it is 1 exactly when no shear was
-    applied.  ``slope_scale`` is M = (x_max - x_min)^2 of the slope key.
+    ``shear_k`` is the factor s that ``geometry.shear_normalize`` returns:
+    1 exactly when no shear was applied, otherwise s >= 2.  ``slope_scale``
+    is M = (x_max - x_min)^2 of the slope key.
     """
 
     instance: Instance
@@ -211,45 +201,18 @@ class EdgeWeights:
 
 @dataclass
 class AngularLists:
-    """Per-candidate angular orderings of the other candidates.
+    """Per-candidate clockwise orderings of the candidates to the right.
 
     ``right[j]`` holds the ordinals right of candidate j sorted clockwise
     around it, i.e. by decreasing slope of the outgoing direction (ties by
     ascending ordinal), and ``right_key[j]`` the sort keys -key(j, r) in
-    list order, so each row ascends.  The sweep reads only these.  The left
-    side is derived from them on first use: ``left[j]`` holds the ordinals
-    left of j in the same clockwise order and ``left_key[j]`` their keys
-    -key(i, j).  ``left_ccw``/``right_ccw`` are the reversals, the lists of
-    the convex (bottom-chain) mirror.
+    list order, so each row ascends.  The top chain's reading list of j is
+    ``right[j]``; the bottom chain's is ``right[j]`` reversed, the clockwise
+    order of the reflection y -> -y (:func:`_chains`).
     """
 
     right: list[list[int]]
     right_key: list[list[int]]
-
-    @cached_property
-    def _left(self):
-        cols = [[] for _ in self.right]
-        for i, (row, keys) in enumerate(zip(self.right, self.right_key)):
-            for j, v in zip(row, keys):
-                cols[j].append((v, i))
-        cols = [sorted(col) for col in cols]
-        return [[i for _, i in col] for col in cols], [[v for v, _ in col] for col in cols]
-
-    @property
-    def left(self) -> list[list[int]]:
-        return self._left[0]
-
-    @property
-    def left_key(self) -> list[list[int]]:
-        return self._left[1]
-
-    @property
-    def left_ccw(self) -> list[list[int]]:
-        return [row[::-1] for row in self.left]
-
-    @property
-    def right_ccw(self) -> list[list[int]]:
-        return [row[::-1] for row in self.right]
 
 
 def build_context(instance: Instance) -> SolverContext:
@@ -259,15 +222,7 @@ def build_context(instance: Instance) -> SolverContext:
     n = len(instance.points)
     if n == 0:
         return SolverContext(instance, 1, 1, 0, [], [], [], [], [])
-    scaled = scale_to_integers([wp.point for wp in instance.points])
-    shear = 1
-    distinct_x = {x for x, _ in scaled}
-    if len(distinct_x) < n:
-        ys = [y for _, y in scaled]
-        xs = sorted(distinct_x)
-        gap = min((b - a for a, b in zip(xs, xs[1:])), default=1)
-        shear = (max(ys) - min(ys)) // gap + 2
-        scaled = [(shear * x + y, y) for x, y in scaled]
+    scaled, shear = shear_normalize(scale_to_integers([wp.point for wp in instance.points]))
     wscale = lcm(*(wp.weight.denominator for wp in instance.points))
     order = sorted(range(n), key=lambda i: scaled[i][0])
     xs = [scaled[i][0] for i in order]
@@ -359,22 +314,19 @@ def _mirrored(rows) -> list[list[int]]:
     return [list(map(neg, reversed(row))) for row in rows]
 
 
-def compute_first_compatible(ctx: SolverContext, lists: AngularLists):
-    """First-compatible pointer tables for both chain recurrences.
+def compute_first_compatible(orders, keys):
+    """The first-compatible pointers of one chain, reader by reader.
 
-    ``fc_top[j][t]`` is the position in ``right[j]`` of the first candidate
-    r such that (left[j][t], j, r) is a concave turn, i.e. key(j, r) <=
-    key(i, j): the number of right keys above key(i, j), one ``bisect_left``
-    of the left key into the ascending right keys.  ``fc_bot`` is the same
-    search on the mirror, the counterclockwise lists with :func:`_mirrored`
-    keys, where the convex test key(j, r) >= key(i, j) is the concave one.
-    Both rows are nondecreasing.
+    ``orders[i]`` is i's reading list read backwards and ``keys[i]`` the
+    reading list's sort keys (ascending), as :func:`_chain_rows` takes them.
+    Row i holds fc(i, c) for every c of ``orders[i]``, in that order: the
+    first position of c's reading list that turns concavely after i, one
+    ``bisect_left`` of c's key in i's list into c's keys.
     """
-    def fc(left_key, right_key):
-        return [list(map(partial(bisect_left, rk), lk)) for lk, rk in zip(left_key, right_key)]
-
-    left, right = lists.left_key, lists.right_key
-    return fc(left, right), fc(_mirrored(left), _mirrored(right))
+    return [
+        list(map(bisect_left, map(keys.__getitem__, order), reversed(ks)))
+        for order, ks in zip(orders, keys)
+    ]
 
 
 @dataclass
@@ -384,7 +336,7 @@ class _Chain:
     The top chain stores C; the bottom chain stores -V, so both run the same
     max kernel and ``sign * value`` is the table entry.  Positions f of
     column j are positions in j's reading list (``right[j]`` for the top
-    chain, ``right_ccw[j]`` for the bottom one).  For slab k, column j < k
+    chain, ``right[j]`` reversed for the bottom one).  For slab k, column j < k
     holds ``sufmax[doff[j] + f]``, the best cell (j, c, k) over positions
     f..p of the list, p = p(j, k) the last position of k's tie group;
     column k holds ``tip[k]`` and columns right of k hold ``2 * none``.
@@ -414,15 +366,13 @@ def _chain_rows(orders, keys, ordinal_keys, base, doff):
     ``orders[i]`` is i's reading list, clockwise in the chain's own frame,
     read backwards (the order the sweep reads it, from position p down to
     0); ``keys[i]`` holds the reading list's sort keys (ascending) and
-    ``ordinal_keys[i][k - i - 1]`` the key of k.  fc(i, c) is one
-    ``bisect_left`` of c's key in i's list into c's keys: the first position
-    of c's reading list that turns concavely after i.  p(i, k) is the last
-    position of k's tie group.  ``base(i, cs)`` gives base(i, c) for the
-    candidates cs.
+    ``ordinal_keys[i][k - i - 1]`` the key of k.  fc(i, c) comes from
+    :func:`compute_first_compatible`; p(i, k) is the last position of k's
+    tie group.  ``base(i, cs)`` gives base(i, c) for the candidates cs.
     """
     bases, addrs, start = [], [], []
-    for i, (order, ks, ordinal) in enumerate(zip(orders, keys, ordinal_keys)):
-        fc = map(bisect_left, map(keys.__getitem__, order), reversed(ks))
+    fcs = compute_first_compatible(orders, keys)
+    for i, (order, ks, ordinal, fc) in enumerate(zip(orders, keys, ordinal_keys, fcs)):
         back = range(len(order) - 1, -1, -1)  # a tie group keeps its last position
         bases.append(base(i, order))
         addrs.append(list(map(add, map(doff.__getitem__, order), fc)))
@@ -435,8 +385,8 @@ def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
 
     The top chain reads ``right`` with keys ``right_key`` and bases w_i +
     top(i, c).  The bottom chain is the top chain of the reflection y -> -y:
-    it reads ``right_ccw`` with the :func:`_mirrored` keys and bases
-    -bot(i, c).  Needs ``ew.nkey`` for the tie groups.
+    it reads ``right`` reversed (counterclockwise) with the :func:`_mirrored`
+    keys and bases -bot(i, c).  Needs ``ew.nkey`` for the tie groups.
     """
     wc = [ctx.ws[p] for p in ctx.cand]
     m = len(wc)
@@ -445,7 +395,8 @@ def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
     doff = list(accumulate(range(m, 0, -1), initial=0))
     top, bot = ew.top, ew.bot
     # The bottom chain first: its mirrored key rows are freed before the top
-    # chain's rows are built.  It reads right_ccw, so it sweeps in right order.
+    # chain's rows are built.  It reads right reversed, so it sweeps in right
+    # order.
     lower = _chain_rows(
         lists.right, _mirrored(lists.right_key), (map(neg, row) for row in ew.nkey),
         lambda i, cs: list(map(neg, map(bot[i].__getitem__, cs))), doff,

@@ -341,10 +341,11 @@ def brute_edge_weights(ctx):
 
 
 def cmp_angular_lists(ctx):
-    """(left, right): the clockwise lists by an integer cross-product comparator."""
+    """The clockwise lists right of each candidate, by an integer cross-product
+    comparator."""
     xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
     m = len(cand)
-    left, right = [], []
+    right = []
     for j in range(m):
         pj = cand[j]
 
@@ -357,10 +358,8 @@ def cmp_angular_lists(ctx):
                 xs[pb] - xs[pj]
             )
 
-        key = cmp_to_key(clockwise)
-        left.append(sorted(range(j), key=key))
-        right.append(sorted(range(j + 1, m), key=key))
-    return left, right
+        right.append(sorted(range(j + 1, m), key=cmp_to_key(clockwise)))
+    return right
 
 
 def direct_key_rows(ctx):

@@ -162,6 +162,14 @@ def test_gen_unwritable_output_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
 
+def test_gen_ngon_refused_n_exit_code(tmp_path, capsys):
+    # Odd n from 403 up make two capped circle parameters collide.
+    out = tmp_path / "y.mwcp"
+    assert main(["gen", "--family", "ngon", "--n", "403", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: circle parameters collide for n=403\n"
+    assert not out.exists()
+
+
 def test_reduce_unwritable_output_exit_code(tmp_path, capsys):
     gpath = write(tmp_path, "k3.graph", K3)
     out = str(tmp_path / "missing" / "o.mwcp")

@@ -99,6 +99,12 @@ def test_ngon_rejects_small_n():
         gen_ngon_family(2)
 
 
+@pytest.mark.parametrize("n", range(403, 423, 2))
+def test_ngon_rejects_colliding_parameters(n):
+    with pytest.raises(ValueError, match=f"circle parameters collide for n={n}"):
+        gen_ngon_family(n)
+
+
 def _ngon_valid_reference(hull, negs):
     """The generator's validity check by edge loop and segment intersection,
     on a copy scaled by one common denominator (a similarity keeps every

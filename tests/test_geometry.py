@@ -1,7 +1,11 @@
+import itertools
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from mwcp.geometry import (
     _convex_combination_feasible,
@@ -24,23 +28,23 @@ from support import (
 
 def test_shear_identity_when_x_distinct():
     pts = [(0, 0), (1, 1), (2, 5)]
-    out, k = shear_normalize(pts)
-    assert k == 1
-    assert out == [tuple(map(Fraction, p)) for p in pts]
+    out, s = shear_normalize(pts)
+    assert s == 1
+    assert out == pts
 
 
 def test_shear_breaks_single_tie():
-    out, k = shear_normalize([(0, 0), (0, 1)])
-    assert k > 1
-    assert out[0][0] != out[1][0]
-    assert out[1][0] == Fraction(1, 1) / k
+    # One distinct x: g = 1, y spread 1, so s = 1 // 1 + 2.
+    out, s = shear_normalize([(0, 0), (0, 1)])
+    assert s == 3
+    assert out == [(0, 0), (1, 1)]
 
 
 def test_shear_grid_example():
-    out, k = shear_normalize([(0, 0), (0, 2), (1, 0), (1, 2)])
-    assert k > 2
-    xs = [p[0] for p in out]
-    assert len(set(xs)) == 4
+    # g = 1, y spread 2: s = 4, and the tie at each x breaks by ascending y.
+    out, s = shear_normalize([(0, 0), (0, 2), (1, 0), (1, 2)])
+    assert s == 4
+    assert out == [(0, 0), (2, 2), (4, 0), (6, 2)]
 
 
 def test_shear_preserves_orientation():
@@ -48,19 +52,52 @@ def test_shear_preserves_orientation():
     for _ in range(300):
         pts = []
         while len(pts) < 5:
-            p = (Fraction(rng.randint(0, 4)), Fraction(rng.randint(0, 4)))
+            p = (rng.randint(0, 4), rng.randint(0, 4))
             if p not in pts:
                 pts.append(p)
         out, _ = shear_normalize(pts)
         xs = {p[0] for p in out}
         assert len(xs) == 5
-        for a in range(5):
-            for b in range(5):
-                for c in range(5):
-                    if len({a, b, c}) == 3:
-                        assert orientation(pts[a], pts[b], pts[c]) == orientation(
-                            out[a], out[b], out[c]
-                        )
+        for a, b, c in itertools.permutations(range(5), 3):
+            assert orientation(pts[a], pts[b], pts[c]) == orientation(out[a], out[b], out[c])
+
+
+COORD = st.integers(-10**6, 10**6)
+SHEAR_SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+# Hypothesis caches the constants of local modules in its home directory when
+# it collects, even without a database; keep that cache out of the checkout.
+HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
+set_hypothesis_home_dir(HYPOTHESIS_HOME.name)
+
+
+@st.composite
+def shared_x_points(draw):
+    """A permuted set of distinct int points, more of them than distinct x."""
+    xs = draw(st.lists(COORD, min_size=1, max_size=5, unique=True))
+    pts = draw(st.sets(st.tuples(st.sampled_from(xs), COORD), min_size=len(xs) + 1, max_size=12))
+    return draw(st.permutations(sorted(pts)))
+
+
+@SHEAR_SETTINGS
+@given(shared_x_points())
+def test_shear_contract_on_shared_x(pts):
+    out, s = shear_normalize(pts)
+    assert len({x for x, _ in out}) == len(pts)
+    xs = sorted({x for x, _ in pts})
+    gap = min((b - a for a, b in zip(xs, xs[1:])), default=1)
+    ys = [y for _, y in pts]
+    assert s >= 2 and s * gap > max(ys) - min(ys)
+    order = sorted(range(len(pts)), key=lambda i: out[i][0])
+    assert order == sorted(range(len(pts)), key=pts.__getitem__)
+    for a, b, c in itertools.combinations(range(len(pts)), 3):
+        assert orientation(pts[a], pts[b], pts[c]) == orientation(out[a], out[b], out[c])
+
+
+@SHEAR_SETTINGS
+@given(st.lists(st.tuples(COORD, COORD), max_size=12, unique_by=lambda p: p[0]))
+def test_shear_identity_on_distinct_x(pts):
+    assert shear_normalize(pts) == (pts, 1)
 
 
 def test_hull_single_point():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mwcp.generators import gen_ngon_family, gen_uniform
-from mwcp.geometry import point_in_hull, shear_normalize
+from mwcp.geometry import point_in_hull, scale_to_integers, shear_normalize
 from mwcp.model import (
     Instance,
     InstanceParseError,
@@ -154,11 +154,12 @@ def test_evaluate_shear_invariance():
     rng = random.Random(17)
     for _ in range(40):
         inst = random_instance(rng, rng.randint(1, 8), 2)
-        sheared_pts, _ = shear_normalize([wp.point for wp in inst.points])
+        scaled = scale_to_integers([wp.point for wp in inst.points])
+        sheared_pts, _ = shear_normalize(scaled)
         inst2 = Instance(
             2,
             tuple(
-                WeightedPoint(p, wp.weight)
+                WeightedPoint(tuple(map(Fraction, p)), wp.weight)
                 for p, wp in zip(sheared_pts, inst.points)
             ),
         )

@@ -11,7 +11,6 @@ from mwcp.model import Solution, evaluate, parse_instance, write_instance
 from mwcp.oracle import solve_bruteforce
 from mwcp.reduction import (
     GraphParseError,
-    build_embedding,
     cyclic_embedding,
     decode_solution,
     independence_number,
@@ -90,13 +89,14 @@ def test_cyclic_embedding_all_hull_vertices():
 
 
 def test_embedding_gadget_positions():
-    g = path(3)
-    emb = build_embedding(g)
-    (p1, t1), (p2, t2) = emb.gadget_points[(0, 1)]
-    assert t1 == Fraction(1, 3) and t2 == Fraction(2, 3)
-    a, b = emb.vertex_points[0], emb.vertex_points[1]
-    assert p1 == tuple(ac + (bc - ac) * t1 for ac, bc in zip(a, b))
-    assert p2 == tuple(ac + (bc - ac) * t2 for ac, bc in zip(a, b))
+    inst = reduce_is_to_mwcp(path(3))
+    verts = cyclic_embedding(3)
+    assert inst.meta["gadget_positions"] == ["1/3", "2/3"]
+    for (u, v), (g1, g2) in inst.meta["edge_gadget_index"]:
+        a, b = verts[u], verts[v]
+        for g, t in ((g1, Fraction(1, 3)), (g2, Fraction(2, 3))):
+            assert inst.points[g].point == tuple(ac + (bc - ac) * t for ac, bc in zip(a, b))
+            assert inst.points[g].weight == -1
 
 
 def test_reduce_point_counts_and_weights():

@@ -5,7 +5,7 @@ import pytest
 
 from mwcp import solver2d
 from mwcp.generators import gen_ngon_family, gen_uniform
-from mwcp.geometry import scale_to_integers, shear_normalize
+from mwcp.geometry import scale_to_integers
 from mwcp.model import (
     Instance,
     WeightedPoint,
@@ -74,12 +74,12 @@ def test_edge_weight_no_intermediate():
 
 
 def assert_shear_matches_rational(rng, inst):
-    """The integer view has the order and orientations of shear_normalize's."""
+    """The integer view has the lexicographic order and the orientations of
+    the original rational points, and shears exactly when two share an x."""
     ctx = build_context(inst)
     pts = [wp.point for wp in inst.points]
-    sheared, k = shear_normalize(pts)
-    assert (ctx.shear_k != 1) == (k != 1)
-    assert ctx.orig == sorted(range(len(pts)), key=lambda i: sheared[i][0])
+    assert (ctx.shear_k != 1) == (len({x for x, _ in pts}) < len(pts))
+    assert ctx.orig == sorted(range(len(pts)), key=pts.__getitem__)
     assert all(a < b for a, b in zip(ctx.xs, ctx.xs[1:]))
     view = list(zip(ctx.xs, ctx.ys))
     orig = [pts[i] for i in ctx.orig]
@@ -225,12 +225,9 @@ def test_angular_lists_match_comparator_sort():
     for inst in instances:
         ctx = build_context(inst)
         lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
-        assert (lists.left, lists.right) == cmp_angular_lists(ctx)
-        assert lists.left_ccw == [row[::-1] for row in lists.left]
-        assert lists.right_ccw == [row[::-1] for row in lists.right]
+        assert lists.right == cmp_angular_lists(ctx)
         cand = ctx.cand
         for j in range(len(cand)):
-            assert lists.left_key[j] == [-slope_key(ctx, cand[i], cand[j]) for i in lists.left[j]]
             assert lists.right_key[j] == [-slope_key(ctx, cand[j], cand[r]) for r in lists.right[j]]
 
 
@@ -252,8 +249,7 @@ def test_angular_lists_from_shared_key_rows():
 def test_angular_lists_collinear_middle():
     ctx = ctx_for([((0, 0), 1), ((1, 0), 1), ((2, 0), 1)])
     lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
-    assert lists.left[1] == [0]
-    assert lists.right[1] == [2]
+    assert lists.right == [[1, 2], [2], []]
 
 
 def test_angular_lists_clockwise_top_to_bottom():
@@ -274,42 +270,62 @@ def test_angular_lists_sizes_and_order():
         m = len(ctx.cand)
         xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
         for j in range(m):
-            assert len(lists.left[j]) == j
-            assert len(lists.right[j]) == m - 1 - j
-            for seq in (lists.left[j], lists.right[j]):
-                for a, b in zip(seq, seq[1:]):
-                    ua = (xs[cand[a]] - xs[cand[j]], ys[cand[a]] - ys[cand[j]])
-                    ub = (xs[cand[b]] - xs[cand[j]], ys[cand[b]] - ys[cand[j]])
-                    # clockwise: cross2(u_prev, u_next) <= 0
-                    assert ua[0] * ub[1] - ua[1] * ub[0] <= 0
+            seq = lists.right[j]
+            assert sorted(seq) == list(range(j + 1, m))
+            for a, b in zip(seq, seq[1:]):
+                ua = (xs[cand[a]] - xs[cand[j]], ys[cand[a]] - ys[cand[j]])
+                ub = (xs[cand[b]] - xs[cand[j]], ys[cand[b]] - ys[cand[j]])
+                # clockwise: cross2(u_prev, u_next) <= 0
+                assert ua[0] * ub[1] - ua[1] * ub[0] <= 0
+
+
+def chain_readings(lists):
+    """(reading lists, their ascending keys, turn sign) of the top chain and
+    of the bottom chain, which reads the right lists counterclockwise."""
+    return (
+        (lists.right, lists.right_key, 1),
+        ([row[::-1] for row in lists.right], solver2d._mirrored(lists.right_key), -1),
+    )
+
+
+def first_compatible_rows(lists):
+    """``compute_first_compatible`` on each chain's backwards reading lists."""
+    return [
+        compute_first_compatible([row[::-1] for row in reading], keys)
+        for reading, keys, _ in chain_readings(lists)
+    ]
 
 
 def test_first_compatible_monotone():
+    # For a fixed c, fc(i, c) is nondecreasing in the key of c in i's list.
     rng = random.Random(21)
     for _ in range(60):
         inst = random_instance(rng, rng.randint(2, 9), 2, 1, 3)
         ctx = build_context(inst)
         lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
-        fc_top, fc_bot = compute_first_compatible(ctx, lists)
-        for rows in (fc_top, fc_bot):
-            for row in rows:
-                assert all(a <= b for a, b in zip(row, row[1:]))
+        for (reading, keys, _), fc in zip(chain_readings(lists), first_compatible_rows(lists)):
+            by_c = {}
+            for row, ks, fcs in zip(reading, keys, fc):
+                for c, k, f in zip(reversed(row), reversed(ks), fcs):
+                    by_c.setdefault(c, []).append((k, f))
+            for pairs in by_c.values():
+                fs = [f for _, f in sorted(pairs)]
+                assert fs == sorted(fs)
 
 
-def direct_first_compatible(ctx, lefts, rights, sign):
-    """The pointer tables by direct search: for each (left[j][t], j), the
-    first position in right[j] whose turn has ``sign`` or is collinear."""
-    xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
-
-    def ok(i, j, r):
-        pi, pj, pr = cand[i], cand[j], cand[r]
-        v = (xs[pr] - xs[pi]) * (ys[pj] - ys[pi]) - (ys[pr] - ys[pi]) * (xs[pj] - xs[pi])
-        return v * sign >= 0
-
+def direct_first_compatible(ctx, readings, sign):
+    """The pointer rows by direct search: row i holds, for each c of
+    ``readings[i]`` read backwards, the first position in ``readings[c]``
+    whose turn (i, c, r) has ``sign`` or is collinear."""
     return [
-        [next((p for p, r in enumerate(rights[j]) if ok(i, j, r)), len(rights[j]))
-         for i in lefts[j]]
-        for j in range(len(cand))
+        [
+            next(
+                (p for p, r in enumerate(readings[c]) if sign * turn_sign(ctx, i, c, r) >= 0),
+                len(readings[c]),
+            )
+            for c in reversed(reading)
+        ]
+        for i, reading in enumerate(readings)
     ]
 
 
@@ -324,9 +340,8 @@ def test_first_compatible_matches_direct_search():
     for inst in instances:
         ctx = build_context(inst)
         lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
-        fc_top, fc_bot = compute_first_compatible(ctx, lists)
-        assert fc_top == direct_first_compatible(ctx, lists.left, lists.right, 1)
-        assert fc_bot == direct_first_compatible(ctx, lists.left_ccw, lists.right_ccw, -1)
+        for (reading, _, sign), fc in zip(chain_readings(lists), first_compatible_rows(lists)):
+            assert fc == direct_first_compatible(ctx, reading, sign)
 
 
 def test_chain_rows_match_direct_search():
@@ -344,14 +359,11 @@ def test_chain_rows_match_direct_search():
         ew = precompute_edge_weights(ctx)
         lists = build_angular_lists(ctx, ew.nkey)
         chains = _chains(ctx, ew, lists)
-        readers = ((lists.left, lists.right, 1), (lists.left_ccw, lists.right_ccw, -1))
-        for ch, (lefts, rights, sign) in zip(chains, readers):
-            direct = direct_first_compatible(ctx, lefts, rights, sign)
-            for c, row in enumerate(lefts):
-                for i, f in zip(row, direct[c]):
-                    assert ch.addrs[i][ch.order[i].index(c)] == ch.doff[c] + f
-            for i, reading in enumerate(rights):
+        for ch, (readings, _, sign) in zip(chains, chain_readings(lists)):
+            direct = direct_first_compatible(ctx, readings, sign)
+            for i, reading in enumerate(readings):
                 assert ch.order[i] == reading[::-1]
+                assert ch.addrs[i] == [ch.doff[c] + f for c, f in zip(ch.order[i], direct[i])]
                 for k in reading:
                     p = max(x for x, c in enumerate(reading) if turn_sign(ctx, i, c, k) == 0)
                     assert ch.start[i][k - i - 1] == len(reading) - 1 - p

@@ -1,6 +1,7 @@
 """The benchmark's ``--trace 1`` mode wraps module-level names of mwcp by
 attribute; every name it wraps must stay importable where it looks for it."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 from mwcp.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mwcp"
 
 
 def _load_perfbench_run():
@@ -52,3 +54,35 @@ def test_trace_patches_apply_and_unpatch(tmp_path, capsys):
         tracer.unpatch()
     for namespace, attr, original in patched:
         assert getattr(namespace, attr) is original
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads, as pyflakes' F401 finds them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return imported - read
+
+
+def test_unused_imports_are_trace_bindings():
+    # An import nothing reads is dead code, unless the tracer wraps it there.
+    run, modules = _load_perfbench_run()
+    prog = types.SimpleNamespace(
+        **{name: importlib.import_module("mwcp." + name) for name in modules}
+    )
+    patched = {}
+
+    class Recorder:
+        def patch(self, namespace, attr, name, on_return=None):
+            patched.setdefault(namespace.__name__, set()).add(attr)
+
+    run.trace_solve_path(Recorder(), prog)
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "mwcp" if path.stem == "__init__" else "mwcp." + path.stem
+        unused = _unused_imports(path)
+        assert unused <= patched.get(module, set()), (module, unused)
