@@ -1,5 +1,6 @@
 """The benchmark's ``--trace 1`` mode wraps module-level names of mwcp by
-attribute; every name it wraps must stay importable where it looks for it."""
+attribute; every name it wraps must stay importable where it looks for it,
+and an import that a module never reads must be one of those names."""
 
 import ast
 import importlib
