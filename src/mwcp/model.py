@@ -107,16 +107,25 @@ def canonicalize(instance: Instance) -> Instance:
     return Instance(instance.dimension, pts, meta)
 
 
+NOT_CANONICAL = "instance is not canonical; run canonicalize() first"
+
+
 def _is_canonical(instance: Instance) -> bool:
-    """Every weight nonzero and the points pairwise distinct, in one pass each."""
+    """Every weight nonzero and the points pairwise distinct, in one pass each.
+
+    Points are compared as (numerator, denominator) pairs, the normal form of
+    a rational, which hashes much faster than a ``Fraction``.
+    """
     pts = instance.points
-    return all(wp.weight for wp in pts) and len({wp.point for wp in pts}) == len(pts)
+    return all(wp.weight for wp in pts) and len(
+        {tuple((c.numerator, c.denominator) for c in wp.point) for wp in pts}
+    ) == len(pts)
 
 
 def require_canonical(instance: Instance) -> None:
     """Raise unless points are pairwise distinct with nonzero weights."""
     if not _is_canonical(instance):
-        raise ValueError("instance is not canonical; run canonicalize() first")
+        raise ValueError(NOT_CANONICAL)
 
 
 def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> Solution:

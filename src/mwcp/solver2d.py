@@ -40,33 +40,35 @@ weighted mean of the slopes of (i, j) and (j, r), so (i, j, r) is concave
 exactly when key(i, j) <= key(j, r).  A point q with x_a < x_q < x_b lies on
 or below edge (a, b) exactly when key(a, q) <= key(a, b), strictly below
 when key(a, q) < key(a, b).  The angular list right of each candidate is
-sorted by -key with stable ties (by decreasing slope, i.e. clockwise), so
-each first-compatible pointer is one ``bisect`` of a key into such a list.
+sorted by decreasing key, ties by ascending x (by decreasing slope, i.e.
+clockwise).
 
-Edge weights by recurrence.  ``bot(a, b)`` / ``top(a, b)`` sum the weights
-strictly below / on or below edge (a, b) with x strictly between.  Anchors a
-run from right to left.  The points right of a are sorted by (key(a, .), x)
-into slope groups; no point right of a has a key strictly between two
-consecutive groups.  Take b in group g:
+Edge weights from prefix sums.  ``bot(a, b)`` / ``top(a, b)`` sum the
+weights strictly below / on or below edge (a, b) with x strictly between.
+Let P_a(t) / Q_a(t) be the weight of the points right of a with key(a, .) <
+t / <= t.  For candidates a < b and k = key(a, b),
 
-- If a point c of group g-1 lies left of b (take the last one), then c is
-  below ab, and for x_q < x_c, q is below ab exactly when key(a, q) <=
-  key(a, c), i.e. q is on or below ac.  For x_c < x_q < x_b, q is strictly
-  below ab exactly when it is strictly below cb: the open triangle a c b and
-  the open segment cb hold only keys strictly between the groups.  So
-  bot(a, b) = top(a, c) + w_c + bot(c, b).
-- Otherwise, if group g-1 exists, all of it lies right of b; let c' be its
-  first point.  b lies above line ac', the only points on ac' right of a are
-  group g-1, and the open triangle a b c' holds no point.  So bot(a, c')
-  counts bot(a, b) plus exactly the points strictly below bc' between b and
-  c': bot(a, b) = bot(a, c') - bot(b, c').
-- The lowest group has nothing below it: bot(a, b) = 0.
+    bot(a, b) = P_a(k) - P_b(k),    top(a, b) = Q_a(k) - Q_b(k) - w_b.
 
-In every case top(a, b) = bot(a, b) plus the weight of the points of group g
-left of b, which are the points on the open segment ab.  Rows of ``bot`` over
-all points are kept (a triangular table, since the recurrence reaches bot(c,
-b) and bot(b, c') for any points), ``top`` for the current anchor only.  With
-one sort per anchor this is O(n^2 log n).
+Of the points q that P_a(k) counts, those with x_q < x_b are the points
+strictly below ab, and b itself has key k.  For x_q > x_b the slope of (a,
+q) is a weighted mean, with positive weights, of the slopes of (a, b) and
+(b, q), so key(a, q) < k exactly when key(b, q) < k: those sum to P_b(k).
+With <= the same split puts b itself in Q_a(k), and the rest gives Q_b(k).
+So each candidate needs one key row over the points right of it, sorted
+stably by ascending key (ties by descending x), and the prefix sums of the
+weights in that order: P_a(t) / Q_a(t) is the sum at ``bisect_left`` /
+``bisect_right`` of t.  A pair costs four bisects, so O(m n log n) in all.
+
+The same positions rank the candidates for the chains.  The candidates of
+a's sorted row, reversed, are ``right[a]``; let cnt_a(x) count those among
+the row's first x points, L_a = |right[a]|, and lo / hi be the two positions
+of k in a's row.  Of a's candidates cnt_a(lo) have key < k and L_a -
+cnt_a(hi) key > k, so b's tie group ends at p(a, b) = L_a - cnt_a(lo) - 1 of
+``right[a]`` and at cnt_a(hi) - 1 of its reverse, the bottom chain's reading
+list.  In b's row they give fc(a, b) (below), the candidates before the
+first compatible turn: the L_b - cnt_b(hi) with key(b, .) > k for the top
+chain, the cnt_b(lo) with key(b, .) < k for the bottom chain.
 
 Suffix maxima.  A concave x-monotone chain lies on or above its chord, so
 C[i, j, k] (a concave chain i -> j -> ... -> k) exists exactly when (i, j, k)
@@ -107,9 +109,9 @@ gather-add and one running max per column, stored with one slice
 assignment.  The suffix maximum at position 0 is the best cell for the pair
 (j, k).  The bottom chain is the top chain of the reflection y -> -y, which
 negates every key and turns convex chains into concave ones: one builder
-makes its rows from the counterclockwise lists, with each key row reversed
-and negated (so it ascends again) and -bot bases, and the same kernel
-maximises -V, whose max is minus the min of V.
+makes its rows from the counterclockwise lists, with the bottom chain's fc
+and p and -bot bases, and the same kernel maximises -V, whose max is minus
+the min of V.
 
 Witness finishing reuses the same edge tables.  The walk gives the top
 path i0 -> ... -> k and the bottom path i0 -> ... -> k of the optimum, and
@@ -136,22 +138,22 @@ input:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from math import lcm
-from operator import add, itemgetter, neg
+from operator import add, getitem, itemgetter, mul, neg, sub
 
 from .geometry import scale_to_integers, shear_normalize
 from .model import (
+    NOT_CANONICAL,
     Instance,
     Solution,
     best_singleton,
     empty_solution,
     evaluate,
     prune_by_weight,
-    require_canonical,
 )
 # Not called here: perfbench/run.py --trace 1 wraps this name in this module.
 from .model import prune_to_maximal  # noqa: F401
@@ -182,21 +184,40 @@ class SolverContext:
 
 
 @dataclass
+class Ranks:
+    """The sorted rows and bisect positions behind :class:`EdgeWeights`.
+
+    ``order[a]`` lists the offsets o (sorted position ``cand[a] + 1 + o``)
+    of the points right of candidate a by ascending key(a, .), ties by
+    descending x.  For a < b, ``lo[a][b - a - 1]`` / ``hi[a][b - a - 1]``
+    are the ``bisect_left`` / ``bisect_right`` positions of key(a, b) in a's
+    sorted keys, and ``lo_b[a][b - a - 1]`` / ``hi_b[a][b - a - 1]`` in b's.
+    """
+
+    order: list[list[int]]
+    lo: list[list[int]]
+    hi: list[list[int]]
+    lo_b: list[list[int]]
+    hi_b: list[list[int]]
+
+
+@dataclass
 class EdgeWeights:
     """``top[a][b]`` / ``bot[a][b]``: weight on-or-below / strictly-below edge (a, b).
 
-    Indexed by candidate ordinals a < b; sums run over every instance point
-    strictly between the endpoints in x.  ``top - bot`` is exactly the
-    weight sitting on the open segment, which is what makes boundary points
-    of degenerate inputs count once overall.  ``nkey[i][j - i - 1]`` is
-    -key(i, j) for ordinals i < j, the rows :func:`build_angular_lists`
-    sorts and :func:`_chains` reads; ``solve_2d`` drops them once the chains
-    are built, and equality compares only ``top`` and ``bot``.
+    Indexed by candidate ordinals a < b (entries with b <= a are 0); sums
+    run over every instance point strictly between the endpoints in x.
+    ``top - bot`` is exactly the weight sitting on the open segment, which
+    is what makes boundary points of degenerate inputs count once overall.
+    ``ranks`` holds the sorted rows and bisect positions of the pass that
+    made the sums, which :func:`build_angular_lists`, :func:`_chains` and
+    :func:`compute_first_compatible` read; ``solve_2d`` drops it once the
+    chains are built, and equality compares only ``top`` and ``bot``.
     """
 
     top: list[list[int]]
     bot: list[list[int]]
-    nkey: list[list[int]] | None = field(default=None, compare=False, repr=False)
+    ranks: Ranks | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -205,24 +226,30 @@ class AngularLists:
 
     ``right[j]`` holds the ordinals right of candidate j sorted clockwise
     around it, i.e. by decreasing slope of the outgoing direction (ties by
-    ascending ordinal), and ``right_key[j]`` the sort keys -key(j, r) in
-    list order, so each row ascends.  The top chain's reading list of j is
-    ``right[j]``; the bottom chain's is ``right[j]`` reversed, the clockwise
-    order of the reflection y -> -y (:func:`_chains`).
+    ascending ordinal).  ``count[j][x]`` is the number of candidates among
+    the first x points of j's sorted row (``Ranks.order[j]``), so
+    ``count[j][-1]`` is ``len(right[j])``.  The top chain's reading list of
+    j is ``right[j]``; the bottom chain's is ``right[j]`` reversed, the
+    clockwise order of the reflection y -> -y (:func:`_chains`).
     """
 
     right: list[list[int]]
-    right_key: list[list[int]]
+    count: list[list[int]]
 
 
 def build_context(instance: Instance) -> SolverContext:
     if instance.dimension != 2:
         raise ValueError("solver2d requires a 2-dimensional instance")
-    require_canonical(instance)
     n = len(instance.points)
+    if not all(wp.weight for wp in instance.points):
+        raise ValueError(NOT_CANONICAL)
     if n == 0:
         return SolverContext(instance, 1, 1, 0, [], [], [], [], [])
-    scaled, shear = shear_normalize(scale_to_integers([wp.point for wp in instance.points]))
+    # The integer view is injective, and its tuples hash fast.
+    ints = scale_to_integers([wp.point for wp in instance.points])
+    if len(set(ints)) != n:
+        raise ValueError(NOT_CANONICAL)
+    scaled, shear = shear_normalize(ints)
     wscale = lcm(*(wp.weight.denominator for wp in instance.points))
     order = sorted(range(n), key=lambda i: scaled[i][0])
     xs = [scaled[i][0] for i in order]
@@ -243,90 +270,66 @@ def _key_row(xs, ys, a: int, scale: int) -> list[int]:
 
 
 def precompute_edge_weights(ctx: SolverContext) -> EdgeWeights:
-    """Edge weights for all candidate pairs by the slope-group recurrence.
+    """Edge weights for all candidate pairs from per-candidate prefix sums.
 
-    O(n^2 log n) over all n points; the recurrence and its proof are in the
-    module docstring.
+    The identity, its proof and its cost are in the module docstring.
+    Candidates run right to left, so the rows of every b right of a are at
+    hand for the pairs (a, b); they are dropped on return.
     """
     xs, ys, ws, cand, scale = ctx.xs, ctx.ys, ctx.ws, ctx.cand, ctx.slope_scale
-    n, m = len(xs), len(cand)
-    top = [[0] * m for _ in range(m)]
-    bot = [[0] * m for _ in range(m)]
-    nkey = [[] for _ in range(m)]
-    ordinal = dict(zip(cand, range(m)))
-    # below[a][b - a - 1] = bot(a, b) over all points.  Inside the loop the
-    # offsets o = b - a - 1 index wr, rows, keys, brow and trow.
-    below: list[list[int]] = [[] for _ in range(n)]
-    for a in range(n - 1, -1, -1):
-        wr = ws[a + 1:]
-        rows = below[a + 1:]
-        keys = _key_row(xs, ys, a, scale)
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        brow = [0] * len(keys)
-        trow = [0] * len(keys)
-        # order[ps:gs] is slope group g-1 and order[gs:pos] the part of group g
-        # handled so far, each in ascending x (the sort is stable).
-        ps = gs = 0
-        last = None
-        for pos, o in enumerate(order):
-            if keys[o] != last:
-                last = keys[o]
-                ps, gs, on_edge = gs, pos, 0
-            lo = bisect_left(order, o, ps, gs)  # order[ps:lo] lie left of b
-            if lo > ps:
-                c = order[lo - 1]
-                v = trow[c] + wr[c] + rows[c][o - c - 1]
-            elif gs > ps:
-                c = order[ps]
-                v = brow[c] - rows[o][c - o - 1]
-            else:
-                v = 0
-            brow[o] = v
-            trow[o] = v + on_edge  # on_edge: weight of group g left of b
-            on_edge += wr[o]
-        below[a] = brow
-        if a in ordinal:
-            i = ordinal[a]
-            offsets = [b - a - 1 for b in cand[i + 1:]]
-            top[i][i + 1:] = map(trow.__getitem__, offsets)
-            bot[i][i + 1:] = map(brow.__getitem__, offsets)
-            nkey[i] = list(map(neg, map(keys.__getitem__, offsets)))
-    return EdgeWeights(top, bot, nkey)
+    m = len(cand)
+    is_cand = [w > 0 for w in ws]
+    wc = [ws[p] for p in cand]
+    top, bot, sks, pres, rows = ([None] * m for _ in range(5))
+    for a in range(m - 1, -1, -1):
+        pa = cand[a]
+        keys = _key_row(xs, ys, pa, scale)
+        order = sorted(range(len(keys) - 1, -1, -1), key=keys.__getitem__)
+        sk = sks[a] = list(map(keys.__getitem__, order))
+        pre = pres[a] = list(accumulate(map(ws[pa + 1:].__getitem__, order), initial=0))
+        ahead = list(compress(keys, is_cand[pa + 1:]))  # key(a, b) for b > a
+        lo = list(map(bisect_left, repeat(sk), ahead))
+        hi = list(map(bisect_right, repeat(sk), ahead))
+        lo_b = list(map(bisect_left, sks[a + 1:], ahead))
+        hi_b = list(map(bisect_right, sks[a + 1:], ahead))
+        pad = [0] * (a + 1)
+        bot[a] = pad + list(map(sub, map(pre.__getitem__, lo), map(getitem, pres[a + 1:], lo_b)))
+        q_b = map(add, map(getitem, pres[a + 1:], hi_b), wc[a + 1:])
+        top[a] = pad + list(map(sub, map(pre.__getitem__, hi), q_b))
+        rows[a] = (order, lo, hi, lo_b, hi_b)
+    return EdgeWeights(top, bot, Ranks(*([row[f] for row in rows] for f in range(5))))
 
 
-def build_angular_lists(ctx: SolverContext, nkey) -> AngularLists:
-    """Clockwise orderings right of every candidate, O(n^2 log n) total.
+def build_angular_lists(ctx: SolverContext, ew: EdgeWeights) -> AngularLists:
+    """Clockwise orderings right of every candidate, with no sort of their own.
 
-    ``nkey[i][j - i - 1]`` = -key(i, j) for candidate ordinals i < j, as
-    ``precompute_edge_weights`` leaves them in ``EdgeWeights.nkey``; the
-    lists keep the same int objects.
+    Each row of ``ew.ranks.order`` is sorted by ascending key, ties by
+    descending x; its candidates, reversed, are the clockwise list.
     """
-    right, right_key = [], []
-    for j, rk in enumerate(nkey):
-        hi = sorted(range(len(rk)), key=rk.__getitem__)
-        right.append([j + 1 + o for o in hi])
-        right_key.append(list(map(rk.__getitem__, hi)))
-    return AngularLists(right, right_key)
+    mark = [w > 0 for w in ctx.ws]
+    ordinal = list(map(mul, accumulate(mark, initial=0), mark))
+    right, count = [], []
+    for p, row in zip(ctx.cand, ew.ranks.order):
+        # A point that is no candidate maps to 0, and ordinal 0 is in no row.
+        ords = list(map(ordinal[p + 1:].__getitem__, row))
+        right.append(list(filter(None, ords))[::-1])
+        count.append(list(accumulate(map(bool, ords), initial=0)))
+    return AngularLists(right, count)
 
 
-def _mirrored(rows) -> list[list[int]]:
-    """Key rows under y -> -y: read counterclockwise and negated, so ascending."""
-    return [list(map(neg, reversed(row))) for row in rows]
+def compute_first_compatible(count, at, top: bool):
+    """One chain's first-compatible pointers, fc(i, c) at [i][c - i - 1].
 
-
-def compute_first_compatible(orders, keys):
-    """The first-compatible pointers of one chain, reader by reader.
-
-    ``orders[i]`` is i's reading list read backwards and ``keys[i]`` the
-    reading list's sort keys (ascending), as :func:`_chain_rows` takes them.
-    Row i holds fc(i, c) for every c of ``orders[i]``, in that order: the
-    first position of c's reading list that turns concavely after i, one
-    ``bisect_left`` of c's key in i's list into c's keys.
+    ``count`` is ``AngularLists.count`` and ``at[i][c - i - 1]`` the
+    ``bisect_right`` (top chain) or ``bisect_left`` (bottom chain) position
+    of key(i, c) in c's row; fc(i, c) is L_c - count_c(at) or count_c(at)
+    (module docstring).
     """
-    return [
-        list(map(bisect_left, map(keys.__getitem__, order), reversed(ks)))
-        for order, ks in zip(orders, keys)
-    ]
+    ends, rows = [cnt[-1] for cnt in count], []
+    for i, pos in enumerate(at):
+        row = map(getitem, count[i + 1:], pos)
+        rows.append(list(map(sub, ends[i + 1:], row)) if top else list(row))
+    return rows
 
 
 @dataclass
@@ -360,52 +363,48 @@ class _Chain:
     sign: int
 
 
-def _chain_rows(orders, keys, ordinal_keys, base, doff):
-    """The rows ``order``, ``bases``, ``addrs`` and ``start`` of one :class:`_Chain`.
+def _chain_rows(orders, fcs, base, doff):
+    """The rows ``order``, ``bases`` and ``addrs`` of one :class:`_Chain`.
 
-    ``orders[i]`` is i's reading list, clockwise in the chain's own frame,
-    read backwards (the order the sweep reads it, from position p down to
-    0); ``keys[i]`` holds the reading list's sort keys (ascending) and
-    ``ordinal_keys[i][k - i - 1]`` the key of k.  fc(i, c) comes from
-    :func:`compute_first_compatible`; p(i, k) is the last position of k's
-    tie group.  ``base(i, cs)`` gives base(i, c) for the candidates cs.
+    ``orders[i]`` is i's reading list (clockwise in the chain's frame) read
+    backwards, as the sweep reads it; ``fcs`` holds :func:`compute_first_compatible`'s
+    rows, and ``base(i, cs)`` gives base(i, c) for the candidates cs.
     """
-    bases, addrs, start = [], [], []
-    fcs = compute_first_compatible(orders, keys)
-    for i, (order, ks, ordinal, fc) in enumerate(zip(orders, keys, ordinal_keys, fcs)):
-        back = range(len(order) - 1, -1, -1)  # a tie group keeps its last position
-        bases.append(base(i, order))
-        addrs.append(list(map(add, map(doff.__getitem__, order), fc)))
-        start.append(list(map(dict(zip(ks, back)).__getitem__, ordinal)))
-    return orders, bases, addrs, start
+    bases = [base(i, order) for i, order in enumerate(orders)]
+    addrs = []
+    for i, (order, fc) in enumerate(zip(orders, fcs)):
+        at = list(map(add, doff[i + 1:], fc))  # doff[c] + fc(i, c) at c - i - 1
+        addrs.append(list(map(at.__getitem__, map((i + 1).__rsub__, order))))
+    return orders, bases, addrs
 
 
 def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
     """The top-chain (C) and bottom-chain (-V) recurrences, one builder twice.
 
-    The top chain reads ``right`` with keys ``right_key`` and bases w_i +
-    top(i, c).  The bottom chain is the top chain of the reflection y -> -y:
-    it reads ``right`` reversed (counterclockwise) with the :func:`_mirrored`
-    keys and bases -bot(i, c).  Needs ``ew.nkey`` for the tie groups.
+    The top chain reads ``right`` with bases w_i + top(i, c).  The bottom
+    chain is the top chain of the reflection y -> -y: it reads ``right``
+    reversed (counterclockwise) with bases -bot(i, c).  Needs ``ew.ranks``.
+    The bottom chain is built first, so one chain's pointers are live at a
+    time; ``start`` rows come from p(i, k) (module docstring).
     """
     wc = [ctx.ws[p] for p in ctx.cand]
     m = len(wc)
     none = -sum(map(abs, ctx.ws)) - 1
     # Column c has a slot for each fc(., c) in 0..m - 1 - c.
     doff = list(accumulate(range(m, 0, -1), initial=0))
-    top, bot = ew.top, ew.bot
-    # The bottom chain first: its mirrored key rows are freed before the top
-    # chain's rows are built.  It reads right reversed, so it sweeps in right
-    # order.
-    lower = _chain_rows(
-        lists.right, _mirrored(lists.right_key), (map(neg, row) for row in ew.nkey),
+    top, bot, ranks, count = ew.top, ew.bot, ew.ranks, lists.count
+    rows = _chain_rows(
+        lists.right, compute_first_compatible(count, ranks.lo_b, False),
         lambda i, cs: list(map(neg, map(bot[i].__getitem__, cs))), doff,
     )
-    upper = _chain_rows(
-        [row[::-1] for row in lists.right], lists.right_key, ew.nkey,
+    start = [list(map(c[-1].__sub__, map(c.__getitem__, p))) for c, p in zip(count, ranks.hi)]
+    lower = _Chain(*rows, start, doff, [0] * m, none, -1)
+    rows = _chain_rows(
+        [row[::-1] for row in lists.right], compute_first_compatible(count, ranks.hi_b, True),
         lambda i, cs: list(map(wc[i].__add__, map(top[i].__getitem__, cs))), doff,
     )
-    return _Chain(*upper, doff, wc, none, 1), _Chain(*lower, doff, [0] * m, none, -1)
+    start = [list(map(c.__getitem__, p)) for c, p in zip(count, ranks.lo)]
+    return _Chain(*rows, start, doff, wc, none, 1), lower
 
 
 def _fill_slab(ch: _Chain, sufmax, k: int, best) -> None:
@@ -539,10 +538,10 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
         return best_singleton(instance)
     ws, cand = ctx.ws, ctx.cand
     ew = precompute_edge_weights(ctx)
-    lists = build_angular_lists(ctx, ew.nkey)
+    lists = build_angular_lists(ctx, ew)
+    ew.ranks.order = None
     upper, lower = _chains(ctx, ew, lists)
-    ew.nkey = None  # frees the slope keys; the chains keep the rows they use
-    del lists
+    ew.ranks = lists = None  # the chains keep the rows they use
     suf_c, suf_v = _empty_slab(upper), _empty_slab(lower)
     rm_c = [0] * m  # rm_c[i]: best C[i, j, k] over j for the current k
     rm_v = [0] * m  # rm_v[i]: best -V[i, j, k] over j

@@ -150,7 +150,7 @@ def test_criterion_3_recurrence_isolation():
         inst = gen_uniform(n, 2, seed=rng.randrange(2**30), weight_range=weights)
         ctx = build_context(inst)
         ew = precompute_edge_weights(ctx)
-        lists = build_angular_lists(ctx, ew.nkey)
+        lists = build_angular_lists(ctx, ew)
         fast_c = compute_C_tables(ctx, ew, lists)
         fast_v = compute_V_tables(ctx, ew, lists)
         slow_c = naive_C_tables(ctx, ew)

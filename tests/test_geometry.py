@@ -1,11 +1,9 @@
 import itertools
 import random
-import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from mwcp.geometry import (
     _convex_combination_feasible,
@@ -64,11 +62,6 @@ def test_shear_preserves_orientation():
 
 COORD = st.integers(-10**6, 10**6)
 SHEAR_SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
-
-# Hypothesis caches the constants of local modules in its home directory when
-# it collects, even without a database; keep that cache out of the checkout.
-HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
-set_hypothesis_home_dir(HYPOTHESIS_HOME.name)
 
 
 @st.composite

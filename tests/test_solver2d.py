@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwcp import solver2d
 from mwcp.generators import gen_ngon_family, gen_uniform
@@ -224,11 +225,16 @@ def test_angular_lists_match_comparator_sort():
     instances += [gen_uniform(60, 2, seed) for seed in range(4)]
     for inst in instances:
         ctx = build_context(inst)
-        lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
+        ew = precompute_edge_weights(ctx)
+        lists = build_angular_lists(ctx, ew)
         assert lists.right == cmp_angular_lists(ctx)
-        cand = ctx.cand
-        for j in range(len(cand)):
-            assert lists.right_key[j] == [-slope_key(ctx, cand[j], cand[r]) for r in lists.right[j]]
+        # The sorted rows: ascending key, ties by descending x; the counts
+        # run over the candidates along them.
+        for p, row, count in zip(ctx.cand, ew.ranks.order, lists.count):
+            right = range(len(ctx.xs) - p - 1)
+            assert row == sorted(right, key=lambda o: (slope_key(ctx, p, p + 1 + o), -o))
+            marks = [ctx.ws[p + 1 + o] > 0 for o in row]
+            assert count == [sum(marks[:x]) for x in range(len(row) + 1)]
 
 
 def test_angular_lists_from_shared_key_rows():
@@ -240,22 +246,23 @@ def test_angular_lists_from_shared_key_rows():
     instances += [gen_ngon_family(n) for n in range(24, 33)]
     for inst in instances:
         ctx = build_context(inst)
-        rows = direct_key_rows(ctx)
-        shared = precompute_edge_weights(ctx).nkey
-        assert shared == rows
-        assert build_angular_lists(ctx, shared) == build_angular_lists(ctx, rows)
+        lists = build_angular_lists(ctx, precompute_edge_weights(ctx))
+        # The lists read off the edge-weight pass's rows are a stable sort of
+        # the candidates right of j by -key(j, .).
+        for j, row in enumerate(direct_key_rows(ctx)):
+            assert lists.right[j] == [j + 1 + o for o in sorted(range(len(row)), key=row.__getitem__)]
 
 
 def test_angular_lists_collinear_middle():
     ctx = ctx_for([((0, 0), 1), ((1, 0), 1), ((2, 0), 1)])
-    lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
+    lists = build_angular_lists(ctx, precompute_edge_weights(ctx))
     assert lists.right == [[1, 2], [2], []]
 
 
 def test_angular_lists_clockwise_top_to_bottom():
     # right points at +45, 0, -45 degrees around the origin point
     ctx = ctx_for([((0, 0), 1), ((1, 1), 1), ((2, 0), 1), ((1, -1), 1)])
-    lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
+    lists = build_angular_lists(ctx, precompute_edge_weights(ctx))
     j = 0  # ordinal of (0,0)
     pts = [ctx.instance.points[ctx.orig[ctx.cand[c]]].point for c in lists.right[j]]
     assert pts == [(1, 1), (2, 0), (1, -1)]
@@ -266,7 +273,7 @@ def test_angular_lists_sizes_and_order():
     for _ in range(100):
         inst = random_instance(rng, rng.randint(2, 9), 2, 1, 3)
         ctx = build_context(inst)
-        lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
+        lists = build_angular_lists(ctx, precompute_edge_weights(ctx))
         m = len(ctx.cand)
         xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
         for j in range(m):
@@ -280,34 +287,39 @@ def test_angular_lists_sizes_and_order():
 
 
 def chain_readings(lists):
-    """(reading lists, their ascending keys, turn sign) of the top chain and
-    of the bottom chain, which reads the right lists counterclockwise."""
-    return (
-        (lists.right, lists.right_key, 1),
-        ([row[::-1] for row in lists.right], solver2d._mirrored(lists.right_key), -1),
+    """(reading lists, turn sign) of the top chain and of the bottom chain,
+    which reads the right lists counterclockwise."""
+    return ((lists.right, 1), ([row[::-1] for row in lists.right], -1))
+
+
+def first_compatible_rows(ew, lists):
+    """Each chain's fc(i, c) from ``compute_first_compatible``, row i over
+    the candidates c of i's reading list read backwards."""
+    tables = (
+        compute_first_compatible(lists.count, ew.ranks.hi_b, True),
+        compute_first_compatible(lists.count, ew.ranks.lo_b, False),
     )
-
-
-def first_compatible_rows(lists):
-    """``compute_first_compatible`` on each chain's backwards reading lists."""
     return [
-        compute_first_compatible([row[::-1] for row in reading], keys)
-        for reading, keys, _ in chain_readings(lists)
+        [[fc[i][c - i - 1] for c in reversed(reading)] for i, reading in enumerate(readings)]
+        for (readings, _), fc in zip(chain_readings(lists), tables)
     ]
 
 
 def test_first_compatible_monotone():
-    # For a fixed c, fc(i, c) is nondecreasing in the key of c in i's list.
+    # For a fixed c, fc(i, c) is nondecreasing in the key of c in i's
+    # reading list: -key(i, c) for the top chain, key(i, c) for the bottom.
     rng = random.Random(21)
     for _ in range(60):
         inst = random_instance(rng, rng.randint(2, 9), 2, 1, 3)
         ctx = build_context(inst)
-        lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
-        for (reading, keys, _), fc in zip(chain_readings(lists), first_compatible_rows(lists)):
+        ew = precompute_edge_weights(ctx)
+        lists = build_angular_lists(ctx, ew)
+        for (reading, sign), fc in zip(chain_readings(lists), first_compatible_rows(ew, lists)):
             by_c = {}
-            for row, ks, fcs in zip(reading, keys, fc):
-                for c, k, f in zip(reversed(row), reversed(ks), fcs):
-                    by_c.setdefault(c, []).append((k, f))
+            for i, (row, fcs) in enumerate(zip(reading, fc)):
+                for c, f in zip(reversed(row), fcs):
+                    key = -sign * slope_key(ctx, ctx.cand[i], ctx.cand[c])
+                    by_c.setdefault(c, []).append((key, f))
             for pairs in by_c.values():
                 fs = [f for _, f in sorted(pairs)]
                 assert fs == sorted(fs)
@@ -339,15 +351,30 @@ def test_first_compatible_matches_direct_search():
     instances += [gen_uniform(60, 2, seed) for seed in range(4)]
     for inst in instances:
         ctx = build_context(inst)
-        lists = build_angular_lists(ctx, precompute_edge_weights(ctx).nkey)
-        for (reading, _, sign), fc in zip(chain_readings(lists), first_compatible_rows(lists)):
+        ew = precompute_edge_weights(ctx)
+        lists = build_angular_lists(ctx, ew)
+        for (reading, sign), fc in zip(chain_readings(lists), first_compatible_rows(ew, lists)):
             assert fc == direct_first_compatible(ctx, reading, sign)
 
 
+def assert_chain_rows_match_direct_search(ctx):
+    """The sweep's rows against the direct pointer search: fc(i, c) from the
+    addresses, and p(i, k), the last position of k's tie group in i's
+    reading list, from the start indices."""
+    ew = precompute_edge_weights(ctx)
+    lists = build_angular_lists(ctx, ew)
+    chains = _chains(ctx, ew, lists)
+    for ch, (readings, sign) in zip(chains, chain_readings(lists)):
+        direct = direct_first_compatible(ctx, readings, sign)
+        for i, reading in enumerate(readings):
+            assert ch.order[i] == reading[::-1]
+            assert ch.addrs[i] == [ch.doff[c] + f for c, f in zip(ch.order[i], direct[i])]
+            for k in reading:
+                p = max(x for x, c in enumerate(reading) if turn_sign(ctx, i, c, k) == 0)
+                assert ch.start[i][k - i - 1] == len(reading) - 1 - p
+
+
 def test_chain_rows_match_direct_search():
-    # The sweep's rows against the direct pointer search: fc(i, c) from the
-    # addresses, and p(i, k), the last position of k's tie group in i's
-    # reading list, from the start indices.
     rng = random.Random(24)
     instances = [
         degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 12))
@@ -355,24 +382,13 @@ def test_chain_rows_match_direct_search():
     ]
     instances += [gen_ngon_family(n) for n in (24, 29)]
     for inst in instances:
-        ctx = build_context(inst)
-        ew = precompute_edge_weights(ctx)
-        lists = build_angular_lists(ctx, ew.nkey)
-        chains = _chains(ctx, ew, lists)
-        for ch, (readings, _, sign) in zip(chains, chain_readings(lists)):
-            direct = direct_first_compatible(ctx, readings, sign)
-            for i, reading in enumerate(readings):
-                assert ch.order[i] == reading[::-1]
-                assert ch.addrs[i] == [ch.doff[c] + f for c, f in zip(ch.order[i], direct[i])]
-                for k in reading:
-                    p = max(x for x, c in enumerate(reading) if turn_sign(ctx, i, c, k) == 0)
-                    assert ch.start[i][k - i - 1] == len(reading) - 1 - p
+        assert_chain_rows_match_direct_search(build_context(inst))
 
 
 def test_c_base_two_points():
     ctx = ctx_for([((0, 0), 2), ((3, 1), 4), ((1, -2), -1)])
     ew = precompute_edge_weights(ctx)
-    lists = build_angular_lists(ctx, ew.nkey)
+    lists = build_angular_lists(ctx, ew)
     ctab = compute_C_tables(ctx, ew, lists)
     # candidates: (0,0)=0, (3,1)=1; the negative point only feeds edge weights
     assert ctab[(0, 1, 1)] == ew.top[0][1] + 2 + 4
@@ -382,7 +398,7 @@ def test_c_base_infeasible_is_none():
     # middle candidate strictly below the chord: C[i, j, k] = -inf
     ctx = ctx_for([((0, 2), 1), ((1, 0), 1), ((2, 2), 1)])
     ew = precompute_edge_weights(ctx)
-    lists = build_angular_lists(ctx, ew.nkey)
+    lists = build_angular_lists(ctx, ew)
     ctab = compute_C_tables(ctx, ew, lists)
     assert ctab[(0, 1, 2)] is None
     vtab = compute_V_tables(ctx, ew, lists)
@@ -395,7 +411,7 @@ def test_tables_match_naive():
         inst = random_instance(rng, rng.randint(1, 9), 2, -4, 4)
         ctx = build_context(inst)
         ew = precompute_edge_weights(ctx)
-        lists = build_angular_lists(ctx, ew.nkey)
+        lists = build_angular_lists(ctx, ew)
         assert compute_C_tables(ctx, ew, lists) == naive_C_tables(ctx, ew)
         assert compute_V_tables(ctx, ew, lists) == naive_V_tables(ctx, ew)
 
@@ -408,7 +424,7 @@ def test_solver_matches_table_weight():
         if not ctx.cand:
             continue
         ew = precompute_edge_weights(ctx)
-        lists = build_angular_lists(ctx, ew.nkey)
+        lists = build_angular_lists(ctx, ew)
         w = best_weight_from_tables(
             ctx, naive_C_tables(ctx, ew), naive_V_tables(ctx, ew)
         )
@@ -671,3 +687,69 @@ def test_empty_instance():
     assert solve_2d(inst).weight == 0
     with pytest.raises(ValueError):
         solve_2d(inst, allow_empty=False)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        # Duplicate points, also on a rational coordinate and among others.
+        [WeightedPoint((Fraction(0), Fraction(0)), Fraction(1))] * 2,
+        [
+            WeightedPoint((Fraction(1, 3), Fraction(2)), Fraction(1)),
+            WeightedPoint((Fraction(5), Fraction(-1, 7)), Fraction(-2)),
+            WeightedPoint((Fraction(2, 6), Fraction(4, 2)), Fraction(3)),
+        ],
+        # A zero weight, alone and among others.
+        [WeightedPoint((Fraction(0), Fraction(0)), Fraction(0))],
+        [
+            WeightedPoint((Fraction(0), Fraction(0)), Fraction(1)),
+            WeightedPoint((Fraction(1, 2), Fraction(1)), Fraction(0)),
+        ],
+    ],
+)
+def test_non_canonical_instance_refused(points):
+    inst = Instance(2, tuple(points))
+    for refuse in (build_context, solve_2d, solve_bruteforce):
+        with pytest.raises(ValueError, match=r"^instance is not canonical; run canonicalize\(\) first$"):
+            refuse(inst)
+
+
+def test_distinct_points_on_close_rationals_accepted():
+    tiny = Fraction(1, 2**60)
+    inst = make_instance(2, [((0, 0), 1), ((tiny, 0), 1), ((0, tiny), -1), ((tiny, tiny), 2)])
+    assert len(build_context(inst).xs) == 4
+    assert solve_2d(inst).weight == solve_bruteforce(inst).weight == 4
+
+
+SMALL = st.integers(-4, 4)
+
+
+@st.composite
+def degenerate_planar_instances(draw):
+    """Shared x, a collinear run through an anchor on both sides of it, an
+    equal-slope pair of segments, rational coordinates (one scale per axis)
+    and mixed-sign rational weights."""
+    xs = draw(st.lists(SMALL, min_size=1, max_size=3, unique=True))
+    pts = set(draw(st.lists(st.tuples(st.sampled_from(xs), SMALL), max_size=5)))
+    (ax, ay), dx, dy = draw(st.tuples(SMALL, SMALL)), draw(st.integers(1, 3)), draw(SMALL)
+    pts |= {(ax + t * dx, ay + t * dy) for t in draw(st.sets(st.integers(-2, 2), max_size=5))}
+    (px, py), (qx, qy), (sx, sy) = (draw(st.tuples(SMALL, SMALL)) for _ in range(3))
+    pts |= {(px, py), (qx, qy), (px + sx, py + sy), (qx + sx, qy + sy)}
+    scale_x, scale_y = (Fraction(1, draw(st.sampled_from([1, 2, 3, 2**40]))) for _ in range(2))
+    weight = st.builds(
+        Fraction,
+        st.integers(-5, 5).filter(bool),
+        st.sampled_from([1, 1, 2, 3, 2**60]),
+    )
+    rows = [((x * scale_x, y * scale_y), draw(weight)) for x, y in sorted(pts)]
+    return make_instance(2, draw(st.permutations(rows)))
+
+
+@settings(derandomize=True, database=None, max_examples=180, deadline=None)
+@given(degenerate_planar_instances())
+def test_precompute_matches_brute_force_on_drawn_instances(inst):
+    ctx = build_context(inst)
+    ew = precompute_edge_weights(ctx)
+    assert ew == brute_edge_weights(ctx)
+    assert build_angular_lists(ctx, ew).right == cmp_angular_lists(ctx)
+    assert_chain_rows_match_direct_search(ctx)

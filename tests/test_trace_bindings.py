@@ -50,7 +50,18 @@ def test_trace_patches_apply_and_unpatch(tmp_path, capsys):
         assert main(["solve", str(path), "--format", "json"]) == 0
         capsys.readouterr()
         names = {span[0] for span in tracer.spans}
-        assert {"model.parse_instance", "solver2d.solve_2d", "model.evaluate"} <= names
+        # A refactor that stops calling a traced name fails here instead of
+        # reading 0 in the benchmark's per-layer metrics.
+        assert {
+            "model.parse_instance",
+            "solver2d.solve_2d",
+            "model.evaluate",
+            "solver2d.build_context",
+            "geometry.shear_normalize",
+            "solver2d.precompute_edge_weights",
+            "solver2d.build_angular_lists",
+            "solver2d.compute_first_compatible",
+        } <= names
     finally:
         tracer.unpatch()
     for namespace, attr, original in patched:
