@@ -179,8 +179,8 @@ def hull_members(points, vertices):
     on equality rows ``[vertices; 1 ... 1]`` built once; only the right-hand
     side changes from point to point.  A vertex is inside at once, and a
     point outside the vertices' bounding box is outside without a simplex
-    (in 1D the box decides).  Intended for the small point counts that
-    exhaustive search and gadget verification produce.
+    (in 1D the box decides).  Intended for the small vertex counts of
+    ``evaluate`` above 2D.
     """
     d = len(vertices[0])
     lo = [min(u[a] for u in vertices) for a in range(d)]

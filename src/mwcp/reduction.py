@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Point, hull_members, scale_to_integers
+from .geometry import Point, scale_to_integers
 from .model import Instance, Solution, WeightedPoint, evaluate
+from .oracle import containment_layers
 
 GADGET_T1 = Fraction(1, 3)
 GADGET_T2 = Fraction(2, 3)
@@ -228,8 +229,6 @@ def decode_solution(instance: Instance, solution: Solution) -> tuple[int, ...]:
 class GadgetReport:
     """Outcome of the exhaustive edge-gadget containment check."""
 
-    n_vertices: int
-    n_edges: int
     subsets_checked: int
     memberships_checked: int
     violations: list
@@ -244,40 +243,38 @@ def verify_edge_gadget(instance: Instance) -> GadgetReport:
     that g lies in conv(C) exactly when both u and v are in C.
 
     Exhaustive over all 2^n subsets, so n is bounded by
-    ``GADGET_VERIFY_MAX_VERTICES``.
-    The instance is scaled to integers once, and each subset decides all
-    gadget points with one call of ``hull_members``.  Violations are
-    reported with their witness subset; a clean report means the
-    reduction's containment claim holds for this instance.
+    ``GADGET_VERIFY_MAX_VERTICES``.  One walk of the oracle's subset lattice,
+    :func:`~mwcp.oracle.containment_layers` on the integer-scaled points,
+    gives every subset's contained set with no LP: at most C(n, <= d + 1)
+    pivots and about n * 2^(n - 1) child unions.  Its bit j stands for
+    ``vertex_point_index[j]``, vertex j, so its subset masks are the vertex
+    masks.  Violations come in mask order with their witness subset; a clean
+    report means the reduction's containment claim holds for this instance.
     """
     graph, vertex_index, edge_gadgets = _reduction_maps(instance)
     n = graph.n_vertices
     if n > GADGET_VERIFY_MAX_VERTICES:
         raise ValueError(f"gadget verification limited to {GADGET_VERIFY_MAX_VERTICES} vertices")
     scaled = scale_to_integers([wp.point for wp in instance.points])
-    gadget_points = [scaled[gi] for _, gadget_idx in edge_gadgets for gi in gadget_idx]
+    layers = containment_layers(scaled, vertex_index)
+    contained = {s: c for layer in layers for s, c in layer.items()}
     violations = []
-    subsets = 0
     memberships = 0
     for mask in range(1 << n):
-        subsets += 1
-        chosen = [v for v in range(n) if mask >> v & 1]
-        pts = [scaled[vertex_index[v]] for v in chosen]
-        inside = iter(hull_members(gadget_points, pts) if pts else [False] * len(gadget_points))
-        in_c = [bool(mask >> v & 1) for v in range(n)]
+        inside = contained[mask]
         for (u, v), gadget_idx in edge_gadgets:
-            expected = in_c[u] and in_c[v]
+            expected = bool(mask >> u & mask >> v & 1)
             for gi in gadget_idx:
-                actual = next(inside)
+                actual = bool(inside >> gi & 1)
                 memberships += 1
                 if actual != expected:
                     violations.append(
                         {
-                            "subset": chosen,
+                            "subset": [c for c in range(n) if mask >> c & 1],
                             "edge": (u, v),
                             "gadget_point": gi,
                             "expected": expected,
                             "actual": actual,
                         }
                     )
-    return GadgetReport(n, len(graph.edges), subsets, memberships, violations)
+    return GadgetReport(1 << n, memberships, violations)

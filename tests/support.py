@@ -7,9 +7,10 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
-from mwcp.geometry import convex_hull_2d
+from mwcp.geometry import convex_hull_2d, point_in_hull
 from mwcp.model import Instance, Solution, WeightedPoint, evaluate
 from mwcp import solver2d
+from mwcp.reduction import _reduction_maps
 from mwcp.solver2d import EdgeWeights, _key_row
 
 
@@ -218,6 +219,43 @@ def _barycentric(v, subset):
         if rows[i][-1] != 0:
             return None  # inconsistent
     return [rows[i][-1] for i in range(m)]
+
+
+def reference_gadget_report(instance):
+    """The edge-gadget check one vertex subset at a time, on the LP.
+
+    The loop that :func:`mwcp.reduction.verify_edge_gadget` ran before it
+    read the oracle's subset lattice: each subset decides each gadget point
+    with :func:`mwcp.geometry.point_in_hull`, which does not use the
+    lattice.  Returns ``(subsets_checked, memberships_checked, violations)``
+    with the verifier's violation dicts, in the same order.
+    """
+    graph, vertex_index, edge_gadgets = _reduction_maps(instance)
+    n = graph.n_vertices
+    points = [wp.point for wp in instance.points]
+    violations = []
+    subsets = 0
+    memberships = 0
+    for mask in range(1 << n):
+        subsets += 1
+        chosen = [v for v in range(n) if mask >> v & 1]
+        hull = [points[vertex_index[v]] for v in chosen]
+        for (u, v), gadget_idx in edge_gadgets:
+            expected = u in chosen and v in chosen
+            for gi in gadget_idx:
+                actual = bool(hull) and point_in_hull(points[gi], hull)
+                memberships += 1
+                if actual != expected:
+                    violations.append(
+                        {
+                            "subset": chosen,
+                            "edge": (u, v),
+                            "gadget_point": gi,
+                            "expected": expected,
+                            "actual": actual,
+                        }
+                    )
+    return subsets, memberships, violations
 
 
 def brute_max_interval(instance):

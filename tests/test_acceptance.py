@@ -179,7 +179,7 @@ def test_criterion_4_strict_reduction_roundtrip(corpus_reduction):
                f"{len(corpus_reduction)} graphs on <= 6 vertices up to isomorphism")
 
 
-def test_criterion_5_gadget_iff_property():
+def test_criterion_5_gadget_iff_property(corpus_reduction):
     named = {
         "K3": make_graph(3, [(0, 1), (1, 2), (0, 2)]),
         "C4": make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
@@ -190,6 +190,13 @@ def test_criterion_5_gadget_iff_property():
     graphs = list(named.values())
     while len(graphs) < len(named) + 20:
         n = rng.randint(2, 7)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        graphs.append(make_graph(n, edges))
+    # Every graph on at most 6 vertices up to isomorphism, then K8 and
+    # seeded graphs on 7 and 8 vertices, up to the verifier's bound.
+    graphs += [g for g, _, _ in corpus_reduction]
+    graphs.append(make_graph(8, list(itertools.combinations(range(8), 2))))
+    for n in [7] * 8 + [8] * 8:
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
         graphs.append(make_graph(n, edges))
     checks = 0

@@ -194,12 +194,59 @@ def test_gen_uniform_deterministic(tmp_path):
 
 
 def test_verify_gadget(tmp_path, capsys):
-    gpath = write(tmp_path, "c4.graph", "4 4\n0 1\n1 2\n2 3\n0 3\n")
-    ipath = str(tmp_path / "c4.mwcp")
-    assert main(["reduce", gpath, ipath]) == 0
+    # GADGET_VERIFY_MAX_VERTICES is 8: K8 and C8 are checked over all 256
+    # subsets, and C9 is refused.
+    def reduced(n, edges):
+        text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        gpath = write(tmp_path, f"{n}.graph", text)
+        ipath = str(tmp_path / f"{n}.mwcp")
+        assert main(["reduce", gpath, ipath]) == 0
+        capsys.readouterr()
+        return ipath
+
+    def cycle(n):
+        return [(i, (i + 1) % n) for i in range(n)]
+
+    k8 = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    for n, edges, tests in ((4, cycle(4), 128), (8, k8, 14336), (8, cycle(8), 4096)):
+        assert main(["verify", "--mode", "gadget", reduced(n, edges)]) == 0
+        assert capsys.readouterr().out == (
+            f"gadget check: {1 << n} subsets, {tests} membership tests, 0 violations\n"
+        )
+    assert main(["verify", "--mode", "gadget", reduced(9, cycle(9))]) == 2
+    assert "limited to 8 vertices" in capsys.readouterr().err
+
+
+def test_verify_gadget_under_optimize_flag(tmp_path, capsys):
+    # The verifier's answers do not rest on an assert: -O reports the same
+    # clean pass, and the same counts and violations once a gadget point of
+    # C5 is moved off its edge.
+    gpath = write(tmp_path, "c5.graph", "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+    clean = str(tmp_path / "c5.mwcp")
+    assert main(["reduce", gpath, clean]) == 0
     capsys.readouterr()
-    assert main(["verify", "--mode", "gadget", ipath]) == 0
-    assert "0 violations" in capsys.readouterr().out
+    proc = run_module(tmp_path, "-O", "-m", "mwcp", "verify", "--mode", "gadget", clean)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "gadget check: 32 subsets, 320 membership tests, 0 violations\n"
+    lines = open(clean).read().splitlines()
+    # The first gadget point of edge (0, 1) sits at (4/3, 2, 10/3, 6), on the
+    # segment from (1, 1, 1, 1) to (2, 4, 8, 16); moved to x = 2, it lies
+    # outside the hull of all five vertex points.
+    assert lines[7] == "4/3 2 10/3 6 -1"
+    lines[7] = "2 2 10/3 6 -1"
+    moved = write(tmp_path, "moved.mwcp", "\n".join(lines) + "\n")
+    proc = run_module(tmp_path, "-O", "-m", "mwcp", "verify", "--mode", "gadget", moved)
+    assert main(["verify", "--mode", "gadget", moved]) == 4
+    plain = capsys.readouterr()
+    assert proc.returncode == 4
+    assert proc.stdout == plain.out
+    assert proc.stdout == "gadget check: 32 subsets, 320 membership tests, 8 violations\n"
+    first = proc.stderr.splitlines()[0]
+    assert first == plain.err.splitlines()[0]
+    assert first == (
+        "violation: {'subset': [0, 1], 'edge': (0, 1), 'gadget_point': 5, "
+        "'expected': True, 'actual': False}"
+    )
 
 
 def test_verify_solution_roundtrip(tmp_path, capsys):

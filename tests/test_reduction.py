@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mwcp.geometry import point_in_hull
-from mwcp.model import Solution, evaluate, parse_instance, write_instance
+from mwcp.model import Solution, WeightedPoint, evaluate, parse_instance, write_instance
 from mwcp.oracle import solve_bruteforce
 from mwcp.reduction import (
     GraphParseError,
@@ -21,6 +21,7 @@ from mwcp.reduction import (
     verify_edge_gadget,
     write_graph,
 )
+from support import reference_gadget_report
 
 
 def complete(n):
@@ -228,6 +229,56 @@ def test_verify_edge_gadget_guard():
         verify_edge_gadget(parse_instance("2 1\n0 0 1\n"))
 
 
+def with_meta_value(inst, key, where, value):
+    """``inst`` with ``meta[key]`` at the index path ``where`` set to ``value``."""
+    meta = copy.deepcopy(inst.meta)
+    *path, last = where
+    target = meta[key]
+    for step in path:
+        target = target[step]
+    target[last] = value
+    return dataclasses.replace(inst, meta=meta)
+
+
+def moved_gadget(rng, inst):
+    """``inst`` with one gadget point moved along one axis by a rational offset."""
+    n = inst.meta["graph"]["n_vertices"]
+    gi = rng.randrange(n, len(inst.points))
+    points = list(inst.points)
+    p = list(points[gi].point)
+    p[rng.randrange(4)] += Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+    points[gi] = WeightedPoint(tuple(p), points[gi].weight)
+    return dataclasses.replace(inst, points=tuple(points))
+
+
+def test_verify_edge_gadget_matches_lp_reference():
+    # The verifier reads the oracle's subset lattice; the reference decides
+    # every gadget point of every subset with its own LP.
+    rng = random.Random(1515)
+    corpus = []
+    while len(corpus) < 16:
+        inst = reduce_is_to_mwcp(random_graph(rng, rng.randint(2, 6)))
+        if len(inst.points) > inst.meta["graph"]["n_vertices"]:
+            corpus += [inst, moved_gadget(rng, inst)]
+    base = reduce_is_to_mwcp(make_graph(5, [(0, 1), (0, 3), (1, 2), (2, 4), (3, 4)]))
+    for key, where, value in [
+        ("vertex_point_index", (1,), 0),  # vertices 0 and 1 share point 0
+        ("vertex_point_index", (4,), 7),  # vertex 4 names a gadget point
+        ("edge_gadget_index", (2, 1, 0), 3),  # a gadget index names vertex 3
+    ]:
+        corpus.append(with_meta_value(base, key, where, value))
+    violations = 0
+    for inst in corpus:
+        report = verify_edge_gadget(inst)
+        subsets, memberships, expected = reference_gadget_report(inst)
+        assert report.subsets_checked == subsets
+        assert report.memberships_checked == memberships
+        assert report.violations == expected
+        assert report.ok == (not expected)
+        violations += len(expected)
+    assert violations >= 50, violations
+
+
 def bad_index_instances():
     """A reduced one-edge 3-vertex graph with one meta index out of range or not an int."""
     base = reduce_is_to_mwcp(make_graph(3, [(0, 1)]))
@@ -244,13 +295,7 @@ def bad_index_instances():
         ("graph", ("edges", 0, 1), 2.0),
         ("graph", ("edges", 0, 0), 3),
     ]:
-        meta = copy.deepcopy(base.meta)
-        *path, last = where
-        target = meta[key]
-        for step in path:
-            target = target[step]
-        target[last] = value
-        out.append(dataclasses.replace(base, meta=meta))
+        out.append(with_meta_value(base, key, where, value))
     short = copy.deepcopy(base.meta)
     short["vertex_point_index"].pop()
     out.append(dataclasses.replace(base, meta=short))
