@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 # A point is a tuple of rationals whose length is the ambient dimension.
 Point = tuple
@@ -198,14 +198,41 @@ def hull_members(points, vertices):
     return out
 
 
+def exact_pivot(rows, pr, c, prev):
+    """The integer rows after one pivot on ``rows[pr][c]``; ``prev`` is the
+    previous pivot (1 before the first).
+
+    Each row r != pr becomes ``(pv * row - row[c] * rows[pr]) // prev``, with
+    pv = ``rows[pr][c]``, so a row that is 0 in column c becomes
+    ``pv * row // prev``; the pivot row is kept as it is.  This is Bareiss'
+    integer-preserving elimination (Edmonds' integral pivoting, in tableau
+    form): started from an integer matrix with prev = 1, every entry after a
+    pivot is a minor of that matrix, so each division is exact, and every
+    pivot row's entry in its own basic column equals the last pivot, the one
+    common denominator of the whole matrix.  The rows are new lists except
+    the pivot row; ``rows`` is not changed.
+    """
+    prow = rows[pr]
+    pv = prow[c]
+    return [
+        prow if r == pr
+        else [(pv * x - f * y) // prev for x, y in zip(row, prow)] if (f := row[c])
+        else [pv * x // prev for x in row]
+        for r, row in enumerate(rows)
+    ]
+
+
 def _convex_combination_feasible(rows, rhs) -> bool:
     """Is ``rows @ x == rhs`` for some x >= 0?  ``rows`` and ``rhs`` are ints.
 
     Phase-I simplex with Bland's rule on an integer tableau.  Rows with a
-    negative right-hand side are negated first.  Rows keep a private
-    positive scale (they are gcd-reduced after each pivot), which keeps all
-    arithmetic in plain ints.  Feasible iff the artificial variables can all
-    be driven to zero.
+    negative right-hand side are negated first.  Every pivot is an
+    :func:`exact_pivot`, so all arithmetic stays in plain ints and every
+    basic column holds the last pivot D in its row; D starts at 1 and stays
+    positive, because the ratio test only picks positive pivots.  The reduced
+    cost of column j is then -(sum over artificial-basic rows of T[i][j]) / D,
+    so j may enter when that sum is positive.  Feasible iff the artificial
+    variables can all be driven to zero.
     """
     m = len(rows[0])
     r = len(rows)
@@ -214,30 +241,17 @@ def _convex_combination_feasible(rows, rhs) -> bool:
         art = [0] * r
         art[i] = 1
         tableau.append([-x for x in row] + art + [-b] if b < 0 else row + art + [b])
-    ncols = m + r + 1
     basis = list(range(m, m + r))
+    prev = 1
 
     while True:
-        art_rows = [i for i in range(r) if basis[i] >= m]
+        art_rows = [tableau[i] for i in range(r) if basis[i] >= m]
         if not art_rows:
             return True
-        # Reduced cost of lambda column j is -sum over artificial-basic rows
-        # of T[i][j] / T[i][basis[i]]; scale by the product of the (positive)
-        # basic pivots to stay in integers.
-        prod = 1
-        for i in art_rows:
-            prod *= tableau[i][basis[i]]
-        mult = [prod // tableau[i][basis[i]] for i in art_rows]
-        enter = -1
-        for j in range(m):
-            s = 0
-            for i, f in zip(art_rows, mult):
-                s += tableau[i][j] * f
-            if s > 0:
-                enter = j
-                break
+        enter = next((j for j in range(m) if sum(t[j] for t in art_rows) > 0), -1)
         if enter < 0:
-            return all(tableau[i][-1] == 0 for i in art_rows)
+            return all(t[-1] == 0 for t in art_rows)
+        assert enter not in basis, "a basic column's reduced cost is 0"
         # ratio test: min rhs_i / T[i][enter] over positive entries
         leave = -1
         ln = ld = None
@@ -251,25 +265,6 @@ def _convex_combination_feasible(rows, rhs) -> bool:
             ):
                 leave, ln, ld = i, num, t
         assert leave >= 0, "phase-I objective is bounded; a pivot row must exist"
-        piv = tableau[leave][enter]
-        lrow = tableau[leave]
-        for i in range(r):
-            if i == leave:
-                continue
-            f = tableau[i][enter]
-            if f == 0:
-                continue
-            row = tableau[i]
-            new = [row[c] * piv - f * lrow[c] for c in range(ncols)]
-            g = 0
-            for x in new:
-                g = gcd(g, x)
-            if g > 1:
-                new = [x // g for x in new]
-            tableau[i] = new
-        g = 0
-        for x in lrow:
-            g = gcd(g, x)
-        if g > 1:
-            tableau[leave] = [x // g for x in lrow]
+        tableau = exact_pivot(tableau, leave, enter, prev)
+        prev = ld
         basis[leave] = enter

@@ -13,8 +13,14 @@ contained set, a bitmask over the instance points, from the subset lattice:
   contained(T) is the union of contained(T - x) over x in T.
 * If T is affinely independent, conv(T) is a simplex and a point lies in it
   exactly when its unique barycentric coordinates exist and are all >= 0.
-  The fraction-free integer Gauss-Jordan elimination of ``[points; 1 ... 1]``
-  on T's columns decides every point at once.  T's elimination is its
+  Integer Gauss-Jordan elimination of ``[points; 1 ... 1]`` on T's columns
+  decides every point at once.  Its pivots are exact-division (Bareiss)
+  steps, :func:`~mwcp.geometry.exact_pivot`: every entry after a pivot is a
+  minor of the starting integer matrix, so the division by the previous
+  pivot is exact, and every pivot row holds the same last pivot D in its own
+  column.  A point's barycentric coordinates are its pivot-row entries over
+  D, so it is inside exactly when the rows without a pivot vanish on its
+  column and each pivot-row entry times D is >= 0.  T's elimination is its
   parent's (T minus its largest member) plus one pivot on the new vertex's
   column, so a depth-first walk over the subsets costs one pivot per
   affinely independent subset of at most d + 1 members.
@@ -33,11 +39,10 @@ per solve.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import reduce
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .geometry import scale_to_integers
+from .geometry import exact_pivot, scale_to_integers
 from .model import (
     Instance,
     Solution,
@@ -166,7 +171,7 @@ def _simplex_masks(coords, members):
         d = len(coords[0])
         # The empty subset: no pivots, every point an open column.
         rows = [[1] * n] + [[p[a] for p in coords] for a in range(d)]
-        _grow(found, members, d, 0, (list(range(n)), [], rows))
+        _grow(found, members, d, 0, (list(range(n)), 0, 1, rows))
     return found
 
 
@@ -192,78 +197,54 @@ def _grow(found, members, d, s, parent):
 
 
 def _extend(parent, v, keep):
-    """One fraction-free pivot that extends the parent's simplex by vertex v.
+    """One exact-division pivot that extends the parent's simplex by vertex v.
 
-    ``parent`` is ``(cols, pivots, rows)``: the Gauss-Jordan eliminated
-    integer matrix ``[points; 1 ... 1]`` of an affinely independent subset P,
-    kept only on ``cols``, the sorted indices of the points outside conv(P).
-    The first ``len(pivots)`` rows are pivot rows, and ``pivots`` holds each
-    one's entry in its own (dropped) vertex column; the other rows are free
+    ``parent`` is ``(cols, k, pivot, rows)``: the Gauss-Jordan eliminated
+    integer matrix ``[points; 1 ... 1]`` of an affinely independent subset P
+    of k points, kept only on ``cols``, the sorted indices of the points
+    outside conv(P).  The first k rows are pivot rows, each equal to
+    ``pivot`` in its own (dropped) vertex column; the other rows are free
     and vanish on P's columns.  Returns None when P + v is affinely
     dependent: v lies in conv(P) (its column was dropped) or in aff(P) (no
     free row is nonzero in its column).  Otherwise returns ``(inside,
     matrix)``: the bitmask of the open points other than v that lie in
-    conv(P + v), and, when ``keep``, P + v's own ``(cols, pivots, rows)`` on
-    the points left outside, or None when none are left.
+    conv(P + v), and, when ``keep``, P + v's own ``(cols, k + 1, pivot,
+    rows)`` on the points left outside, or None when none are left.
 
-    A point is inside exactly when the free rows vanish on its column
-    (consistent) and each barycentric coordinate, a pivot row's entry over
-    its pivot, is >= 0.  Dropping the inside columns is safe: such a point
-    lies in the hull of every superset.  Changed rows are divided by their
-    gcd, pivot entry included.
+    The pivot is :func:`~mwcp.geometry.exact_pivot`, from pivot 1 on the
+    empty subset's matrix.  A pivot updates each column from that column
+    alone, so dropping columns changes no other entry: every entry stays a
+    minor and the division stays exact (see the module docstring), and the
+    new pivot is P + v's common D.  A point is inside exactly when the free
+    rows vanish on its column and each pivot row's entry times D is >= 0,
+    whatever the sign of D.  Dropping the inside columns is safe: such a
+    point lies in the hull of every superset.
     """
-    cols, pivots, rows = parent
+    cols, k, prev, rows = parent
     c = bisect_left(cols, v)
     if c == len(cols) or cols[c] != v:
         return None
-    k = len(pivots)
     pr = next((r for r in range(k, len(rows)) if rows[r][c]), None)
     if pr is None:
         return None
-    prow = rows[pr]
-    pv = prow[c]
-    top = prow[:c] + prow[c + 1:]
-    new_pivots = []
-    new_rows = []
-    for r, row in enumerate(rows):
-        if r == pr:
-            continue
-        f = row[c]
-        vals = row[:c] + row[c + 1:]
-        p = pivots[r] if r < k else 0
-        if f:
-            vals = [x * pv - f * y for x, y in zip(vals, top)]
-            p *= pv
-            # Not gcd(p, *vals): the starred calls left about 400 KB of
-            # argument tuples in the interpreter's free lists over one pool
-            # of reduction4d solves (tracemalloc).
-            g = reduce(gcd, vals, p)
-            if g > 1:
-                vals = [x // g for x in vals]
-                p //= g
-        if r < k:
-            new_pivots.append(p)
-        new_rows.append(vals)
+    pv = rows[pr][c]
+    rows = exact_pivot(rows, pr, c, prev)
     # The new pivot row goes after the old ones.
-    new_rows.insert(k, top)
-    new_pivots.append(pv)
-    cols = cols[:c] + cols[c + 1:]
-    alive = range(len(cols))
-    for row in new_rows[k + 1:]:
+    rows.insert(k, rows.pop(pr))
+    alive = [q for q in range(len(cols)) if q != c]
+    for row in rows[k + 1:]:
         alive = [q for q in alive if not row[q]]
-    for row, p in zip(new_rows, new_pivots):
-        alive = [q for q in alive if row[q] * p >= 0]
+    for row in rows[:k + 1]:
+        alive = [q for q in alive if row[q] * pv >= 0]
     inside = 0
     for q in alive:
         inside |= 1 << cols[q]
-    if not keep or len(alive) == len(cols):
+    if not keep or len(alive) == len(cols) - 1:
         return inside, None
-    if alive:
-        out = set(alive)
-        rest = [q for q in range(len(cols)) if q not in out]
-        new_rows = [[row[q] for q in rest] for row in new_rows]
-        cols = [cols[q] for q in rest]
-    return inside, (cols, new_pivots, new_rows)
+    out = set(alive)
+    out.add(c)
+    rest = [q for q in range(len(cols)) if q not in out]
+    return inside, ([cols[q] for q in rest], k + 1, pv, [[row[q] for q in rest] for row in rows])
 
 
 def _bits(mask):

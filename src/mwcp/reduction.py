@@ -159,7 +159,8 @@ def _reduction_maps(instance: Instance):
     Every index, in the graph's edges as in the two index maps, must be an
     int in range: a vertex below the graph's vertex count, a point below the
     instance's point count.  ``vertex_point_index`` names one point per
-    vertex.  Anything else raises ``ValueError``.
+    vertex, a different point for each.  Anything else raises
+    ``ValueError``.
     """
     meta = instance.meta
     n_points = len(instance.points)
@@ -175,6 +176,9 @@ def _reduction_maps(instance: Instance):
         vertex_index = [_index(i, n_points, "point") for i in meta["vertex_point_index"]]
         if len(vertex_index) != n_vertices:
             raise ValueError(f"{len(vertex_index)} vertex points for {n_vertices} vertices")
+        if len(set(vertex_index)) != n_vertices:
+            twice = sorted({i for i in vertex_index if vertex_index.count(i) > 1})
+            raise ValueError(f"vertex points {twice} are named by more than one vertex")
         edge_gadgets = [
             (
                 (_index(e[0][0], n_vertices, "vertex"), _index(e[0][1], n_vertices, "vertex")),

@@ -164,9 +164,12 @@ def _simplex_members(coords, vertices, targets):
     Fraction-free Gauss-Jordan elimination on the integer matrix
     ``[vertices | targets; 1 ... 1]`` (one column per point, d coordinate
     rows and an affine row); rows are reduced by their gcd after each step.
-    A target is inside when the rows without a pivot are zero in its column
-    (consistent) and each barycentric coordinate, the ratio of its entry to
-    the row's pivot, is >= 0.
+    The oracle divides exactly by the previous pivot instead
+    (``geometry.exact_pivot``); this reference keeps the gcd normalization
+    on purpose, so that it shares no pivot arithmetic with the code it
+    checks.  A target is inside when the rows without a pivot are zero in
+    its column (consistent) and each barycentric coordinate, the ratio of
+    its entry to the row's own pivot, is >= 0.
     """
     k = len(vertices)
     cols = list(vertices) + list(targets)
@@ -191,6 +194,93 @@ def _simplex_members(coords, vertices, targets):
         if all(rows[r][t] == 0 for r in range(k, len(rows)))
         and all(rows[r][t] * rows[r][r] >= 0 for r in range(k))
     ]
+
+
+def reference_lp_pivots(rows, rhs):
+    """``geometry._convex_combination_feasible`` with gcd-normalized rows.
+
+    The same phase-I simplex without exact division: each row keeps a
+    private positive scale, reduced by its gcd after every pivot, and the
+    entering test weighs each artificial-basic row by the product of the
+    other rows' basic entries.  Bland's rule and the ratio test are the
+    same.  Returns ``(feasible, pivots)`` with the ``(leave, enter)`` pair of
+    every pivot in order.
+    """
+    m = len(rows[0])
+    r = len(rows)
+    tableau = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        art = [0] * r
+        art[i] = 1
+        tableau.append([-x for x in row] + art + [-b] if b < 0 else row + art + [b])
+    basis = list(range(m, m + r))
+    pivots = []
+    while True:
+        art_rows = [i for i in range(r) if basis[i] >= m]
+        if not art_rows:
+            return True, pivots
+        prod = 1
+        for i in art_rows:
+            prod *= tableau[i][basis[i]]
+        mult = [prod // tableau[i][basis[i]] for i in art_rows]
+        enter = next(
+            (j for j in range(m) if sum(tableau[i][j] * f for i, f in zip(art_rows, mult)) > 0),
+            -1,
+        )
+        if enter < 0:
+            return all(tableau[i][-1] == 0 for i in art_rows), pivots
+        leave = -1
+        for i in range(r):
+            t = tableau[i][enter]
+            if t > 0 and (
+                leave < 0
+                or tableau[i][-1] * ld < ln * t
+                or (tableau[i][-1] * ld == ln * t and basis[i] < basis[leave])
+            ):
+                leave, ln, ld = i, tableau[i][-1], t
+        lrow = tableau[leave]
+        for i in range(r):
+            f = tableau[i][enter]
+            if i != leave and f:
+                row = [x * ld - f * y for x, y in zip(tableau[i], lrow)]
+                g = gcd(*row)
+                tableau[i] = [x // g for x in row]
+        g = gcd(*lrow)
+        tableau[leave] = [x // g for x in lrow]
+        basis[leave] = enter
+        pivots.append((leave, enter))
+
+
+def membership_lps(rng, count):
+    """Seeded membership LPs ``(rows, rhs)`` as ``geometry.hull_members``
+    builds them: the affine row and d coordinate rows of 1 to 7 int vertices
+    in d = 2..5, and ``(1, *p)`` for a point p.  The vertices are general,
+    on one hyperplane or on one line, at scales up to 2^60; p is a vertex
+    combination, nudged by 1 or not, or has one negative weight."""
+    out = []
+    for _ in range(count):
+        d = rng.randint(2, 5)
+        k = rng.randint(1, 7)
+        scale = 2 ** rng.choice([0, 1, 20, 60])
+        base = [rng.randint(-3, 3) * scale for _ in range(d)]
+        dirs = [[rng.randint(-3, 3) * scale for _ in range(d)] for _ in range(d)]
+        rank = rng.choice([1, d - 1, d])
+        verts = [
+            [b + sum(rng.randint(-2, 2) * u[a] for u in dirs[:rank]) for a, b in enumerate(base)]
+            for _ in range(k)
+        ]
+        lam = [rng.randint(0, 3) for _ in verts]
+        if rng.random() < 0.3:
+            lam[rng.randrange(k)] = -1
+        total = sum(lam) or 1
+        # Scaling the vertices by the weights' total keeps p an int point.
+        verts = [[x * total for x in v] for v in verts]
+        p = [sum(w * v[a] for w, v in zip(lam, verts)) // total for a in range(d)]
+        if rng.random() < 0.3:
+            p[rng.randrange(d)] += rng.choice([-1, 1])
+        rows = [[1] * k] + [[v[a] for v in verts] for a in range(d)]
+        out.append((rows, [1, *p]))
+    return out
 
 
 def _barycentric(v, subset):

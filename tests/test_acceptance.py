@@ -12,8 +12,8 @@ from math import lcm
 import pytest
 
 from mwcp.generators import gen_ngon_family, gen_uniform
-from mwcp.geometry import convex_hull_2d, point_in_convex_polygon
-from mwcp.oracle import solve_bruteforce
+from mwcp.geometry import convex_hull_2d, point_in_convex_polygon, scale_to_integers
+from mwcp.oracle import containment_layers, solve_bruteforce
 from mwcp.reduction import (
     decode_solution,
     independence_number,
@@ -177,6 +177,27 @@ def test_criterion_4_strict_reduction_roundtrip(corpus_reduction):
     assert by_n == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
     _report(4, f"oracle(reduce(G)) == alpha(G) with valid decode on all "
                f"{len(corpus_reduction)} graphs on <= 6 vertices up to isomorphism")
+
+
+def test_reduction_weight_identity_on_every_subset(corpus_reduction):
+    # The gap-preserving identity behind the reduction: the hull of any
+    # vertex subset C holds exactly C's vertex points and two gadget points
+    # per edge inside C, so it weighs |C| - 2|E(C)|.
+    subsets = 0
+    for g, inst, _ in corpus_reduction:
+        vertex_index = inst.meta["vertex_point_index"]
+        coords = scale_to_integers([wp.point for wp in inst.points])
+        vertex_bits = sum(1 << i for i in vertex_index)
+        for layer in containment_layers(coords, vertex_index):
+            for mask, contained in layer.items():
+                chosen = [v for v in range(g.n_vertices) if mask >> v & 1]
+                assert contained & vertex_bits == sum(1 << vertex_index[v] for v in chosen)
+                inner = sum(1 for u, v in g.edges if mask >> u & mask >> v & 1)
+                weight = sum(inst.points[i].weight for i in range(len(inst.points))
+                              if contained >> i & 1)
+                assert weight == len(chosen) - 2 * inner, (g, chosen)
+                subsets += 1
+    assert subsets == sum(2 ** g.n_vertices for g, _, _ in corpus_reduction)
 
 
 def test_criterion_5_gadget_iff_property(corpus_reduction):

@@ -522,6 +522,21 @@ def test_cli_verify_gadget_refuses_bad_indices(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_cli_verify_gadget_refuses_repeated_vertex_point(tmp_path, capsys):
+    gpath = write(tmp_path, "edge.graph", "3 1\n1 2\n")
+    ipath = str(tmp_path / "edge.mwcp")
+    assert main(["reduce", gpath, ipath]) == 0
+    meta_line, rest = open(ipath).read().split("\n", 1)
+    meta = json.loads(meta_line[len("# meta: "):])
+    meta["vertex_point_index"] = [0, 0, 2]
+    bad = write(tmp_path, "bad.mwcp", "# meta: " + json.dumps(meta) + "\n" + rest)
+    capsys.readouterr()
+    assert main(["verify", "--mode", "gadget", bad]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "vertex points [0] are named by more than one vertex" in lines[0]
+
+
 def test_cli_fuzz_verify_gadget(tmp_path, capsys):
     # A reduced K3 instance, mutated on its meta line or on one point line.
     rng = random.Random(20261019)

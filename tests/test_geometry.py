@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mwcp import geometry
 from mwcp.geometry import (
     _convex_combination_feasible,
     convex_hull_2d,
@@ -17,9 +18,11 @@ from mwcp.geometry import (
 from support import (
     convex_polygon_reference,
     in_hull_reference,
+    membership_lps,
     orientation,
     point_on_segment,
     random_rational,
+    reference_lp_pivots,
     segments_intersect,
 )
 
@@ -169,6 +172,78 @@ def test_convex_combination_feasible_negative_rhs():
     # x0 + x1 = 1 and x0 - x1 = -3 forces x0 = -1
     assert _convex_combination_feasible([[1, 1], [1, -1]], [1, -3]) is False
     assert _convex_combination_feasible([[1, 1], [1, -1]], [1, -1]) is True
+
+
+def test_lp_pivots_match_gcd_reference(monkeypatch):
+    # Under either normalization each row is a positive multiple of the
+    # same equation, so Bland's rule and the ratio test see the same signs
+    # and ratios: the exact-division LP pivots where the gcd-normalized
+    # reference does, and reaches the same verdict.
+    pivot = geometry.exact_pivot
+    feasible = 0
+    for rows, rhs in membership_lps(random.Random(1616), 300):
+        want_feasible, want = reference_lp_pivots(rows, rhs)
+        got = []
+
+        def record(tableau, pr, c, prev):
+            got.append((pr, c))
+            assert got == want[: len(got)], (rows, rhs)
+            return pivot(tableau, pr, c, prev)
+
+        monkeypatch.setattr(geometry, "exact_pivot", record)
+        assert _convex_combination_feasible(rows, rhs) == want_feasible, (rows, rhs)
+        assert got == want, (rows, rhs)
+        feasible += want_feasible
+    assert 50 <= feasible <= 250, feasible
+
+
+BIG_UNIT = st.sampled_from([1, 3, 2**30, 2**53])
+HULL_SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+@st.composite
+def hull_cases(draw):
+    """Int vertices in d = 2..5 and int points to test, coordinates up to
+    2^62.  The vertex offsets from a base point span d directions
+    (general), d - 1 (coplanar) or 1 (collinear), or come in pairs along one
+    shared direction (repeated).  Vertices sit at 4 * offset, so a point
+    at the sum of four vertex offsets is a convex combination of them; such
+    points are tested as they are and nudged off by one, with random
+    offsets and a vertex."""
+    d = draw(st.sampled_from([2, 3, 4, 5]))
+    kind = draw(st.sampled_from(["general", "coplanar", "collinear", "repeated"]))
+    unit = draw(BIG_UNIT)
+    small = st.integers(-3, 3)
+    rank = {"general": d, "coplanar": d - 1, "collinear": 1, "repeated": d}[kind]
+    dirs = [[draw(small) * unit for _ in range(d)] for _ in range(rank)]
+    base = [draw(st.integers(-2**61, 2**61)) for _ in range(d)]
+
+    def offset():
+        cs = [draw(st.integers(-2, 2)) for _ in dirs]
+        return [sum(c * u[a] for c, u in zip(cs, dirs)) for a in range(d)]
+
+    k = draw(st.integers(1, 6 if d < 4 else 5))
+    offsets = [offset() for _ in range(k)]
+    if kind == "repeated":
+        shared = offset()
+        offsets = [o for o in offsets[:3] for o in (o, [x + y for x, y in zip(o, shared)])]
+    verts = list(dict.fromkeys(tuple(b + 4 * x for b, x in zip(base, o)) for o in offsets))
+    points = [verts[0]]
+    for _ in range(draw(st.integers(1, 4))):
+        picks = draw(st.lists(st.sampled_from(offsets), min_size=4, max_size=4))
+        p = [b + sum(o[a] for o in picks) for a, b in enumerate(base)]
+        if draw(st.booleans()):
+            p[draw(st.integers(0, d - 1))] += draw(st.sampled_from([-1, 1, -unit, unit]))
+        points.append(tuple(p))
+    points.append(tuple(b + 4 * x for b, x in zip(base, offset())))
+    return points, verts
+
+
+@HULL_SETTINGS
+@given(hull_cases())
+def test_hull_members_matches_reference_on_big_degenerate_sets(case):
+    points, verts = case
+    assert hull_members(points, verts) == [in_hull_reference(p, verts) for p in points]
 
 
 def test_point_in_hull_agrees_with_hull_insertion():

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import mwcp.oracle as oracle
-from mwcp.geometry import point_in_hull, scale_to_integers
+from mwcp import geometry
+from mwcp.geometry import _convex_combination_feasible, point_in_hull, scale_to_integers
 from mwcp.model import Instance, WeightedPoint, evaluate, make_instance
 from mwcp.oracle import OracleSizeError, containment_layers, solve_bruteforce
 from mwcp.reduction import make_graph, reduce_is_to_mwcp
@@ -14,6 +16,7 @@ from mwcp.solver1d import solve_1d
 from support import (
     assert_valid_witness,
     in_hull_reference,
+    membership_lps,
     random_instance,
     reference_containment_layers,
 )
@@ -197,6 +200,62 @@ def test_lattice_matches_point_in_hull():
                     continue
                 assert got == [i for i, p in enumerate(pts) if point_in_hull(p, verts)], name
                 assert got == [i for i, p in enumerate(pts) if in_hull_reference(p, verts)], name
+
+
+def divmod_pivot(calls, name):
+    """``geometry.exact_pivot`` by ``divmod``, failing on any remainder: a
+    floor ``//`` would silently round an inexact division."""
+
+    def pivot(rows, pr, c, prev):
+        calls[name] = calls.get(name, 0) + 1
+        prow = rows[pr]
+        pv = prow[c]
+        out = []
+        for r, row in enumerate(rows):
+            if r == pr:
+                out.append(prow)
+                continue
+            new = []
+            for x, y in zip(row, prow):
+                q, rem = divmod(pv * x - row[c] * y, prev)
+                assert rem == 0, (name, rows, pr, c, prev)
+                new.append(q)
+            out.append(new)
+        return out
+
+    return pivot
+
+
+def test_every_pivot_divides_exactly(monkeypatch):
+    # The lattice and the oracle on the lattice test corpora, then the
+    # membership LPs, each with every binding of the pivot step replaced.
+    cases = [
+        (inst, list(range(len(inst.points))))
+        for _, inst in itertools.chain(lattice_instances(), random_lattice_instances())
+    ]
+    cases += [(inst, inst.positive_indices()) for _, inst in reduction_instances()]
+
+    lps = membership_lps(random.Random(1617), 200)
+
+    def run():
+        out = []
+        for inst, members in cases:
+            coords = scale_to_integers([wp.point for wp in inst.points])
+            out.append((list(containment_layers(coords, members)), solve_bruteforce(inst)))
+        return out, [_convex_combination_feasible(rows, rhs) for rows, rhs in lps]
+
+    want = run()
+    calls = {}
+    bound = [
+        name
+        for name, module in sys.modules.items()
+        if name.startswith("mwcp") and getattr(module, "exact_pivot", None) is geometry.exact_pivot
+    ]
+    assert {"mwcp.geometry", "mwcp.oracle"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "exact_pivot", divmod_pivot(calls, name))
+    assert run() == want
+    assert set(calls) == set(bound), calls
 
 
 def test_lattice_disagreeing_with_evaluate_raises(monkeypatch):

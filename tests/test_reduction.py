@@ -262,7 +262,6 @@ def test_verify_edge_gadget_matches_lp_reference():
             corpus += [inst, moved_gadget(rng, inst)]
     base = reduce_is_to_mwcp(make_graph(5, [(0, 1), (0, 3), (1, 2), (2, 4), (3, 4)]))
     for key, where, value in [
-        ("vertex_point_index", (1,), 0),  # vertices 0 and 1 share point 0
         ("vertex_point_index", (4,), 7),  # vertex 4 names a gadget point
         ("edge_gadget_index", (2, 1, 0), 3),  # a gadget index names vertex 3
     ]:
@@ -312,6 +311,21 @@ def test_reduction_maps_refuse_bad_indices():
             verify_edge_gadget(inst)
         with pytest.raises(ValueError, match="independent-set reduction"):
             decode_solution(inst, sol)
+
+
+def test_reduction_maps_refuse_a_repeated_vertex_point():
+    # Vertices 0 and 1 both name point 0.  The meta is refused before the
+    # witness is read, not with "chosen index 1 is not a vertex point".
+    base = reduce_is_to_mwcp(make_graph(3, [(1, 2)]))
+    sol = solve_bruteforce(base)
+    assert sol.chosen == (0, 1) and decode_solution(base, sol) == (0, 1)
+    shared = with_meta_value(base, "vertex_point_index", (1,), 0)
+    assert shared.meta["vertex_point_index"] == [0, 0, 2]
+    message = r"independent-set reduction \(vertex points \[0\] are named by more than one"
+    with pytest.raises(ValueError, match=message):
+        decode_solution(shared, sol)
+    with pytest.raises(ValueError, match=message):
+        verify_edge_gadget(shared)
 
 
 def test_independence_number_small_cases():
