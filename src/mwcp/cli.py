@@ -60,9 +60,12 @@ def _oracle_limit() -> int:
     if raw is None:
         return DEFAULT_LIMIT
     try:
-        return _ascii_int(raw)
+        limit = _ascii_int(raw)
     except argparse.ArgumentTypeError:
         raise InstanceParseError(f"MWCP_ORACLE_LIMIT={raw!r} is not an integer")
+    if limit < 0:
+        raise InstanceParseError(f"MWCP_ORACLE_LIMIT={raw!r} is negative")
+    return limit
 
 
 def _dispatch(instance, algo: str, allow_empty: bool):

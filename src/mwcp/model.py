@@ -6,6 +6,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .geometry import (
     Point,
@@ -31,7 +33,9 @@ class Instance:
     """A weighted point set in a fixed dimension plus provenance metadata.
 
     Treat as immutable after construction; every operation returns a new
-    instance, which keeps concurrent reads safe.
+    instance, which keeps concurrent reads safe.  :attr:`integer_view` is
+    cached on first read, out of ``==`` and ``repr``; it depends on
+    ``points`` alone, so threads that compute it at once store equal values.
     """
 
     dimension: int
@@ -50,6 +54,19 @@ class Instance:
 
     def positive_indices(self) -> list[int]:
         return [i for i, wp in enumerate(self.points) if wp.weight > 0]
+
+    @cached_property
+    def integer_view(self) -> tuple[tuple[Point, ...], tuple[int, ...], int]:
+        """Read-only ``(coords, weights, weight_scale)``, the one place where
+        rationals become ints: the points under ``scale_to_integers``, and
+        the weights times ``weight_scale``, the lcm of their denominators."""
+        pts = self.points
+        scale = lcm(*(wp.weight.denominator for wp in pts))
+        return (
+            tuple(scale_to_integers([wp.point for wp in pts])),
+            tuple(wp.weight.numerator * (scale // wp.weight.denominator) for wp in pts),
+            scale,
+        )
 
 
 def make_instance(dimension, rows, meta=None) -> Instance:
@@ -91,14 +108,10 @@ def canonicalize(instance: Instance) -> Instance:
     """
     if _is_canonical(instance):
         return instance
-    order: list[Point] = []
-    weights: dict[Point, Fraction] = {}
+    weights: dict[Point, Fraction] = {}  # in order of first occurrence
     for wp in instance.points:
-        if wp.point not in weights:
-            weights[wp.point] = Fraction(0)
-            order.append(wp.point)
-        weights[wp.point] += wp.weight
-    kept = [p for p in order if weights[p] != 0]
+        weights[wp.point] = weights.get(wp.point, Fraction(0)) + wp.weight
+    kept = [p for p, w in weights.items() if w != 0]
     new_index = {p: i for i, p in enumerate(kept)}
     mapping = [new_index.get(wp.point) for wp in instance.points]
     meta = dict(instance.meta)
@@ -107,25 +120,17 @@ def canonicalize(instance: Instance) -> Instance:
     return Instance(instance.dimension, pts, meta)
 
 
-NOT_CANONICAL = "instance is not canonical; run canonicalize() first"
-
-
 def _is_canonical(instance: Instance) -> bool:
-    """Every weight nonzero and the points pairwise distinct, in one pass each.
-
-    Points are compared as (numerator, denominator) pairs, the normal form of
-    a rational, which hashes much faster than a ``Fraction``.
-    """
-    pts = instance.points
-    return all(wp.weight for wp in pts) and len(
-        {tuple((c.numerator, c.denominator) for c in wp.point) for wp in pts}
-    ) == len(pts)
+    """Every weight nonzero and the points pairwise distinct, tested on the
+    integer view, whose int tuples hash much faster than ``Fraction``s."""
+    coords, weights, _ = instance.integer_view
+    return all(weights) and len(set(coords)) == len(coords)
 
 
 def require_canonical(instance: Instance) -> None:
     """Raise unless points are pairwise distinct with nonzero weights."""
     if not _is_canonical(instance):
-        raise ValueError(NOT_CANONICAL)
+        raise ValueError("instance is not canonical; run canonicalize() first")
 
 
 def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> Solution:
@@ -134,9 +139,9 @@ def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> 
     ``contained`` collects every instance point inside the closed hull
     (boundary included).  The chosen set is normally a subset of the
     positive points; verifiers exercising arbitrary subsets pass
-    ``allow_nonpositive=True``.  Membership runs on the integer view from
-    ``scale_to_integers``, batched per dimension, and is equivalent to a
-    per-point ``point_in_hull`` check.  In 2D the hull and
+    ``allow_nonpositive=True``.  Membership and the weight sum run on
+    :attr:`Instance.integer_view`, batched per dimension, and membership is
+    equivalent to a per-point ``point_in_hull`` check.  In 2D the hull and
     ``convex_polygon_members`` decide it with two bisected hull chains;
     otherwise ``hull_members`` does, with one exact LP per point on vertex
     rows built once, and in 1D its bounding box alone.
@@ -152,7 +157,7 @@ def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> 
     if not idx:
         return empty_solution(d)
     hull_idx: tuple[int, ...] | None = None
-    scaled = scale_to_integers([wp.point for wp in instance.points])
+    scaled, weights, scale = instance.integer_view
     vertices = [scaled[i] for i in idx]
     if d == 2:
         hull_pts = convex_hull_2d(vertices)
@@ -164,7 +169,7 @@ def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> 
     else:
         inside = hull_members(scaled, vertices)
     contained = [i for i, ok in enumerate(inside) if ok]
-    weight = sum((instance.points[i].weight for i in contained), Fraction(0))
+    weight = Fraction(sum(weights[i] for i in contained), scale)
     return Solution(tuple(idx), hull_idx, tuple(contained), weight)
 
 
@@ -316,6 +321,7 @@ def solution_from_json(text: str) -> Solution:
 
     ``chosen``, ``contained`` and a non-null ``hull`` must be JSON lists of
     integers; strings, floats and booleans are refused with ``ValueError``.
+    ``weight`` must be a string that the instance format reads as a rational.
     """
     try:
         obj = json.loads(text)
@@ -324,7 +330,11 @@ def solution_from_json(text: str) -> Solution:
     if not isinstance(obj, dict):
         raise ValueError("solution JSON must be an object")
     try:
-        weight = Fraction(str(obj["weight"]))
+        text = obj["weight"]
+        match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+        if not match or (match[2] is not None and not int(match[2])):
+            raise ValueError(f"'weight' must be a rational string, got {text!r}")
+        weight = Fraction(text)
         chosen = _index_list(obj, "chosen")
         hull = None if obj["hull"] is None else _index_list(obj, "hull")
         contained = _index_list(obj, "contained")

@@ -32,17 +32,16 @@ only, at most d + 1 of them with (d + 1) x n ints each, and it keeps one
 mask per affinely independent subset whose simplex holds a point other
 than its vertices: at most sum of C(m, k) over k <= r + 1 for a point set
 of affine rank r <= d, which is below C(m, m // 2) when r + 1 <= m / 4
-(for example d = 4 and m >= 20).  Coordinates are scaled to integers once
-per solve.
+(for example d = 4 and m >= 20).  Coordinates and weights are the
+instance's cached ``integer_view``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
 
-from .geometry import exact_pivot, scale_to_integers
+from .geometry import exact_pivot
 from .model import (
     Instance,
     Solution,
@@ -70,7 +69,7 @@ def solve_bruteforce(
     strictly better weights replace the incumbent, so the first optimum found
     is the canonical witness.  Contained sets come from
     :func:`containment_layers` (see the module docstring for why that needs
-    no LP) and weights are summed as ints under one lcm scale.
+    no LP) and weights are summed as the ints of ``Instance.integer_view``.
 
     That witness is already maximal.  Dropping a vertex leaves a subset one
     smaller.  Were its weight >= the optimum, it would itself be optimal and
@@ -92,9 +91,7 @@ def solve_bruteforce(
         )
     if not pos:
         return empty_solution(instance.dimension) if allow_empty else best_singleton(instance)
-    scale = lcm(*(wp.weight.denominator for wp in instance.points))
-    iw = [wp.weight.numerator * (scale // wp.weight.denominator) for wp in instance.points]
-    coords = scale_to_integers([wp.point for wp in instance.points])
+    coords, iw, scale = instance.integer_view
     best = None  # (subset bitmask, contained bitmask, scaled weight)
     best_child_weight = None
     prev_weight: dict[int, int] = {}

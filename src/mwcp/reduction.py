@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Point, scale_to_integers
+from .geometry import Point
 from .model import Instance, Solution, WeightedPoint, evaluate
 from .oracle import containment_layers
 
@@ -248,7 +248,7 @@ def verify_edge_gadget(instance: Instance) -> GadgetReport:
 
     Exhaustive over all 2^n subsets, so n is bounded by
     ``GADGET_VERIFY_MAX_VERTICES``.  One walk of the oracle's subset lattice,
-    :func:`~mwcp.oracle.containment_layers` on the integer-scaled points,
+    :func:`~mwcp.oracle.containment_layers` on ``Instance.integer_view``,
     gives every subset's contained set with no LP: at most C(n, <= d + 1)
     pivots and about n * 2^(n - 1) child unions.  Its bit j stands for
     ``vertex_point_index[j]``, vertex j, so its subset masks are the vertex
@@ -259,8 +259,7 @@ def verify_edge_gadget(instance: Instance) -> GadgetReport:
     n = graph.n_vertices
     if n > GADGET_VERIFY_MAX_VERTICES:
         raise ValueError(f"gadget verification limited to {GADGET_VERIFY_MAX_VERTICES} vertices")
-    scaled = scale_to_integers([wp.point for wp in instance.points])
-    layers = containment_layers(scaled, vertex_index)
+    layers = containment_layers(instance.integer_view[0], vertex_index)
     contained = {s: c for layer in layers for s, c in layer.items()}
     violations = []
     memberships = 0

@@ -8,13 +8,13 @@ once, which lets the two chains be optimized independently per endpoint
 pair.
 
 Candidate vertices are the positive points only; other points contribute
-through edge weights.  Internally all coordinates and weights are plain
-integers: ``scale_to_integers`` scales each axis by a positive constant, and
-``geometry.shear_normalize`` shears that view by x -> s*x + y when two points
-share an x.  Its docstring proves that the shear keeps the x order, breaks x
-ties by ascending y, leaves every x distinct and keeps every orientation
-sign.  The hot loops therefore run on Python ints and stay exact, and every
-answer equals the one for the original instance.
+through edge weights.  Internally all coordinates and weights are the plain
+integers of the instance's ``integer_view``, and
+``geometry.shear_normalize`` shears that view by x -> s*x + y when two
+points share an x.  Its docstring proves that the shear keeps the x order,
+breaks x ties by ascending y, leaves every x distinct and keeps every
+orientation sign.  The hot loops therefore run on Python ints and stay
+exact, and every answer equals the one for the original instance.
 
 Infeasible DP cells are never stored, and the one sentinel is an exact
 integer, never a float or None: none = -(sum |w|) - 1, with w the scaled
@@ -142,18 +142,17 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from math import lcm
 from operator import add, getitem, itemgetter, mul, neg, sub
 
-from .geometry import scale_to_integers, shear_normalize
+from .geometry import shear_normalize
 from .model import (
-    NOT_CANONICAL,
     Instance,
     Solution,
     best_singleton,
     empty_solution,
     evaluate,
     prune_by_weight,
+    require_canonical,
 )
 # Not called here: perfbench/run.py --trace 1 wraps this name in this module.
 from .model import prune_to_maximal  # noqa: F401
@@ -161,7 +160,7 @@ from .model import prune_to_maximal  # noqa: F401
 
 @dataclass
 class SolverContext:
-    """Sheared, integer-scaled, x-sorted view of a canonical 2D instance.
+    """Sheared, x-sorted ``Instance.integer_view`` of a canonical 2D instance.
 
     ``xs``/``ys``/``ws`` hold every instance point in ascending-x order
     (the shear guarantees distinct x), ``orig`` maps sorted positions back
@@ -174,7 +173,6 @@ class SolverContext:
 
     instance: Instance
     shear_k: int
-    weight_scale: int
     slope_scale: int
     xs: list[int]
     ys: list[int]
@@ -240,24 +238,17 @@ class AngularLists:
 def build_context(instance: Instance) -> SolverContext:
     if instance.dimension != 2:
         raise ValueError("solver2d requires a 2-dimensional instance")
-    n = len(instance.points)
-    if not all(wp.weight for wp in instance.points):
-        raise ValueError(NOT_CANONICAL)
-    if n == 0:
-        return SolverContext(instance, 1, 1, 0, [], [], [], [], [])
-    # The integer view is injective, and its tuples hash fast.
-    ints = scale_to_integers([wp.point for wp in instance.points])
-    if len(set(ints)) != n:
-        raise ValueError(NOT_CANONICAL)
+    require_canonical(instance)
+    ints, iw, _ = instance.integer_view
+    n = len(ints)
     scaled, shear = shear_normalize(ints)
-    wscale = lcm(*(wp.weight.denominator for wp in instance.points))
     order = sorted(range(n), key=lambda i: scaled[i][0])
     xs = [scaled[i][0] for i in order]
     ys = [scaled[i][1] for i in order]
-    ws = [int(instance.points[i].weight * wscale) for i in order]
+    ws = [iw[i] for i in order]
     cand = [p for p in range(n) if ws[p] > 0]
-    span = xs[-1] - xs[0]
-    return SolverContext(instance, shear, wscale, span * span, xs, ys, ws, order, cand)
+    span = xs[-1] - xs[0] if n else 0
+    return SolverContext(instance, shear, span * span, xs, ys, ws, order, cand)
 
 
 def _key_row(xs, ys, a: int, scale: int) -> list[int]:
@@ -465,7 +456,7 @@ def _walk(ctx: SolverContext, ch: _Chain, sufmax, i0: int, k: int):
 
 
 def _cycle_weight(ctx: SolverContext, ew: EdgeWeights, cycle) -> int:
-    """Scaled weight of conv(T) from the tables, for a boundary cycle of T.
+    """Weight of conv(T) times the integer view's weight_scale, from the tables.
 
     ``cycle`` lists T's candidate ordinals, all on the boundary of conv(T),
     counterclockwise from the leftmost (the smallest ordinal); some may be
@@ -561,7 +552,7 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
         if w > bw or (w == bw and i < bi):
             bw, bi, bk = w, i, k
 
-    weight = Fraction(bw, ctx.weight_scale)
+    weight = Fraction(bw, instance.integer_view[2])
     if allow_empty and weight <= 0:
         return empty_solution(2)
 

@@ -610,4 +610,4 @@ def best_weight_from_tables(ctx, c_tab, v_tab):
                     minv = v
             if maxc is not None and minv is not None and maxc - minv > best:
                 best = maxc - minv
-    return None if best is None else Fraction(best, ctx.weight_scale)
+    return None if best is None else Fraction(best, ctx.instance.integer_view[2])

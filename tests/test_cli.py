@@ -135,6 +135,19 @@ def test_oracle_limit_refuses_non_ascii_digits(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_oracle_limit_refuses_negative(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "neg.mwcp", "2 1\n0 0 -1\n")
+    monkeypatch.setenv("MWCP_ORACLE_LIMIT", "-1")
+    assert main(["solve", path, "--algo", "oracle"]) == 2
+    assert capsys.readouterr().err == "error: MWCP_ORACLE_LIMIT='-1' is negative\n"
+    # A limit of 0 admits an instance with no positive point, and only that.
+    monkeypatch.setenv("MWCP_ORACLE_LIMIT", "0")
+    assert main(["solve", path, "--algo", "oracle", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["weight"] == "0"
+    assert main(["solve", write(tmp_path, "t.mwcp", TRIANGLE), "--algo", "oracle"]) == 3
+    capsys.readouterr()
+
+
 def test_reduce_then_solve_pipeline(tmp_path, capsys):
     gpath = write(tmp_path, "k3.graph", K3)
     ipath = str(tmp_path / "k3.mwcp")
@@ -275,6 +288,17 @@ def test_verify_solution_rejects_non_integer_indices(tmp_path, capsys, chosen):
     assert main(["verify", "--mode", "solution", path, "--solution", spath]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'chosen' must be a list of integers" in err
+
+
+def test_verify_solution_refuses_non_ascii_weight(tmp_path, capsys):
+    path = write(tmp_path, "one.mwcp", "2 1\n0 0 1\n")
+    good = '{"weight": "1", "chosen": [0], "hull": [0], "contained": [0]}'
+    assert main(["verify", "--mode", "solution", path, "--solution", write(tmp_path, "a.json", good)]) == 0
+    assert capsys.readouterr().out == "solution check: ok\n"
+    spath = write(tmp_path, "b.json", good.replace('"1"', '"\u0661"'))
+    assert main(["verify", "--mode", "solution", path, "--solution", spath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad solution JSON: ") and "'weight' must be a rational string" in err
 
 
 def test_bench_csv_and_slope(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import ast
+import dataclasses
 import json
 import random
 import re
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,12 @@ from mwcp.model import (
     solution_to_text,
     write_instance,
 )
-from support import random_instance
+from mwcp.oracle import solve_bruteforce
+from mwcp.solver1d import solve_1d
+from mwcp.solver2d import build_context, solve_2d
+from support import random_instance, random_rational
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mwcp"
 
 
 def test_canonicalize_merges_duplicates():
@@ -74,6 +83,75 @@ def test_require_canonical_rejects():
         require_canonical(make_instance(2, [((0, 0), 1), ((0, 0), 1)]))
     with pytest.raises(ValueError):
         require_canonical(make_instance(2, [((0, 0), 0)]))
+
+
+def rational_instance(rng, n, d):
+    """Distinct rational points (some denominators near 2**61), rational weights."""
+    def coord():
+        if rng.random() < 0.2:
+            den = 2**61 - rng.randint(0, 99)
+            return Fraction(rng.randint(-den, den), den)
+        return random_rational(rng, 6, 6)
+
+    rows = {}
+    while len(rows) < n:
+        rows[tuple(coord() for _ in range(d))] = Fraction(
+            rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7, 2**61 - 1])
+        )
+    return make_instance(d, list(rows.items()))
+
+
+def test_integer_view_is_scaled_points_and_lcm_weights():
+    rng = random.Random(61)
+    for _ in range(60):
+        inst = rational_instance(rng, rng.randint(0, 9), rng.choice([1, 2, 3, 4]))
+        coords, weights, scale = inst.integer_view
+        assert coords == tuple(scale_to_integers([wp.point for wp in inst.points]))
+        assert scale == lcm(*(wp.weight.denominator for wp in inst.points))
+        assert weights == tuple(wp.weight * scale for wp in inst.points)
+        assert all(type(w) is int for w in weights)
+        assert inst.integer_view is inst.integer_view  # computed once
+
+
+def test_integer_view_stays_out_of_eq_and_repr():
+    rows = [((Fraction(1, 3), 2), Fraction(-1, 2)), ((0, Fraction(5, 7)), 3)]
+    inst, twin = make_instance(2, rows), make_instance(2, rows)
+    before = repr(inst)
+    assert inst.integer_view
+    assert inst == twin and twin == inst
+    assert repr(inst) == before == repr(twin)
+    assert "integer_view" in vars(inst) and "integer_view" not in vars(twin)
+
+
+def test_new_instances_get_a_view_of_their_own_points():
+    inst = make_instance(2, [((0, 0), 1), ((Fraction(1, 2), 1), -2), ((0, 0), 3)])
+    assert inst.integer_view[0] == ((0, 0), (1, 1), (0, 0))
+    moved = dataclasses.replace(inst, points=inst.points[1:])
+    assert moved.integer_view == (((1, 1), (0, 0)), (-2, 3), 1)
+    out = canonicalize(inst)
+    assert [wp.point for wp in out.points] == [(0, 0), (Fraction(1, 2), 1)]
+    assert out.integer_view == (((0, 0), (1, 1)), (4, -2), 1)
+    halves = make_instance(1, [((Fraction(1, 2),), Fraction(1, 2)), ((Fraction(1, 2),), 1)])
+    assert halves.integer_view == (((1,), (1,)), (1, 2), 2)
+    assert canonicalize(halves).integer_view == (((1,),), (3,), 2)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [((Fraction(1, 3), 2), 1), ((Fraction(2, 6), Fraction(4, 2)), 3)],
+        [((0, 0), 1), ((Fraction(1, 2), 1), 0)],
+    ],
+)
+def test_solvers_refuse_non_canonical_input_after_the_view_is_cached(rows):
+    inst = make_instance(2, rows)
+    assert inst.integer_view
+    for refuse in (require_canonical, build_context, solve_2d, solve_bruteforce):
+        with pytest.raises(ValueError, match=r"^instance is not canonical; run canonicalize\(\) first$"):
+            refuse(inst)
+    line = make_instance(1, [((c[0],), w) for c, w in rows])
+    with pytest.raises(ValueError, match="not canonical"):
+        solve_1d(line)
 
 
 def merge_reference(instance):
@@ -349,9 +427,62 @@ def test_solution_json_rejects_non_integer_indices(key, bad):
         solution_from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize(
+    "bad", ["\u0661", "1.0", "1e0", " 1", "1 ", "1\n", "+", "", "1/0", "1/", "0x1", 1, 1.0, None, True]
+)
+def test_solution_json_rejects_non_rational_weight(bad):
+    obj = {"weight": bad, "chosen": [0], "hull": [0], "contained": [0]}
+    with pytest.raises(ValueError, match="'weight' must be a rational string"):
+        solution_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("text", ["-3/6", "+07", "0", "12345678901234567890/3"])
+def test_solution_json_reads_rational_weight(text):
+    obj = {"weight": text, "chosen": [], "hull": None, "contained": []}
+    assert solution_from_json(json.dumps(obj)).weight == Fraction(text)
+
+
 def test_solution_json_for_1d_has_null_hull():
     inst = make_instance(1, [((0,), 1)])
     sol = evaluate(inst, [0])
     assert sol.hull is None
     assert '"hull": null' in solution_to_json(sol)
     assert solution_from_json(solution_to_json(sol)) == sol
+
+
+def _references(tree, names):
+    """(name, innermost enclosing function or None) for each read of ``names``."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.add((node.id, func))
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.add((node.attr, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_rationals_become_ints_only_in_the_integer_view():
+    # Instance.integer_view is the one place where an instance's points and
+    # weights become ints.  point_in_hull scales its own argument points, and
+    # the ngon generator scales points internal to the generator.
+    allowed = {
+        ("scale_to_integers", "geometry", "point_in_hull"),
+        ("scale_to_integers", "model", "integer_view"),
+        ("scale_to_integers", "generators", "_ngon_valid"),
+        ("lcm", "geometry", "scale_to_integers"),
+        ("lcm", "model", "integer_view"),
+    }
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        refs = _references(tree, {"scale_to_integers", "lcm"})
+        found |= {(name, path.stem, func) for name, func in refs}
+    assert found <= allowed, sorted(found - allowed, key=str)
+    assert {("scale_to_integers", "model", "integer_view"), ("lcm", "model", "integer_view")} <= found

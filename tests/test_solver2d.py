@@ -445,7 +445,7 @@ def test_cycle_weight_matches_evaluate():
         subsets += [rng.sample(range(m), k) for k in range(2, m + 1)]
         for seq in subsets:
             chosen = [ctx.orig[ctx.cand[c]] for c in seq]
-            expect = evaluate(inst, chosen).weight * ctx.weight_scale
+            expect = evaluate(inst, chosen).weight * inst.integer_view[2]
             assert _cycle_weight(ctx, ew, boundary_cycle(ctx, seq)) == expect
 
 
@@ -482,7 +482,7 @@ def test_prune_with_tables_matches_model_prune():
             chosen = {ctx.orig[ctx.cand[c]] for c in cycle}
             kept, w = prune_with_tables(ctx, ew, cycle)
             assert kept == prune_to_maximal(inst, chosen)
-            assert w == evaluate(inst, kept).weight * ctx.weight_scale
+            assert w == evaluate(inst, kept).weight * inst.integer_view[2]
         for allow_empty in (True, False):
             sol = solve_2d(inst, allow_empty=allow_empty)
             assert sol.weight == solve_bruteforce(inst, allow_empty=allow_empty).weight
