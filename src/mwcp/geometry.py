@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 # A point is a tuple of rationals whose length is the ambient dimension.
 Point = tuple
@@ -176,17 +176,18 @@ def hull_members(points, vertices):
     """For each int point, is it a convex combination of the int vertices?
 
     One exact phase-I simplex per point (:func:`_convex_combination_feasible`)
-    on equality rows ``[vertices; 1 ... 1]`` built once; only the right-hand
-    side changes from point to point.  A vertex is inside at once, and a
-    point outside the vertices' bounding box is outside without a simplex
-    (in 1D the box decides).  Intended for the small vertex counts of
-    ``evaluate`` above 2D.
+    on the rows ``[1 ... 1; vertices]``, packed once (:func:`_membership_lp`);
+    only the right-hand side changes from point to point.  A vertex is
+    inside at once, and a point outside the vertices' bounding box is
+    outside without a simplex (in 1D the box decides).  Intended for the
+    small vertex counts of ``evaluate`` above 2D.
     """
     d = len(vertices[0])
     lo = [min(u[a] for u in vertices) for a in range(d)]
     hi = [max(u[a] for u in vertices) for a in range(d)]
     own = set(vertices)
     rows = [[1] * len(vertices)] + [[u[a] for u in vertices] for a in range(d)]
+    lp = _membership_lp(rows)
     out = []
     for p in points:
         if p in own:
@@ -194,77 +195,102 @@ def hull_members(points, vertices):
         elif not all(a <= x <= b for a, x, b in zip(lo, p, hi)):
             out.append(False)
         else:
-            out.append(d == 1 or _convex_combination_feasible(rows, (1, *p)))
+            out.append(d == 1 or _convex_combination_feasible(lp, (1, *p)))
     return out
 
 
-def exact_pivot(rows, pr, c, prev):
-    """The integer rows after one pivot on ``rows[pr][c]``; ``prev`` is the
-    previous pivot (1 before the first).
+def exact_pivot(rows, pr, c, prev, w, bias):
+    """The packed rows after one pivot on field c of ``rows[pr]``; ``prev``
+    is the previous pivot (1 before the first).
 
-    Each row r != pr becomes ``(pv * row - row[c] * rows[pr]) // prev``, with
-    pv = ``rows[pr][c]``, so a row that is 0 in column c becomes
-    ``pv * row // prev``; the pivot row is kept as it is.  This is Bareiss'
-    integer-preserving elimination (Edmonds' integral pivoting, in tableau
-    form): started from an integer matrix with prev = 1, every entry after a
-    pivot is a minor of that matrix, so each division is exact, and every
-    pivot row's entry in its own basic column equals the last pivot, the one
-    common denominator of the whole matrix.  The rows are new lists except
-    the pivot row; ``rows`` is not changed.
+    A row is one int, the sum of its fields x_j << w*j, |x_j| < 2^(w - 1);
+    ``bias`` holds 2^(w - 1) in every field, so field c is ``((row + bias)
+    >> w*c & (2^w - 1)) - 2^(w - 1)``.  Each row r != pr becomes ``(pv * row
+    - f * rows[pr]) // prev``, pv and f being field c of ``rows[pr]`` and of
+    the row; the pivot row is kept.  This is Bareiss' integer-preserving
+    elimination: from an integer matrix and prev = 1, every entry after a
+    pivot is a minor of that matrix, so each field divides exactly, hence so
+    does the packed sum, whose quotient is the packed quotients.  Every
+    pivot row holds the last pivot in its own column.  The caller picks w so
+    that every minor fits a field.
     """
+    s = w * c
+    half, mask = 1 << w - 1, (1 << w) - 1
     prow = rows[pr]
-    pv = prow[c]
+    pv = ((prow + bias) >> s & mask) - half
     return [
         prow if r == pr
-        else [(pv * x - f * y) // prev for x, y in zip(row, prow)] if (f := row[c])
-        else [pv * x // prev for x in row]
+        else (pv * row - f * prow) // prev if (f := ((row + bias) >> s & mask) - half)
+        else pv * row // prev
         for r, row in enumerate(rows)
     ]
 
 
-def _convex_combination_feasible(rows, rhs) -> bool:
-    """Is ``rows @ x == rhs`` for some x >= 0?  ``rows`` and ``rhs`` are ints.
+def _membership_lp(rows):
+    """``rows`` packed as the phase-I tableau of ``rows @ x == rhs``, x >= 0:
+    ``(m, w, bias, pos, neg)``.
 
-    Phase-I simplex with Bland's rule on an integer tableau.  Rows with a
-    negative right-hand side are negated first.  Every pivot is an
-    :func:`exact_pivot`, so all arithmetic stays in plain ints and every
-    basic column holds the last pivot D in its row; D starts at 1 and stays
-    positive, because the ratio test only picks positive pivots.  The reduced
-    cost of column j is then -(sum over artificial-basic rows of T[i][j]) / D,
-    so j may enter when that sum is positive.  Feasible iff the artificial
-    variables can all be driven to zero.
+    Row i's fields are ``rows[i]``, artificial column m + i and ``rhs[i]``;
+    ``pos[i]`` and ``neg[i]`` pack it without rhs, ``rows[i]`` as it is and
+    negated.  Entries off the rhs are minors of ``[rows | I]`` and the
+    entering test sums up to r rows, so w is the rows' summed bit lengths of
+    their largest |entry| (1 at least), plus ``bit_length(r!)``,
+    ``bit_length(r)`` and 2.  Any rhs fits: it is the top field, unmasked.
     """
-    m = len(rows[0])
-    r = len(rows)
-    tableau = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        art = [0] * r
-        art[i] = 1
-        tableau.append([-x for x in row] + art + [-b] if b < 0 else row + art + [b])
-    basis = list(range(m, m + r))
+    r, m = len(rows), len(rows[0])
+    w = sum(max(1, *map(abs, row)).bit_length() for row in rows)
+    w += factorial(r).bit_length() + r.bit_length() + 2
+    bias = sum(1 << w * j for j in range(m + r + 1)) << w - 1
+    packed = [sum(x << w * j for j, x in enumerate(row)) for row in rows]
+    art = [1 << w * (m + i) for i in range(r)]
+    return m, w, bias, [a + p for a, p in zip(art, packed)], [a - p for a, p in zip(art, packed)]
+
+
+def _convex_combination_feasible(lp, rhs) -> bool:
+    """Is ``rows @ x == rhs`` for some x >= 0?  ``lp`` is ``rows`` as packed
+    by :func:`_membership_lp`, ``rhs`` a tuple of ints.
+
+    Phase-I simplex with Bland's rule on the packed tableau, rows of
+    negative rhs negated.  Every pivot is an :func:`exact_pivot`, so every
+    basic column holds the last pivot D, which stays positive because the
+    ratio test only picks positive pivots.  Column j's reduced cost is then
+    -(sum over artificial-basic rows of T[i][j]) / D, so Bland's entering
+    column is the lowest field of that sum that is > 0, which is where the
+    sign bit of ``bias - sum`` is clear.  The ratio test reads two fields
+    per row.  Feasible iff the artificial variables can all reach zero.
+    """
+    m, w, bias, pos, neg = lp
+    half, mask = 1 << w - 1, (1 << w) - 1
+    rs = w * (m + len(pos))
+    tableau = [n - (b << rs) if b < 0 else p + (b << rs) for p, n, b in zip(pos, neg, rhs)]
+    columns = bias & (1 << w * m) - 1  # the sign bits of the m columns
+    basis = list(range(m, m + len(pos)))
     prev = 1
 
     while True:
-        art_rows = [tableau[i] for i in range(r) if basis[i] >= m]
+        art_rows = [t for t, b in zip(tableau, basis) if b >= m]
         if not art_rows:
             return True
-        enter = next((j for j in range(m) if sum(t[j] for t in art_rows) > 0), -1)
-        if enter < 0:
-            return all(t[-1] == 0 for t in art_rows)
+        positive = columns & ~(bias - sum(art_rows))
+        if not positive:
+            return all((t + bias) >> rs == half for t in art_rows)
+        enter = (positive & -positive).bit_length() // w - 1
         assert enter not in basis, "a basic column's reduced cost is 0"
         # ratio test: min rhs_i / T[i][enter] over positive entries
+        s = w * enter
         leave = -1
         ln = ld = None
-        for i in range(r):
-            t = tableau[i][enter]
+        for i, row in enumerate(tableau):
+            u = row + bias
+            t = (u >> s & mask) - half
             if t <= 0:
                 continue
-            num = tableau[i][-1]
+            num = (u >> rs) - half
             if leave < 0 or num * ld < ln * t or (
                 num * ld == ln * t and basis[i] < basis[leave]
             ):
                 leave, ln, ld = i, num, t
         assert leave >= 0, "phase-I objective is bounded; a pivot row must exist"
-        tableau = exact_pivot(tableau, leave, enter, prev)
+        tableau = exact_pivot(tableau, leave, enter, prev, w, bias)
         prev = ld
         basis[leave] = enter

@@ -11,35 +11,45 @@ contained set, a bitmask over the instance points, from the subset lattice:
   convex combination of an affinely independent proper subset of T, which
   lies inside some T - x; and conv(T - x) is inside conv(T).  So
   contained(T) is the union of contained(T - x) over x in T.
-* If T is affinely independent, conv(T) is a simplex and a point lies in it
-  exactly when its unique barycentric coordinates exist and are all >= 0.
-  Integer Gauss-Jordan elimination of ``[points; 1 ... 1]`` on T's columns
-  decides every point at once.  Its pivots are exact-division (Bareiss)
-  steps, :func:`~mwcp.geometry.exact_pivot`: every entry after a pivot is a
-  minor of the starting integer matrix, so the division by the previous
-  pivot is exact, and every pivot row holds the same last pivot D in its own
-  column.  A point's barycentric coordinates are its pivot-row entries over
-  D, so it is inside exactly when the rows without a pivot vanish on its
-  column and each pivot-row entry times D is >= 0.  T's elimination is its
-  parent's (T minus its largest member) plus one pivot on the new vertex's
-  column, so a depth-first walk over the subsets costs one pivot per
-  affinely independent subset of at most d + 1 members.
+* If T is affinely independent, a point lies in the simplex conv(T) exactly
+  when its barycentric coordinates exist and are all >= 0.  Gauss-Jordan
+  elimination of ``[1 ... 1; points]`` on T's columns by exact-division
+  (Bareiss) pivots, :func:`~mwcp.geometry.exact_pivot`, decides every point
+  at once: every entry is a minor of the starting matrix (Cramer's rule),
+  and every pivot row holds the last pivot D in its own column, so a point
+  is inside exactly when the rows without a pivot vanish on its column and
+  each pivot-row entry times D is >= 0.  T's elimination is its parent's (T
+  minus its largest member) plus one pivot, so a depth-first walk costs one
+  pivot per affinely independent subset of at most d + 1 members.
 
-Subsets are generated one size layer at a time from the previous layer, so
-at most two adjacent layers are live: O(C(m, m // 2)) masks for |S+| = m,
-not 2^m.  The walk holds the matrices of the subsets on its current path
-only, at most d + 1 of them with (d + 1) x n ints each, and it keeps one
-mask per affinely independent subset whose simplex holds a point other
-than its vertices: at most sum of C(m, k) over k <= r + 1 for a point set
-of affine rank r <= d, which is below C(m, m // 2) when r + 1 <= m / 4
-(for example d = 4 and m >= 20).  Coordinates and weights are the
-instance's cached ``integer_view``.
+Each row of the n-column matrix is one int, the sum of x_j << w*j, so a
+pivot is one multiply-subtract-divide per row.  A k x k minor is at most k!
+times the product of its rows' largest |entry|, so every entry is below
+2^(w - 2) in absolute value for w = the sum over the d + 1 starting rows of
+``bit_length(max |entry|)``, plus ``bit_length((d + 1)!)`` + 2.  Each field
+of ``pv * row - f * prow`` is a multiple of the previous pivot, so the
+packed sum is too, and its exact quotient is the packed quotients.  With B
+= 2^(w - 1) in every field (``bias``), each field of row + B lies in [1,
+2^w): ``(row + B) >> w*j & (2^w - 1)`` is field j plus 2^(w - 1), and bit
+w*j + w - 1 of row + B (of B - row) is set exactly when field j is >= 0
+(<= 0).  The walk keeps all n columns and an open mask of those sign bits,
+so a subset's inside test is a few mask ANDs.
+
+Layers are built one size at a time from the previous one, so at most two
+adjacent layers are live: O(C(m, m // 2)) masks for |S+| = m, not 2^m.  The
+walk holds at most d + 1 matrices, those on its current path, of d + 1
+ints of n*w bits each, and one mask per affinely independent subset whose
+simplex holds a point other than its vertices: at most sum of C(m, k) over
+k <= r + 1 for a point set of affine rank r <= d, below C(m, m // 2) when
+r + 1 <= m / 4 (for example d = 4 and m >= 20).  Coordinates and weights
+are the instance's cached ``integer_view``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice
+from math import factorial
 
 from .geometry import exact_pivot
 from .model import (
@@ -69,15 +79,17 @@ def solve_bruteforce(
     strictly better weights replace the incumbent, so the first optimum found
     is the canonical witness.  Contained sets come from
     :func:`containment_layers` (see the module docstring for why that needs
-    no LP) and weights are summed as the ints of ``Instance.integer_view``.
+    no LP).  Weights are the ints of ``Instance.integer_view``: a subset's
+    weight is its parent's plus that of the points it contains and its
+    parent does not, exact because the parent's hull lies inside its own.
 
     That witness is already maximal.  Dropping a vertex leaves a subset one
     smaller.  Were its weight >= the optimum, it would itself be optimal and
     would have been visited first (the empty set is visited when
     ``allow_empty``; otherwise S+ is nonempty, so the optimum is positive and
     the empty set's 0 is below it), and a later equal weight never replaces
-    the incumbent.  Maximality is still re-checked from the child weights of
-    the layer that was live when the incumbent was set, and the final
+    the incumbent.  Maximality is still re-checked from the contained sets
+    of the layer that was live when the incumbent was set, and the final
     ``evaluate`` (the LP path, which also gives the 2D hull cycle) must agree
     with the lattice's weight and contained set.  Both checks raise
     ``RuntimeError`` and so survive ``python -O``.  Refuses instances whose
@@ -92,19 +104,22 @@ def solve_bruteforce(
     if not pos:
         return empty_solution(instance.dimension) if allow_empty else best_singleton(instance)
     coords, iw, scale = instance.integer_view
-    best = None  # (subset bitmask, contained bitmask, scaled weight)
+    layers = containment_layers(coords, pos)
+    prev_layer, prev_weight = next(layers), [0]
+    best = (0, 0, 0) if allow_empty else None  # (subset, contained, scaled weight)
     best_child_weight = None
-    prev_weight: dict[int, int] = {}
-    for size, layer in enumerate(containment_layers(coords, pos)):
-        weight = {s: _mask_weight(c, iw) for s, c in layer.items()}
-        if size or allow_empty:
-            for s, c in layer.items():
-                if best is None or weight[s] > best[2]:
-                    best = (s, c, weight[s])
-                    best_child_weight = max(
-                        (prev_weight[s ^ b] for b in _bits(s)), default=None
-                    )
-        prev_weight = weight
+    for layer in layers:
+        # Parents come in step: a layer extends each previous subset in turn.
+        weight = []
+        children = iter(layer.items())
+        for (p, cp), wp in zip(prev_layer.items(), prev_weight):
+            for s, c in islice(children, len(pos) - p.bit_length()):
+                ws = wp + _mask_weight(c & ~cp, iw)
+                weight.append(ws)
+                if best is None or ws > best[2]:
+                    best = (s, c, ws)
+                    best_child_weight = max(_mask_weight(prev_layer[s ^ b], iw) for b in _bits(s))
+        prev_layer, prev_weight = layer, weight
     subset, contained, w = best
     if best_child_weight is not None and best_child_weight >= w:
         raise RuntimeError("oracle witness is not maximal")
@@ -153,95 +168,66 @@ def containment_layers(coords, members):
 def _simplex_masks(coords, members):
     """Map each affinely independent subset of ``members`` (a bitmask as in
     :func:`containment_layers`, at most d + 1 members) to the points other
-    than its vertices inside its simplex but outside its parent's, when
-    there are any.  The parent is the subset minus its largest member.
-
-    A depth-first walk over the subsets, each extended by a larger member:
-    a subset reuses its parent's eliminated matrix and costs one pivot
-    (:func:`_extend`).  Only the matrices on the current path are live, at
-    most d + 1 of them.  A dependent subset is not extended, because every
-    superset of it is dependent too.
+    than its vertices inside its simplex but outside its parent's (the
+    subset minus its largest member), when there are any; see :func:`_grow`.
     """
     found = {}
     if coords:
-        n = len(coords)
-        d = len(coords[0])
-        # The empty subset: no pivots, every point an open column.
+        n, d = len(coords), len(coords[0])
         rows = [[1] * n] + [[p[a] for p in coords] for a in range(d)]
-        _grow(found, members, d, 0, (list(range(n)), 0, 1, rows))
+        # The field width and the bias of the module docstring.
+        w = sum(max(map(abs, r)).bit_length() for r in rows) + factorial(d + 1).bit_length() + 2
+        bias = sum(1 << w * j for j in range(n)) << w - 1
+        packed = [sum(x << w * j for j, x in enumerate(row)) for row in rows]
+        # The empty subset: no pivots, every point open.
+        _grow(found, members, d, (w, bias), 0, (bias, 0, 1, packed))
     return found
 
 
-def _grow(found, members, d, s, parent):
-    """Record in ``found`` the simplex masks of the extensions of subset s,
-    whose eliminated matrix is ``parent``, by each larger member, and walk
-    on from each extension that has at most d members and a larger member
-    left to add.  A plain function, not a closure: a closure that calls
-    itself is a reference cycle, which kept every solve's map alive until
-    the next garbage collection."""
-    grows = s.bit_count() < d
-    m = len(members)
-    for j in range(s.bit_length(), m):
-        child = _extend(parent, members[j], grows and j + 1 < m)
-        if child is None:
-            continue
-        t = s | 1 << j
-        inside, matrix = child
-        if inside:
-            found[t] = inside
-        if matrix is not None:
-            _grow(found, members, d, t, matrix)
+def _grow(found, members, d, layout, s, parent):
+    """Record in ``found`` the simplex masks of the extensions of subset s by
+    each larger member v, and walk on from each one with at most d members,
+    a larger member left to add and a point left open.
 
-
-def _extend(parent, v, keep):
-    """One exact-division pivot that extends the parent's simplex by vertex v.
-
-    ``parent`` is ``(cols, k, pivot, rows)``: the Gauss-Jordan eliminated
-    integer matrix ``[points; 1 ... 1]`` of an affinely independent subset P
-    of k points, kept only on ``cols``, the sorted indices of the points
-    outside conv(P).  The first k rows are pivot rows, each equal to
-    ``pivot`` in its own (dropped) vertex column; the other rows are free
-    and vanish on P's columns.  Returns None when P + v is affinely
-    dependent: v lies in conv(P) (its column was dropped) or in aff(P) (no
-    free row is nonzero in its column).  Otherwise returns ``(inside,
-    matrix)``: the bitmask of the open points other than v that lie in
-    conv(P + v), and, when ``keep``, P + v's own ``(cols, k + 1, pivot,
-    rows)`` on the points left outside, or None when none are left.
-
-    The pivot is :func:`~mwcp.geometry.exact_pivot`, from pivot 1 on the
-    empty subset's matrix.  A pivot updates each column from that column
-    alone, so dropping columns changes no other entry: every entry stays a
-    minor and the division stays exact (see the module docstring), and the
-    new pivot is P + v's common D.  A point is inside exactly when the free
-    rows vanish on its column and each pivot row's entry times D is >= 0,
-    whatever the sign of D.  Dropping the inside columns is safe: such a
-    point lies in the hull of every superset.
+    ``layout`` is the width w and bias B of the module docstring; ``parent``
+    is ``(live, k, pivot, rows)``: the packed eliminated matrix of s, an
+    affinely independent set P of k points, with its k pivot rows first,
+    each equal to ``pivot`` in its own column, and the mask of the sign bits
+    (bit w*i + w - 1 for point i) of the open points: not in P and outside
+    the simplex of every subset on the path.  P + v and its supersets are
+    dependent when v is not open (v in conv(P)) or no free row is nonzero in
+    its column (v in aff(P)); such a v is skipped.  An inside point is
+    closed: it lies in the hull of every superset.  A plain function, not a
+    closure: a closure that calls itself is a reference cycle, which kept
+    every solve's map alive until the next collection.
     """
-    cols, k, prev, rows = parent
-    c = bisect_left(cols, v)
-    if c == len(cols) or cols[c] != v:
-        return None
-    pr = next((r for r in range(k, len(rows)) if rows[r][c]), None)
-    if pr is None:
-        return None
-    pv = rows[pr][c]
-    rows = exact_pivot(rows, pr, c, prev)
-    # The new pivot row goes after the old ones.
-    rows.insert(k, rows.pop(pr))
-    alive = [q for q in range(len(cols)) if q != c]
-    for row in rows[k + 1:]:
-        alive = [q for q in alive if not row[q]]
-    for row in rows[:k + 1]:
-        alive = [q for q in alive if row[q] * pv >= 0]
-    inside = 0
-    for q in alive:
-        inside |= 1 << cols[q]
-    if not keep or len(alive) == len(cols) - 1:
-        return inside, None
-    out = set(alive)
-    out.add(c)
-    rest = [q for q in range(len(cols)) if q not in out]
-    return inside, ([cols[q] for q in rest], k + 1, pv, [[row[q] for q in rest] for row in rows])
+    w, bias = layout
+    live, k, prev, rows = parent
+    half, mask = 1 << w - 1, (1 << w) - 1
+    deeper = s.bit_count() < d
+    for j in range(s.bit_length(), len(members)):
+        shift = w * members[j]
+        sign = 1 << shift + w - 1
+        if not live & sign:
+            continue
+        pr = next((r for r in range(k, d + 1) if (rows[r] + bias) >> shift & mask != half), None)
+        if pr is None:
+            continue
+        pv = ((rows[pr] + bias) >> shift & mask) - half
+        child = exact_pivot(rows, pr, members[j], prev, w, bias)
+        # The new pivot row goes after the old ones.
+        child.insert(k, child.pop(pr))
+        alive = live ^ sign
+        for r in range(d, -1, -1):  # free rows first: most points fail there
+            if not alive:
+                break
+            row = child[r]
+            alive &= (row + bias) & (bias - row) if r > k else row + bias if pv > 0 else bias - row
+        t = s | 1 << j
+        if alive:
+            found[t] = sum(1 << b.bit_length() // w - 1 for b in _bits(alive))
+        if deeper and j + 1 < len(members) and live ^ sign ^ alive:
+            _grow(found, members, d, layout, t, (live ^ sign ^ alive, k + 1, pv, child))
 
 
 def _bits(mask):

@@ -7,7 +7,12 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
-from mwcp.geometry import convex_hull_2d, point_in_hull
+from mwcp.geometry import (
+    _convex_combination_feasible,
+    _membership_lp,
+    convex_hull_2d,
+    point_in_hull,
+)
 from mwcp.model import Instance, Solution, WeightedPoint, evaluate
 from mwcp import solver2d
 from mwcp.reduction import _reduction_maps
@@ -15,8 +20,14 @@ from mwcp.solver2d import EdgeWeights, _key_row
 
 
 def random_instance(rng, n, dimension, weight_lo=-5, weight_hi=5, grid=None):
-    """Random canonical instance: distinct grid points, nonzero weights."""
+    """Random canonical instance: distinct grid points, nonzero weights.
+
+    Raises ``ValueError`` before drawing when the (grid + 1)^d grid points
+    cannot hold n distinct ones.
+    """
     grid = grid if grid is not None else max(4 * n, 12)
+    if n > (grid + 1) ** dimension:
+        raise ValueError(f"{n} distinct points do not fit a grid of {grid + 1}^{dimension}")
     seen = set()
     rows = []
     while len(rows) < n:
@@ -165,11 +176,11 @@ def _simplex_members(coords, vertices, targets):
     ``[vertices | targets; 1 ... 1]`` (one column per point, d coordinate
     rows and an affine row); rows are reduced by their gcd after each step.
     The oracle divides exactly by the previous pivot instead
-    (``geometry.exact_pivot``); this reference keeps the gcd normalization
-    on purpose, so that it shares no pivot arithmetic with the code it
-    checks.  A target is inside when the rows without a pivot are zero in
-    its column (consistent) and each barycentric coordinate, the ratio of
-    its entry to the row's own pivot, is >= 0.
+    (``geometry.exact_pivot``, on packed rows); this reference keeps the
+    gcd normalization on purpose, so that it shares no pivot arithmetic
+    with the code it checks.  A target is inside when the rows without a
+    pivot are zero in its column (consistent) and each barycentric
+    coordinate, the ratio of its entry to the row's own pivot, is >= 0.
     """
     k = len(vertices)
     cols = list(vertices) + list(targets)
@@ -196,8 +207,42 @@ def _simplex_members(coords, vertices, targets):
     ]
 
 
+def exact_pivot_reference(rows, pr, c, prev):
+    """``geometry.exact_pivot`` on lists of ints, one entry at a time.
+
+    Each row r != pr becomes ``(pv * row - row[c] * rows[pr]) // prev``
+    entry by entry, with pv = ``rows[pr][c]``; the pivot row is kept.  The
+    reference that the packed rows are unpacked and compared against.
+    """
+    prow = rows[pr]
+    pv = prow[c]
+    return [
+        prow if r == pr else [(pv * x - row[c] * y) // prev for x, y in zip(row, prow)]
+        for r, row in enumerate(rows)
+    ]
+
+
+def unpack(row, w, n):
+    """The n signed fields of a packed row, lowest first: n - 1 of w bits and
+    a top field of any size."""
+    half = 1 << w - 1
+    mask = (1 << w) - 1
+    row += sum(half << w * j for j in range(n))
+    return [(row >> w * j & mask) - half for j in range(n - 1)] + [(row >> w * (n - 1)) - half]
+
+
+def pack(fields, w):
+    """The packed row whose w-bit fields are ``fields``."""
+    return sum(x << w * j for j, x in enumerate(fields))
+
+
+def convex_combination_feasible(rows, rhs):
+    """``geometry._convex_combination_feasible`` on int lists."""
+    return _convex_combination_feasible(_membership_lp(rows), rhs)
+
+
 def reference_lp_pivots(rows, rhs):
-    """``geometry._convex_combination_feasible`` with gcd-normalized rows.
+    """``geometry._convex_combination_feasible`` on lists, with gcd-normalized rows.
 
     The same phase-I simplex without exact division: each row keeps a
     private positive scale, reduced by its gcd after every pivot, and the

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from mwcp import geometry
 from mwcp.geometry import (
-    _convex_combination_feasible,
     convex_hull_2d,
     convex_polygon_members,
     hull_members,
@@ -16,6 +15,7 @@ from mwcp.geometry import (
     shear_normalize,
 )
 from support import (
+    convex_combination_feasible,
     convex_polygon_reference,
     in_hull_reference,
     membership_lps,
@@ -167,11 +167,22 @@ def test_hull_members_matches_point_in_hull():
 def test_convex_combination_feasible_negative_rhs():
     # x >= 0 with x = -1 has no solution; the row must be negated before the
     # artificial basis starts, or the first pivot "finds" x = -1
-    assert _convex_combination_feasible([[1]], [-1]) is False
-    assert _convex_combination_feasible([[-1]], [-1]) is True
+    assert convex_combination_feasible([[1]], [-1]) is False
+    assert convex_combination_feasible([[-1]], [-1]) is True
     # x0 + x1 = 1 and x0 - x1 = -3 forces x0 = -1
-    assert _convex_combination_feasible([[1, 1], [1, -1]], [1, -3]) is False
-    assert _convex_combination_feasible([[1, 1], [1, -1]], [1, -1]) is True
+    assert convex_combination_feasible([[1, 1], [1, -1]], [1, -3]) is False
+    assert convex_combination_feasible([[1, 1], [1, -1]], [1, -1]) is True
+
+
+def test_convex_combination_feasible_wide_rhs():
+    # The rhs is the packed tableau's top field, so it may be far wider than
+    # the field width the rows set: x1 = 2^89 and x0 = 2^90 - x1 >= 0, but
+    # x1 = 2^90 + 1 forces x0 = -1.
+    rows = [[1, 1], [0, 1]]
+    assert convex_combination_feasible(rows, [2**90, 2**89]) is True
+    assert convex_combination_feasible(rows, [2**90, 2**90 + 1]) is False
+    assert convex_combination_feasible(rows, [-(2**90), -(2**89)]) is False
+    assert convex_combination_feasible([[3, 1, 0], [0, 1, 2]], [3 * 2**70, 2**71 + 1]) is True
 
 
 def test_lp_pivots_match_gcd_reference(monkeypatch):
@@ -185,13 +196,13 @@ def test_lp_pivots_match_gcd_reference(monkeypatch):
         want_feasible, want = reference_lp_pivots(rows, rhs)
         got = []
 
-        def record(tableau, pr, c, prev):
+        def record(tableau, pr, c, *rest):
             got.append((pr, c))
             assert got == want[: len(got)], (rows, rhs)
-            return pivot(tableau, pr, c, prev)
+            return pivot(tableau, pr, c, *rest)
 
         monkeypatch.setattr(geometry, "exact_pivot", record)
-        assert _convex_combination_feasible(rows, rhs) == want_feasible, (rows, rhs)
+        assert convex_combination_feasible(rows, rhs) == want_feasible, (rows, rhs)
         assert got == want, (rows, rhs)
         feasible += want_feasible
     assert 50 <= feasible <= 250, feasible

@@ -8,9 +8,14 @@ comparison between weights.  So every solver must return the same
 ``chosen``, ``hull`` and ``contained``, and its weight times c.  Denominators
 near 2**61 make the integer view of the scaled instance much wider than the
 original's.
+
+Lifting a 2D instance to the plane z = 0 of 3-space keeps every hull and
+containment, so the oracle must return the same ``chosen``, ``contained``
+and weight on the lift (its 3D answer has no 2D hull cycle).
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,3 +78,27 @@ def test_positive_diagonal_scaling_keeps_the_answer(d):
                 assert got.weight == want.weight * c
                 solves += 2
     assert solves == 800 * len(SOLVERS[d])
+
+
+def test_lift_to_z_zero_keeps_the_oracle_answer():
+    rng = random.Random(700)
+    for inst in instances(rng, 2, 120):
+        lifted = Instance(3, tuple(
+            WeightedPoint((*wp.point, Fraction(0)), wp.weight) for wp in inst.points
+        ))
+        for allow_empty in (True, False):
+            want = solve_bruteforce(inst, allow_empty=allow_empty)
+            got = solve_bruteforce(lifted, allow_empty=allow_empty)
+            assert (got.chosen, got.contained, got.weight) == (
+                want.chosen, want.contained, want.weight
+            ), inst
+
+
+def test_random_instance_refuses_an_overfull_grid():
+    # 9 distinct points do not fit the 7 points of a 1D grid of 6; the
+    # generator must say so before it draws, not loop forever.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="do not fit"):
+        random_instance(random.Random(0), 9, 1, grid=6)
+    assert time.perf_counter() - start < 1
+    assert len(random_instance(random.Random(0), 7, 1, grid=6).points) == 7

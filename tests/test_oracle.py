@@ -5,20 +5,26 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mwcp.oracle as oracle
 from mwcp import geometry
-from mwcp.geometry import _convex_combination_feasible, point_in_hull, scale_to_integers
+from mwcp.geometry import hull_members, point_in_hull, scale_to_integers
 from mwcp.model import Instance, WeightedPoint, evaluate, make_instance
 from mwcp.oracle import OracleSizeError, containment_layers, solve_bruteforce
 from mwcp.reduction import make_graph, reduce_is_to_mwcp
 from mwcp.solver1d import solve_1d
 from support import (
+    _barycentric,
     assert_valid_witness,
+    convex_combination_feasible,
+    exact_pivot_reference,
     in_hull_reference,
     membership_lps,
+    pack,
     random_instance,
     reference_containment_layers,
+    unpack,
 )
 
 
@@ -203,49 +209,54 @@ def test_lattice_matches_point_in_hull():
 
 
 def divmod_pivot(calls, name):
-    """``geometry.exact_pivot`` by ``divmod``, failing on any remainder: a
-    floor ``//`` would silently round an inexact division."""
+    """``geometry.exact_pivot`` by ``divmod`` on each unpacked field, failing
+    on any remainder: a floor ``//`` would silently round an inexact
+    division, and a packed quotient can be exact while its fields are not."""
 
-    def pivot(rows, pr, c, prev):
+    def pivot(rows, pr, c, prev, w, bias):
         calls[name] = calls.get(name, 0) + 1
-        prow = rows[pr]
+        n = bias.bit_length() // w
+        fields = [unpack(row, w, n) for row in rows]
+        prow = fields[pr]
         pv = prow[c]
         out = []
-        for r, row in enumerate(rows):
+        for r, row in enumerate(fields):
             if r == pr:
-                out.append(prow)
+                out.append(rows[pr])
                 continue
             new = []
             for x, y in zip(row, prow):
                 q, rem = divmod(pv * x - row[c] * y, prev)
-                assert rem == 0, (name, rows, pr, c, prev)
+                assert rem == 0, (name, fields, pr, c, prev)
                 new.append(q)
-            out.append(new)
+            out.append(pack(new, w))
         return out
 
     return pivot
 
 
-def test_every_pivot_divides_exactly(monkeypatch):
-    # The lattice and the oracle on the lattice test corpora, then the
-    # membership LPs, each with every binding of the pivot step replaced.
+def pivot_cases():
+    """The lattice corpora with their members, and 200 membership LPs."""
     cases = [
         (inst, list(range(len(inst.points))))
         for _, inst in itertools.chain(lattice_instances(), random_lattice_instances())
     ]
     cases += [(inst, inst.positive_indices()) for _, inst in reduction_instances()]
+    return cases, membership_lps(random.Random(1617), 200)
 
-    lps = membership_lps(random.Random(1617), 200)
 
-    def run():
-        out = []
-        for inst, members in cases:
-            coords = scale_to_integers([wp.point for wp in inst.points])
-            out.append((list(containment_layers(coords, members)), solve_bruteforce(inst)))
-        return out, [_convex_combination_feasible(rows, rhs) for rows, rhs in lps]
+def run_pivot_cases(cases, lps):
+    out = []
+    for inst, members in cases:
+        coords = scale_to_integers([wp.point for wp in inst.points])
+        out.append((list(containment_layers(coords, members)), solve_bruteforce(inst)))
+    return out, [convex_combination_feasible(rows, rhs) for rows, rhs in lps]
 
-    want = run()
-    calls = {}
+
+def bind_pivot(monkeypatch, make):
+    """Replace every binding of ``geometry.exact_pivot`` in mwcp by
+    ``make(name)``; returns the names, among them the geometry and oracle
+    modules."""
     bound = [
         name
         for name, module in sys.modules.items()
@@ -253,9 +264,189 @@ def test_every_pivot_divides_exactly(monkeypatch):
     ]
     assert {"mwcp.geometry", "mwcp.oracle"} <= set(bound)
     for name in bound:
-        monkeypatch.setattr(sys.modules[name], "exact_pivot", divmod_pivot(calls, name))
-    assert run() == want
+        monkeypatch.setattr(sys.modules[name], "exact_pivot", make(name))
+    return bound
+
+
+def test_every_pivot_divides_exactly(monkeypatch):
+    # The lattice and the oracle on the lattice test corpora, then the
+    # membership LPs, each with every binding of the pivot step replaced.
+    cases, lps = pivot_cases()
+    want = run_pivot_cases(cases, lps)
+    calls = {}
+    bound = bind_pivot(monkeypatch, lambda name: divmod_pivot(calls, name))
+    assert run_pivot_cases(cases, lps) == want
     assert set(calls) == set(bound), calls
+
+
+def field_checked_pivot(calls, name, truth, kernel):
+    """``geometry.exact_pivot`` that unpacks each pivot's input and output
+    and checks them field by field against ``exact_pivot_reference``.
+
+    ``truth`` maps ``(bias, packed row)`` to the reference's fields of every
+    row built so far, so each input is the reference's own matrix rather
+    than a fresh unpack; only a starting matrix (previous pivot 1) is
+    unpacked.  Every field but the LP's rhs must stay below 2^(w - 1).  The
+    LP also reads sums of up to all its rows, so there the absolute fields
+    of each column but the rhs must sum below 2^(w - 1) too."""
+
+    def pivot(rows, pr, c, prev, w, bias):
+        calls[name] = calls.get(name, 0) + 1
+        n = bias.bit_length() // w
+        assert prev == 1 or all((bias, row) in truth for row in rows), name
+        lists = [truth.get((bias, row)) or unpack(row, w, n) for row in rows]
+        want = exact_pivot_reference(lists, pr, c, prev)
+        got = kernel(rows, pr, c, prev, w, bias)
+        limit = 1 << w - 1
+        for matrix in lists, want:
+            cols = list(zip(*matrix))
+            if name == "mwcp.geometry":
+                # The LP's top field is its rhs, which may take any size.
+                cols = cols[:-1]
+                assert all(sum(map(abs, col)) < limit for col in cols), (name, w)
+            assert all(abs(x) < limit for col in cols for x in col), (name, w)
+        assert [unpack(row, w, n) for row in got] == want, name
+        for row, fields in zip(got, want):
+            truth[bias, row] = fields
+        return got
+
+    return pivot
+
+
+def sylvester(order):
+    """The Sylvester Hadamard matrix of a power-of-two order, whose entry
+    (i, j) is (-1)^popcount(i & j); row 0 is all ones."""
+    return [[(-1) ** (i & j).bit_count() for j in range(order)] for i in range(order)]
+
+
+def hadamard_instance():
+    """A simplex at the field-width bound: the 4 points whose ``[1; coords]``
+    is the Sylvester Hadamard matrix of order 4 with its coordinate rows
+    scaled by 2^62 - 1 (|det| = 16 (2^62 - 1)^3, about 2^190), plus points
+    on, inside and just outside its faces and edges."""
+    k = 2**62 - 1
+    h = sylvester(4)
+    verts = [tuple(h[a][j] * k for a in range(1, 4)) for j in range(4)]
+    third = k // 3
+    others = [
+        (0, 0, 0),  # the centroid
+        (0, k, 0),  # the midpoint of the edge v0 v1
+        (-third, -third, -third),  # the centroid of the face opposite v0
+        (1 - third, 1 - third, 1 - third),
+        (-1 - third, -1 - third, -1 - third),
+        (0, k + 1, 0),
+        (k, k, -k),  # a corner of the bounding box
+    ]
+    rows = [(p, 1) for p in verts] + [(p, w) for p, w in zip(others, [-1, 2, -3, 1, -5, 4, -6])]
+    return make_instance(3, rows)
+
+
+def hadamard_lps():
+    """Membership LPs at the field-width bound: the 8 vertices whose ``[1;
+    coords]`` is the Sylvester Hadamard matrix of order 8 with its
+    coordinate rows scaled by k, a multiple of 7 near 2^62 (|det| = 2^12
+    k^7, about 2^446, where 8! is about 2^15), and 7 points in their
+    bounding box: the centroid, an edge midpoint, the centroid of the face
+    opposite v7, that point nudged by 1 inwards and outwards, and two
+    corners of the box.  Returns ``(rows, points, inside)``."""
+    k = 2**62 - 1 - (2**62 - 1) % 7
+    h = sylvester(8)
+    verts = [[h[a][j] * k for a in range(1, 8)] for j in range(8)]
+    face = [-x // 7 for x in verts[7]]
+    unit = [x // k for x in verts[7]]
+    points = [
+        [0] * 7,
+        [(x + y) // 2 for x, y in zip(verts[0], verts[1])],
+        face,
+        [x + u for x, u in zip(face, unit)],
+        [x - u for x, u in zip(face, unit)],
+        [k] * 6 + [-k],
+        [-k] * 7,
+    ]
+    rows = [[1] * 8] + [[v[a] for v in verts] for a in range(7)]
+    return rows, points, [True] * 4 + [False] * 3
+
+
+def test_packed_rows_match_list_reference(monkeypatch):
+    cases, lps = pivot_cases()
+    near = hadamard_instance()
+    cases.append((near, list(range(len(near.points)))))
+    rows, points, _ = hadamard_lps()
+    lps += [(rows, [1, *p]) for p in points]
+    want = run_pivot_cases(cases, lps)
+    calls = {}
+    truth = {}
+    kernel = geometry.exact_pivot
+    bound = bind_pivot(monkeypatch, lambda name: field_checked_pivot(calls, name, truth, kernel))
+    assert run_pivot_cases(cases, lps) == want
+    assert set(calls) == set(bound), calls
+
+
+def test_near_bound_simplex_is_exact():
+    inst = hadamard_instance()
+    pts = [wp.point for wp in inst.points]
+    coords, _, _ = inst.integer_view
+    members = list(range(len(pts)))
+    got = list(containment_layers(coords, members))
+    assert got == list(reference_containment_layers(coords, members))
+    inside = [in_hull_reference(p, pts[:4]) for p in pts]
+    assert inside == [True] * 8 + [False] * 3
+    assert got[4][0b1111] == 0b11111111
+    assert hull_members(list(coords), list(coords[:4])) == inside
+    pos = inst.positive_indices()
+    best = max(
+        sum(wp.weight for wp in inst.points if in_hull_reference(wp.point, [pts[i] for i in sub]))
+        for k in range(1, len(pos) + 1)
+        for sub in itertools.combinations(pos, k)
+    )
+    for allow_empty in (True, False):
+        sol = solve_bruteforce(inst, allow_empty=allow_empty)
+        assert sol.weight == best
+        assert_valid_witness(inst, sol)
+    rows, points, inside = hadamard_lps()
+    verts = [tuple(col) for col in zip(*rows[1:])]
+    # The vertices are affinely independent: one barycentric solve decides.
+    assert [min(_barycentric(p, verts)) >= 0 for p in points] == inside
+    assert hull_members([tuple(p) for p in points], verts) == inside
+
+
+@st.composite
+def lattice_cases(draw):
+    """Int points in d = 1..5 with coordinates up to 2^62, n <= 9, and the
+    indices whose subsets the lattice enumerates.  Offsets from a base point
+    span d directions (general), d - 1 (coplanar) or 1 (collinear), or come
+    in pairs along one shared direction (repeated); one axis may be 0 for
+    every point."""
+    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["general", "coplanar", "collinear", "repeated"]))
+    unit = draw(st.sampled_from([1, 3, 2**30, 2**57]))
+    rank = {"general": d, "coplanar": max(d - 1, 1), "collinear": 1, "repeated": d}[kind]
+    dirs = [[draw(st.integers(-3, 3)) * unit for _ in range(d)] for _ in range(rank)]
+    base = [draw(st.integers(-2**61, 2**61)) for _ in range(d)]
+    zero = draw(st.sampled_from([None, *range(d)]))
+
+    def offset():
+        cs = [draw(st.integers(-2, 2)) for _ in dirs]
+        return [sum(c * u[a] for c, u in zip(cs, dirs)) for a in range(d)]
+
+    offsets = [offset() for _ in range(draw(st.integers(1, 9)))]
+    if kind == "repeated":
+        shared = offset()
+        offsets = [o for o in offsets[:4] for o in (o, [x + y for x, y in zip(o, shared)])]
+    points = list(dict.fromkeys(
+        tuple(0 if a == zero else b + x for a, (b, x) in enumerate(zip(base, o)))
+        for o in offsets
+    ))
+    members = [i for i in range(len(points)) if draw(st.booleans())]
+    return points, members
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(lattice_cases())
+def test_lattice_matches_reference_on_big_degenerate_sets(case):
+    coords, members = case
+    got = list(containment_layers(coords, members))
+    assert got == list(reference_containment_layers(coords, members))
 
 
 def test_lattice_disagreeing_with_evaluate_raises(monkeypatch):
