@@ -25,6 +25,14 @@ starts at x_L, so neither search ever picks a vertical edge.  A point costs
 two bisects and two cross products, O(log h) instead of one cross product
 per edge.  A hull whose vertices share one x (a point or a vertical segment)
 reduces to an interval of y.
+
+Membership in any dimension (:func:`hull_members`) appends the points as
+columns to ``[1 ... 1; vertices]`` and eliminates once with exact-division
+(Bareiss) pivots, :func:`exact_pivot`, on rows packed one int each
+(:func:`pack_affine`): the step the oracle's subset walk runs one pivot at a
+time.  Every point's answer is then read from sign bits
+(:func:`split_columns`), and only the points that an affinely dependent
+vertex set leaves open run the exact phase-I simplex.
 """
 
 from __future__ import annotations
@@ -175,28 +183,102 @@ def point_in_hull(v, vertices) -> bool:
 def hull_members(points, vertices):
     """For each int point, is it a convex combination of the int vertices?
 
-    One exact phase-I simplex per point (:func:`_convex_combination_feasible`)
-    on the rows ``[1 ... 1; vertices]``, packed once (:func:`_membership_lp`);
-    only the right-hand side changes from point to point.  A vertex is
-    inside at once, and a point outside the vertices' bounding box is
-    outside without a simplex (in 1D the box decides).  Intended for the
-    small vertex counts of ``evaluate`` above 2D.
+    One exact elimination decides every point of an affinely independent
+    vertex set.  The points are appended as columns to the rows ``[1 ... 1;
+    vertices]``, packed by :func:`pack_affine`, and each vertex column is
+    pivoted once by :func:`exact_pivot`, unless no free row (one without a
+    pivot) is nonzero in it: that vertex lies in the affine hull of those
+    pivoted before it.  Every entry is then a minor of the starting matrix,
+    and by Cramer's rule, with D the last pivot, :func:`split_columns`
+    sorts the points:
+
+    * a free row is nonzero at the point: it is off aff(V), so outside;
+    * every free row is 0 there and every pivot-row entry has the sign of
+      D: it is a convex combination of the pivoted vertices, so inside;
+    * otherwise it has barycentric coordinates on the pivoted vertices and
+      one is negative.  When every vertex was pivoted (V is affinely
+      independent) they are unique, so it is outside.  Else it is open.
+
+    Only a dependent vertex set leaves points open, and only those run an
+    exact phase-I simplex (:func:`_convex_combination_feasible`) on the
+    vertex rows, packed (:func:`_membership_lp`) when the first one needs
+    it.  An open vertex is inside at once, and an open point outside the
+    vertices' bounding box is outside without a simplex (in 1D the box
+    decides).
     """
-    d = len(vertices[0])
-    lo = [min(u[a] for u in vertices) for a in range(d)]
-    hi = [max(u[a] for u in vertices) for a in range(d)]
-    own = set(vertices)
-    rows = [[1] * len(vertices)] + [[u[a] for u in vertices] for a in range(d)]
-    lp = _membership_lp(rows)
-    out = []
-    for p in points:
-        if p in own:
-            out.append(True)
-        elif not all(a <= x <= b for a, x, b in zip(lo, p, hi)):
-            out.append(False)
+    m, d = len(vertices), len(vertices[0])
+    w, bias, packed = pack_affine([*vertices, *points])
+    half, mask = 1 << w - 1, (1 << w) - 1
+    k, pivot = 0, 1
+    for c in range(m):
+        for pr in range(k, d + 1):
+            if pv := ((packed[pr] + bias) >> w * c & mask) - half:
+                break
         else:
-            out.append(d == 1 or _convex_combination_feasible(lp, (1, *p)))
+            continue
+        packed = exact_pivot(packed, pr, c, pivot, w, bias)
+        if pr != k:
+            packed[k], packed[pr] = packed[pr], packed[k]
+        k, pivot = k + 1, pv
+    # The sign bits of the point columns.
+    flat, inside = split_columns(packed, k, pivot, bias, bias >> w * m << w * m)
+    out = [bool(inside >> w * (m + i) + w - 1 & 1) for i in range(len(points))]
+    if k < m and flat != inside:
+        own = set(vertices)
+        lo = [min(u[a] for u in vertices) for a in range(d)]
+        hi = [max(u[a] for u in vertices) for a in range(d)]
+        lp = None
+        for i, p in enumerate(points):
+            if out[i] or not flat >> w * (m + i) + w - 1 & 1:
+                continue
+            if p in own:
+                out[i] = True
+            elif all(a <= x <= b for a, x, b in zip(lo, p, hi)):
+                if d > 1 and lp is None:
+                    lp = _membership_lp([[1] * m] + [[u[a] for u in vertices] for a in range(d)])
+                out[i] = d == 1 or _convex_combination_feasible(lp, (1, *p))
     return out
+
+
+def pack_affine(points):
+    """``(w, bias, rows)``: the d + 1 rows of ``[1 ... 1; points]``, one
+    column per int point, packed one int each for :func:`exact_pivot`, with
+    a field width w that fits every minor.
+
+    A k x k minor is at most k! times the product of its rows' largest
+    |entry|, so every minor is below 2^(w - 2) in absolute value when w is
+    the sum over the rows of ``bit_length(max |entry|)``, plus
+    ``bit_length((d + 1)!)`` + 2 (the ``mwcp.oracle`` docstring has the
+    whole argument).  ``bias`` holds 2^(w - 1) in every field.
+    """
+    d = len(points[0])
+    rows = [[1] * len(points)] + [[p[a] for p in points] for a in range(d)]
+    w = sum(max(map(abs, r)).bit_length() for r in rows) + factorial(d + 1).bit_length() + 2
+    bias = sum(1 << w * j for j in range(len(points))) << w - 1
+    return w, bias, [sum(x << w * j for j, x in enumerate(row)) for row in rows]
+
+
+def split_columns(rows, k, pivot, bias, cols):
+    """``(flat, inside)``: the sign bits among ``cols`` of the columns where
+    every free row of ``rows`` is 0, and of those among them where every
+    pivot-row field also has the sign of ``pivot`` or is 0.
+
+    ``rows`` are packed as for :func:`exact_pivot`, the k pivot rows first;
+    the sign bit of column j is bit w*j + w - 1.  That bit of row + bias
+    (of bias - row) is set exactly when field j is >= 0 (<= 0).  The pivot
+    rows are read only when some column is flat.
+    """
+    for row in rows[k:]:
+        cols &= (row + bias) & (bias - row)
+    inside = cols
+    if inside:
+        if pivot > 0:
+            for row in rows[:k]:
+                inside &= row + bias
+        else:
+            for row in rows[:k]:
+                inside &= bias - row
+    return cols, inside
 
 
 def exact_pivot(rows, pr, c, prev, w, bias):

@@ -22,10 +22,11 @@ contained set, a bitmask over the instance points, from the subset lattice:
   minus its largest member) plus one pivot, so a depth-first walk costs one
   pivot per affinely independent subset of at most d + 1 members.
 
-Each row of the n-column matrix is one int, the sum of x_j << w*j, so a
-pivot is one multiply-subtract-divide per row.  A k x k minor is at most k!
-times the product of its rows' largest |entry|, so every entry is below
-2^(w - 2) in absolute value for w = the sum over the d + 1 starting rows of
+Each row of the n-column matrix is one int, the sum of x_j << w*j
+(:func:`~mwcp.geometry.pack_affine`), so a pivot is one
+multiply-subtract-divide per row.  A k x k minor is at most k! times the
+product of its rows' largest |entry|, so every entry is below 2^(w - 2) in
+absolute value for w = the sum over the d + 1 starting rows of
 ``bit_length(max |entry|)``, plus ``bit_length((d + 1)!)`` + 2.  Each field
 of ``pv * row - f * prow`` is a multiple of the previous pivot, so the
 packed sum is too, and its exact quotient is the packed quotients.  With B
@@ -33,7 +34,9 @@ packed sum is too, and its exact quotient is the packed quotients.  With B
 2^w): ``(row + B) >> w*j & (2^w - 1)`` is field j plus 2^(w - 1), and bit
 w*j + w - 1 of row + B (of B - row) is set exactly when field j is >= 0
 (<= 0).  The walk keeps all n columns and an open mask of those sign bits,
-so a subset's inside test is a few mask ANDs.
+so a subset's inside test is a few mask ANDs
+(:func:`~mwcp.geometry.split_columns`).  ``geometry.hull_members`` runs
+the same elimination once, on one vertex set, for ``evaluate`` above 2D.
 
 Layers are built one size at a time from the previous one, so at most two
 adjacent layers are live: O(C(m, m // 2)) masks for |S+| = m, not 2^m.  The
@@ -49,9 +52,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import factorial
 
-from .geometry import exact_pivot
+from .geometry import exact_pivot, pack_affine, split_columns
 from .model import (
     Instance,
     Solution,
@@ -90,8 +92,12 @@ def solve_bruteforce(
     the empty set's 0 is below it), and a later equal weight never replaces
     the incumbent.  Maximality is still re-checked from the contained sets
     of the layer that was live when the incumbent was set, and the final
-    ``evaluate`` (the LP path, which also gives the 2D hull cycle) must agree
-    with the lattice's weight and contained set.  Both checks raise
+    ``evaluate``, which also gives the 2D hull cycle, must agree with the
+    lattice's weight and contained set.  Above 2D that compares the
+    lattice's mask, assembled along the walk's path one pivot per subset and
+    by Carathéodory unions, with a fresh one-shot elimination of the
+    witness's vertices (``geometry.hull_members``); both use
+    ``exact_pivot``, as the LP already did.  Both checks raise
     ``RuntimeError`` and so survive ``python -O``.  Refuses instances whose
     |S+| exceeds ``limit``.
     """
@@ -114,7 +120,11 @@ def solve_bruteforce(
         children = iter(layer.items())
         for (p, cp), wp in zip(prev_layer.items(), prev_weight):
             for s, c in islice(children, len(pos) - p.bit_length()):
-                ws = wp + _mask_weight(c & ~cp, iw)
+                new = c & ~cp
+                if new & (new - 1):
+                    ws = wp + _mask_weight(new, iw)
+                else:  # at most one point
+                    ws = wp + iw[new.bit_length() - 1] if new else wp
                 weight.append(ws)
                 if best is None or ws > best[2]:
                     best = (s, c, ws)
@@ -173,14 +183,10 @@ def _simplex_masks(coords, members):
     """
     found = {}
     if coords:
-        n, d = len(coords), len(coords[0])
-        rows = [[1] * n] + [[p[a] for p in coords] for a in range(d)]
         # The field width and the bias of the module docstring.
-        w = sum(max(map(abs, r)).bit_length() for r in rows) + factorial(d + 1).bit_length() + 2
-        bias = sum(1 << w * j for j in range(n)) << w - 1
-        packed = [sum(x << w * j for j, x in enumerate(row)) for row in rows]
+        w, bias, packed = pack_affine(coords)
         # The empty subset: no pivots, every point open.
-        _grow(found, members, d, (w, bias), 0, (bias, 0, 1, packed))
+        _grow(found, members, len(coords[0]), (w, bias), 0, (bias, 0, 1, packed))
     return found
 
 
@@ -210,19 +216,15 @@ def _grow(found, members, d, layout, s, parent):
         sign = 1 << shift + w - 1
         if not live & sign:
             continue
-        pr = next((r for r in range(k, d + 1) if (rows[r] + bias) >> shift & mask != half), None)
-        if pr is None:
-            continue
-        pv = ((rows[pr] + bias) >> shift & mask) - half
-        child = exact_pivot(rows, pr, members[j], prev, w, bias)
-        # The new pivot row goes after the old ones.
-        child.insert(k, child.pop(pr))
-        alive = live ^ sign
-        for r in range(d, -1, -1):  # free rows first: most points fail there
-            if not alive:
+        for pr in range(k, d + 1):
+            if pv := ((rows[pr] + bias) >> shift & mask) - half:
                 break
-            row = child[r]
-            alive &= (row + bias) & (bias - row) if r > k else row + bias if pv > 0 else bias - row
+        else:
+            continue
+        child = exact_pivot(rows, pr, members[j], prev, w, bias)
+        if pr != k:  # the new pivot row goes after the old ones
+            child.insert(k, child.pop(pr))
+        alive = split_columns(child, k + 1, pv, bias, live ^ sign)[1]
         t = s | 1 << j
         if alive:
             found[t] = sum(1 << b.bit_length() // w - 1 for b in _bits(alive))

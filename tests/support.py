@@ -298,10 +298,11 @@ def reference_lp_pivots(rows, rhs):
 
 def membership_lps(rng, count):
     """Seeded membership LPs ``(rows, rhs)`` as ``geometry.hull_members``
-    builds them: the affine row and d coordinate rows of 1 to 7 int vertices
-    in d = 2..5, and ``(1, *p)`` for a point p.  The vertices are general,
-    on one hyperplane or on one line, at scales up to 2^60; p is a vertex
-    combination, nudged by 1 or not, or has one negative weight."""
+    builds them for the points its elimination leaves open: the affine row
+    and d coordinate rows of 1 to 7 int vertices in d = 2..5, and ``(1,
+    *p)`` for a point p.  The vertices are general, on one hyperplane or on
+    one line, at scales up to 2^60; p is a vertex combination, nudged by 1
+    or not, or has one negative weight."""
     out = []
     for _ in range(count):
         d = rng.randint(2, 5)
@@ -325,6 +326,57 @@ def membership_lps(rng, count):
             p[rng.randrange(d)] += rng.choice([-1, 1])
         rows = [[1] * k] + [[v[a] for v in verts] for a in range(d)]
         out.append((rows, [1, *p]))
+    return out
+
+
+def hull_member_cases(rng, count):
+    """Seeded ``(points, vertices, labels)`` for ``geometry.hull_members``.
+
+    d runs through 1..5, and |V| is d + 2 or from 1 to d + 1, in turns of
+    20 cases.  The vertices are a base point plus 4 * offset, the offsets
+    spanning d directions (general), d - 1 (coplanar) or one (collinear),
+    or d with every vertex listed twice (repeated), at scales up to 2^60.
+    Each point has a label: "vertex"; "face", a quarter of the sum of four
+    vertices drawn from at most d of them, so on a face of a simplex;
+    "affine", 2 u - v for vertices u and v, in aff(V) but outside conv(V)
+    when V is a segment or a simplex and u != v; "nudged", a face point
+    moved by 1 or by the scale along one axis, off aff(V) when V is flat;
+    and "random", a random combination of the directions.
+    """
+    out = []
+    for case in range(count):
+        d = case % 5 + 1
+        kind = ("general", "coplanar", "collinear", "repeated")[case // 5 % 4]
+        unit = rng.choice([1, 3, 2**30, 2**60])
+        rank = {"general": d, "coplanar": max(d - 1, 1), "collinear": 1, "repeated": d}[kind]
+        dirs = [[rng.randint(-3, 3) * unit for _ in range(d)] for _ in range(rank)]
+        base = [rng.randint(-2**61, 2**61) for _ in range(d)]
+
+        def offset():
+            cs = [rng.randint(-2, 2) for _ in dirs]
+            return [sum(c * u[a] for c, u in zip(cs, dirs)) for a in range(d)]
+
+        offsets = [offset() for _ in range(d + 2 if case // 20 % 2 else rng.randint(1, d + 1))]
+        if kind == "repeated":
+            offsets = [o for o in offsets[: (d + 2) // 2] for o in (o, o)]
+        verts = [tuple(b + 4 * x for b, x in zip(base, o)) for o in offsets]
+        points, labels = [rng.choice(verts)], ["vertex"]
+        for _ in range(3):
+            face = rng.sample(verts, min(d, len(verts)))
+            picks = [rng.choice(face) for _ in range(4)]
+            p = [sum(v[a] for v in picks) // 4 for a in range(d)]
+            points.append(tuple(p))
+            labels.append("face")
+            p[rng.randrange(d)] += rng.choice([-1, 1, -unit, unit])
+            points.append(tuple(p))
+            labels.append("nudged")
+        if len(verts) > 1:
+            u, v = rng.sample(verts, 2)
+            points.append(tuple(2 * x - y for x, y in zip(u, v)))
+            labels.append("affine")
+        points.append(tuple(b + 4 * x for b, x in zip(base, offset())))
+        labels.append("random")
+        out.append((points, verts, labels))
     return out
 
 

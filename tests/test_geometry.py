@@ -15,8 +15,10 @@ from mwcp.geometry import (
     shear_normalize,
 )
 from support import (
+    _barycentric,
     convex_combination_feasible,
     convex_polygon_reference,
+    hull_member_cases,
     in_hull_reference,
     membership_lps,
     orientation,
@@ -162,6 +164,47 @@ def test_hull_members_matches_point_in_hull():
         verts = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(rng.randint(1, 6))]
         pts = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(8)] + verts[:2]
         assert hull_members(pts, verts) == [point_in_hull(p, verts) for p in pts]
+
+
+def test_hull_members_matches_reference_by_kind():
+    # d = 1..5, |V| up to d + 2, general, coplanar, collinear and repeated
+    # vertices at scales up to 2^60, and every kind of point on each
+    cases = hull_member_cases(random.Random(19), 100)
+    seen = {}
+    for points, verts, labels in cases:
+        want = [in_hull_reference(p, verts) for p in points]
+        assert hull_members(points, verts) == want, (points, verts)
+        for label, inside in zip(labels, want):
+            seen[label, inside] = seen.get((label, inside), 0) + 1
+    assert {len(verts[0]) for _, verts, _ in cases} == {1, 2, 3, 4, 5}
+    assert sum(len(verts) > len(verts[0]) + 1 for _, verts, _ in cases) >= 20
+    # face points are inside; the other kinds fall on both sides
+    assert seen.get(("face", False), 0) == 0 and seen["face", True] == 3 * len(cases)
+    for label in ("affine", "nudged", "random"):
+        assert seen[label, True] >= 5 and seen[label, False] >= 5, (label, seen)
+
+
+def test_independent_vertices_never_run_the_lp(monkeypatch):
+    # One elimination decides every point of an affinely independent vertex
+    # set; only a dependent one may leave points open for the phase-I LP.
+    calls = []
+    feasible = geometry._convex_combination_feasible
+
+    def counted(lp, rhs):
+        calls.append(rhs)
+        return feasible(lp, rhs)
+
+    monkeypatch.setattr(geometry, "_convex_combination_feasible", counted)
+    independent = 0
+    for points, verts, _ in hull_member_cases(random.Random(23), 400):
+        before = len(calls)
+        hull_members(points, verts)
+        if _barycentric(verts[0], verts) is not None:
+            independent += 1
+            assert len(calls) == before, verts
+    assert independent >= 100
+    # dependent sets do reach the LP, so the count above is live
+    assert calls
 
 
 def test_convex_combination_feasible_negative_rhs():

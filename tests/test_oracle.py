@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import mwcp.oracle as oracle
 from mwcp import geometry
-from mwcp.geometry import hull_members, point_in_hull, scale_to_integers
+from mwcp.geometry import hull_members, scale_to_integers
 from mwcp.model import Instance, WeightedPoint, evaluate, make_instance
 from mwcp.oracle import OracleSizeError, containment_layers, solve_bruteforce
 from mwcp.reduction import make_graph, reduce_is_to_mwcp
@@ -191,7 +191,9 @@ def test_evaluate_matches_in_hull_reference_above_2d():
         assert sol.weight == sum(inst.points[i].weight for i in want), name
 
 
-def test_lattice_matches_point_in_hull():
+def test_lattice_matches_in_hull_reference():
+    # point_in_hull runs the same exact-division elimination as the lattice,
+    # so the lattice is checked against the independent subset search alone.
     for name, inst in lattice_instances():
         pts = [wp.point for wp in inst.points]
         members = list(range(len(pts)))
@@ -204,7 +206,6 @@ def test_lattice_matches_point_in_hull():
                 if not verts:
                     assert got == [], name
                     continue
-                assert got == [i for i, p in enumerate(pts) if point_in_hull(p, verts)], name
                 assert got == [i for i, p in enumerate(pts) if in_hull_reference(p, verts)], name
 
 
@@ -288,7 +289,9 @@ def field_checked_pivot(calls, name, truth, kernel):
     than a fresh unpack; only a starting matrix (previous pivot 1) is
     unpacked.  Every field but the LP's rhs must stay below 2^(w - 1).  The
     LP also reads sums of up to all its rows, so there the absolute fields
-    of each column but the rhs must sum below 2^(w - 1) too."""
+    of each column but the rhs must sum below 2^(w - 1) too.  The LP's
+    pivots are told from those of ``hull_members`` by their caller."""
+    lp_code = geometry._convex_combination_feasible.__code__
 
     def pivot(rows, pr, c, prev, w, bias):
         calls[name] = calls.get(name, 0) + 1
@@ -300,7 +303,7 @@ def field_checked_pivot(calls, name, truth, kernel):
         limit = 1 << w - 1
         for matrix in lists, want:
             cols = list(zip(*matrix))
-            if name == "mwcp.geometry":
+            if sys._getframe(1).f_code is lp_code:
                 # The LP's top field is its rhs, which may take any size.
                 cols = cols[:-1]
                 assert all(sum(map(abs, col)) < limit for col in cols), (name, w)
@@ -447,6 +450,29 @@ def test_lattice_matches_reference_on_big_degenerate_sets(case):
     coords, members = case
     got = list(containment_layers(coords, members))
     assert got == list(reference_containment_layers(coords, members))
+
+
+def test_reduction_solves_never_run_the_lp(monkeypatch):
+    # The witnesses here have at most d + 1 = 5 vertices, all on the moment
+    # curve, so they are affinely independent and the final evaluate
+    # decides every point with one elimination.  So does evaluate on five
+    # graph vertices, whose simplex spans the space: every point is in its
+    # affine hull, and the other graph vertices are outside it.
+    calls = []
+    feasible = geometry._convex_combination_feasible
+
+    def counted(lp, rhs):
+        calls.append(rhs)
+        return feasible(lp, rhs)
+
+    monkeypatch.setattr(geometry, "_convex_combination_feasible", counted)
+    sizes = set()
+    for name, inst in reduction_instances():
+        for allow_empty in (True, False):
+            sizes.add(len(solve_bruteforce(inst, allow_empty=allow_empty).chosen))
+        vertices = inst.meta["vertex_point_index"]
+        assert not set(vertices[5:]) & set(evaluate(inst, vertices[:5]).contained)
+    assert max(sizes) <= 5 and calls == [], (sizes, calls)
 
 
 def test_lattice_disagreeing_with_evaluate_raises(monkeypatch):
