@@ -26,13 +26,14 @@ two bisects and two cross products, O(log h) instead of one cross product
 per edge.  A hull whose vertices share one x (a point or a vertical segment)
 reduces to an interval of y.
 
-Membership in any dimension (:func:`hull_members`) appends the points as
-columns to ``[1 ... 1; vertices]`` and eliminates once with exact-division
-(Bareiss) pivots, :func:`exact_pivot`, on rows packed one int each
-(:func:`pack_affine`): the step the oracle's subset walk runs one pivot at a
-time.  Every point's answer is then read from sign bits
-(:func:`split_columns`), and only the points that an affinely dependent
-vertex set leaves open run the exact phase-I simplex.
+Membership in any dimension above 1 (:func:`hull_members`) appends the
+points as columns to ``[1 ... 1; vertices]`` and eliminates once with
+exact-division (Bareiss) pivots, :func:`exact_pivot`, on rows packed one int
+each (:func:`pack_affine`), through :func:`pivot_free_row`: the step the
+oracle's subset walk runs one pivot at a time.  Every point's answer is then
+read from sign bits (:func:`split_columns`, :func:`sign_bits`), and only the
+points that an affinely dependent vertex set leaves open run the exact
+phase-I simplex.
 """
 
 from __future__ import annotations
@@ -183,12 +184,13 @@ def point_in_hull(v, vertices) -> bool:
 def hull_members(points, vertices):
     """For each int point, is it a convex combination of the int vertices?
 
-    One exact elimination decides every point of an affinely independent
-    vertex set.  The points are appended as columns to the rows ``[1 ... 1;
-    vertices]``, packed by :func:`pack_affine`, and each vertex column is
-    pivoted once by :func:`exact_pivot`, unless no free row (one without a
-    pivot) is nonzero in it: that vertex lies in the affine hull of those
-    pivoted before it.  Every entry is then a minor of the starting matrix,
+    In 1D the vertices' interval decides.  Above, one exact elimination
+    decides every point of an affinely independent vertex set.  The points
+    are appended as columns to the rows ``[1 ... 1; vertices]``, packed by
+    :func:`pack_affine`, and each vertex column is pivoted once by
+    :func:`pivot_free_row`, as in the oracle's subset walk, unless no free
+    row (one without a pivot) is nonzero in it: that vertex lies in the
+    affine hull of those pivoted before it.  Every entry is then a minor of the starting matrix,
     and by Cramer's rule, with D the last pivot, :func:`split_columns`
     sorts the points:
 
@@ -203,40 +205,36 @@ def hull_members(points, vertices):
     exact phase-I simplex (:func:`_convex_combination_feasible`) on the
     vertex rows, packed (:func:`_membership_lp`) when the first one needs
     it.  An open vertex is inside at once, and an open point outside the
-    vertices' bounding box is outside without a simplex (in 1D the box
-    decides).
+    vertices' bounding box is outside without a simplex.  No step works on
+    a whole packed row once per point, so the time grows as n log n in the
+    number n of points.
     """
     m, d = len(vertices), len(vertices[0])
+    if d == 1:  # conv(V) is the interval [lo, hi]
+        lo, hi = min(vertices)[0], max(vertices)[0]
+        return [lo <= p[0] <= hi for p in points]
     w, bias, packed = pack_affine([*vertices, *points])
-    half, mask = 1 << w - 1, (1 << w) - 1
     k, pivot = 0, 1
     for c in range(m):
-        for pr in range(k, d + 1):
-            if pv := ((packed[pr] + bias) >> w * c & mask) - half:
-                break
-        else:
-            continue
-        packed = exact_pivot(packed, pr, c, pivot, w, bias)
-        if pr != k:
-            packed[k], packed[pr] = packed[pr], packed[k]
-        k, pivot = k + 1, pv
-    # The sign bits of the point columns.
+        if step := pivot_free_row(packed, k, c, pivot, w, bias):
+            packed, pivot = step
+            k += 1
     flat, inside = split_columns(packed, k, pivot, bias, bias >> w * m << w * m)
-    out = [bool(inside >> w * (m + i) + w - 1 & 1) for i in range(len(points))]
+    out = sign_bits(inside, w, m, len(points))
     if k < m and flat != inside:
         own = set(vertices)
         lo = [min(u[a] for u in vertices) for a in range(d)]
         hi = [max(u[a] for u in vertices) for a in range(d)]
         lp = None
-        for i, p in enumerate(points):
-            if out[i] or not flat >> w * (m + i) + w - 1 & 1:
+        for i, (p, on) in enumerate(zip(points, sign_bits(flat, w, m, len(points)))):
+            if out[i] or not on:
                 continue
             if p in own:
                 out[i] = True
             elif all(a <= x <= b for a, x, b in zip(lo, p, hi)):
-                if d > 1 and lp is None:
+                if lp is None:
                     lp = _membership_lp([[1] * m] + [[u[a] for u in vertices] for a in range(d)])
-                out[i] = d == 1 or _convex_combination_feasible(lp, (1, *p))
+                out[i] = _convex_combination_feasible(lp, (1, *p))
     return out
 
 
@@ -254,8 +252,44 @@ def pack_affine(points):
     d = len(points[0])
     rows = [[1] * len(points)] + [[p[a] for p in points] for a in range(d)]
     w = sum(max(map(abs, r)).bit_length() for r in rows) + factorial(d + 1).bit_length() + 2
-    bias = sum(1 << w * j for j in range(len(points))) << w - 1
-    return w, bias, [sum(x << w * j for j, x in enumerate(row)) for row in rows]
+    packed = [_pack(row, w) for row in rows]
+    return w, packed[0] << w - 1, packed
+
+
+def _pack(fields, w):
+    """``sum(x << w*j for j, x in enumerate(fields))``.  Long lists are packed
+    by halves, so the cost is n log n field widths rather than the n^2 of
+    adding each field to the growing sum."""
+    if len(fields) <= 64:
+        return sum(x << w * j for j, x in enumerate(fields))
+    h = len(fields) // 2
+    return _pack(fields[:h], w) + (_pack(fields[h:], w) << w * h)
+
+
+def sign_bits(mask, w, start, count):
+    """For j = start, ..., start + count - 1: is bit w*j + w - 1 of ``mask``
+    set?  ``mask`` is below 2^(w*(start + count)).  One pass over its binary
+    digits rather than one shift of the whole mask per column."""
+    width = w * (start + count)
+    return [b == "1" for b in format(mask, f"0{width}b")[::-1][w * start + w - 1 :: w]]
+
+
+def pivot_free_row(rows, k, c, prev, w, bias):
+    """``(rows, pv)`` after one :func:`exact_pivot` on field c of the first
+    free row (``rows[k:]``, those without a pivot) where it is nonzero, pv
+    being that field, with the new pivot row moved to index k; None when
+    field c of every free row is 0.  ``prev`` is the last pivot (1 before
+    the first)."""
+    shift, half, mask = w * c, 1 << w - 1, (1 << w) - 1
+    for pr in range(k, len(rows)):
+        if pv := ((rows[pr] + bias) >> shift & mask) - half:
+            break
+    else:
+        return None
+    rows = exact_pivot(rows, pr, c, prev, w, bias)
+    if pr != k:  # the new pivot row goes after the old ones
+        rows.insert(k, rows.pop(pr))
+    return rows, pv
 
 
 def split_columns(rows, k, pivot, bias, cols):

@@ -143,9 +143,10 @@ def evaluate(instance: Instance, chosen, *, allow_nonpositive: bool = False) -> 
     :attr:`Instance.integer_view`, batched per dimension, and membership is
     equivalent to a per-point ``point_in_hull`` check.  In 2D the hull and
     ``convex_polygon_members`` decide it with two bisected hull chains;
-    otherwise ``hull_members`` does, with one exact elimination of the
-    vertex and point columns, and an exact LP only for the points that an
-    affinely dependent vertex set leaves open.
+    otherwise ``hull_members`` does: in 1D with the vertices' interval,
+    above 2D with one exact elimination of the vertex and point columns,
+    and an exact LP only for the points that an affinely dependent vertex
+    set leaves open.
     """
     idx = sorted(set(chosen))
     n = len(instance.points)

@@ -36,7 +36,9 @@ w*j + w - 1 of row + B (of B - row) is set exactly when field j is >= 0
 (<= 0).  The walk keeps all n columns and an open mask of those sign bits,
 so a subset's inside test is a few mask ANDs
 (:func:`~mwcp.geometry.split_columns`).  ``geometry.hull_members`` runs
-the same elimination once, on one vertex set, for ``evaluate`` above 2D.
+the same elimination once, on one vertex set, for ``evaluate`` above 2D:
+both take each pivot with :func:`~mwcp.geometry.pivot_free_row` and read
+the signs with ``split_columns``.
 
 Layers are built one size at a time from the previous one, so at most two
 adjacent layers are live: O(C(m, m // 2)) masks for |S+| = m, not 2^m.  The
@@ -53,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-from .geometry import exact_pivot, pack_affine, split_columns
+from .geometry import pack_affine, pivot_free_row, split_columns
 from .model import (
     Instance,
     Solution,
@@ -120,11 +122,7 @@ def solve_bruteforce(
         children = iter(layer.items())
         for (p, cp), wp in zip(prev_layer.items(), prev_weight):
             for s, c in islice(children, len(pos) - p.bit_length()):
-                new = c & ~cp
-                if new & (new - 1):
-                    ws = wp + _mask_weight(new, iw)
-                else:  # at most one point
-                    ws = wp + iw[new.bit_length() - 1] if new else wp
+                ws = wp + _mask_weight(c & ~cp, iw)
                 weight.append(ws)
                 if best is None or ws > best[2]:
                     best = (s, c, ws)
@@ -209,21 +207,15 @@ def _grow(found, members, d, layout, s, parent):
     """
     w, bias = layout
     live, k, prev, rows = parent
-    half, mask = 1 << w - 1, (1 << w) - 1
     deeper = s.bit_count() < d
     for j in range(s.bit_length(), len(members)):
-        shift = w * members[j]
-        sign = 1 << shift + w - 1
+        sign = 1 << w * members[j] + w - 1
         if not live & sign:
             continue
-        for pr in range(k, d + 1):
-            if pv := ((rows[pr] + bias) >> shift & mask) - half:
-                break
-        else:
+        step = pivot_free_row(rows, k, members[j], prev, w, bias)
+        if step is None:
             continue
-        child = exact_pivot(rows, pr, members[j], prev, w, bias)
-        if pr != k:  # the new pivot row goes after the old ones
-            child.insert(k, child.pop(pr))
+        child, pv = step
         alive = split_columns(child, k + 1, pv, bias, live ^ sign)[1]
         t = s | 1 << j
         if alive:

@@ -8,13 +8,12 @@ from functools import cmp_to_key
 from math import gcd
 
 from mwcp.geometry import (
-    _convex_combination_feasible,
     _membership_lp,
     convex_hull_2d,
     point_in_hull,
 )
 from mwcp.model import Instance, Solution, WeightedPoint, evaluate
-from mwcp import solver2d
+from mwcp import geometry, solver2d
 from mwcp.reduction import _reduction_maps
 from mwcp.solver2d import EdgeWeights, _key_row
 
@@ -237,8 +236,9 @@ def pack(fields, w):
 
 
 def convex_combination_feasible(rows, rhs):
-    """``geometry._convex_combination_feasible`` on int lists."""
-    return _convex_combination_feasible(_membership_lp(rows), rhs)
+    """``geometry._convex_combination_feasible`` on int lists, looked up on
+    the module so that a test can wrap it."""
+    return geometry._convex_combination_feasible(_membership_lp(rows), rhs)
 
 
 def reference_lp_pivots(rows, rhs):

@@ -10,9 +10,11 @@ from mwcp.geometry import (
     convex_hull_2d,
     convex_polygon_members,
     hull_members,
+    pack_affine,
     point_in_convex_polygon,
     point_in_hull,
     shear_normalize,
+    sign_bits,
 )
 from support import (
     _barycentric,
@@ -184,27 +186,50 @@ def test_hull_members_matches_reference_by_kind():
         assert seen[label, True] >= 5 and seen[label, False] >= 5, (label, seen)
 
 
-def test_independent_vertices_never_run_the_lp(monkeypatch):
+def test_packing_and_sign_bits_of_long_rows():
+    # Rows longer than one packing block are packed by halves; both must
+    # equal the plain field sum, and sign_bits must read every column.
+    rng = random.Random(41)
+    for n in (1, 63, 64, 65, 130, 1000):
+        points = [(rng.randint(-2**40, 2**40), rng.randint(-9, 9)) for _ in range(n)]
+        w, bias, rows = pack_affine(points)
+        plain = [[1] * n, [p[0] for p in points], [p[1] for p in points]]
+        assert rows == [sum(x << w * j for j, x in enumerate(row)) for row in plain]
+        assert bias == sum(1 << w * j + w - 1 for j in range(n))
+        for start in (0, 1, n // 2):
+            signs = (rows[1] + bias) & bias
+            want = [bool(signs >> w * j + w - 1 & 1) for j in range(start, n)]
+            assert sign_bits(signs, w, start, n - start) == want == [p[0] >= 0 for p in points[start:]]
+
+
+def test_hull_members_on_many_points():
+    # Hundreds of points against one vertex set: 1D intervals, and 3D
+    # vertex sets that are affinely independent or not.
+    rng = random.Random(43)
+    line = [(rng.randint(-50, 50),) for _ in range(300)]
+    for verts in ([(-7,)], [(3,), (-20,), (9,)]):
+        assert hull_members(line, verts) == [in_hull_reference(p, verts) for p in line]
+    cloud = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(200)]
+    for m in (3, 4, 5):
+        verts = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(m)]
+        want = [in_hull_reference(p, verts) for p in cloud]
+        assert hull_members(cloud, verts) == want, verts
+        assert any(want) and not all(want)
+
+
+def test_independent_vertices_never_run_the_lp(lp_calls):
     # One elimination decides every point of an affinely independent vertex
     # set; only a dependent one may leave points open for the phase-I LP.
-    calls = []
-    feasible = geometry._convex_combination_feasible
-
-    def counted(lp, rhs):
-        calls.append(rhs)
-        return feasible(lp, rhs)
-
-    monkeypatch.setattr(geometry, "_convex_combination_feasible", counted)
     independent = 0
     for points, verts, _ in hull_member_cases(random.Random(23), 400):
-        before = len(calls)
+        before = len(lp_calls)
         hull_members(points, verts)
         if _barycentric(verts[0], verts) is not None:
             independent += 1
-            assert len(calls) == before, verts
+            assert len(lp_calls) == before, verts
     assert independent >= 100
     # dependent sets do reach the LP, so the count above is live
-    assert calls
+    assert lp_calls
 
 
 def test_convex_combination_feasible_negative_rhs():

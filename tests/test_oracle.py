@@ -256,14 +256,16 @@ def run_pivot_cases(cases, lps):
 
 def bind_pivot(monkeypatch, make):
     """Replace every binding of ``geometry.exact_pivot`` in mwcp by
-    ``make(name)``; returns the names, among them the geometry and oracle
-    modules."""
+    ``make(name)``; returns the names, among them the geometry module, whose
+    binding the LP, ``hull_members`` and the oracle's walk (through
+    ``geometry.pivot_free_row``) all call."""
     bound = [
         name
         for name, module in sys.modules.items()
         if name.startswith("mwcp") and getattr(module, "exact_pivot", None) is geometry.exact_pivot
     ]
-    assert {"mwcp.geometry", "mwcp.oracle"} <= set(bound)
+    assert "mwcp.geometry" in bound
+    assert oracle.pivot_free_row is geometry.pivot_free_row
     for name in bound:
         monkeypatch.setattr(sys.modules[name], "exact_pivot", make(name))
     return bound
@@ -280,7 +282,7 @@ def test_every_pivot_divides_exactly(monkeypatch):
     assert set(calls) == set(bound), calls
 
 
-def field_checked_pivot(calls, name, truth, kernel):
+def field_checked_pivot(calls, name, truth, kernel, lp):
     """``geometry.exact_pivot`` that unpacks each pivot's input and output
     and checks them field by field against ``exact_pivot_reference``.
 
@@ -289,9 +291,8 @@ def field_checked_pivot(calls, name, truth, kernel):
     than a fresh unpack; only a starting matrix (previous pivot 1) is
     unpacked.  Every field but the LP's rhs must stay below 2^(w - 1).  The
     LP also reads sums of up to all its rows, so there the absolute fields
-    of each column but the rhs must sum below 2^(w - 1) too.  The LP's
-    pivots are told from those of ``hull_members`` by their caller."""
-    lp_code = geometry._convex_combination_feasible.__code__
+    of each column but the rhs must sum below 2^(w - 1) too.  ``lp`` is the
+    ``lp_calls`` recorder: a pivot is the LP's while an LP runs."""
 
     def pivot(rows, pr, c, prev, w, bias):
         calls[name] = calls.get(name, 0) + 1
@@ -303,7 +304,7 @@ def field_checked_pivot(calls, name, truth, kernel):
         limit = 1 << w - 1
         for matrix in lists, want:
             cols = list(zip(*matrix))
-            if sys._getframe(1).f_code is lp_code:
+            if lp.running:
                 # The LP's top field is its rhs, which may take any size.
                 cols = cols[:-1]
                 assert all(sum(map(abs, col)) < limit for col in cols), (name, w)
@@ -370,7 +371,7 @@ def hadamard_lps():
     return rows, points, [True] * 4 + [False] * 3
 
 
-def test_packed_rows_match_list_reference(monkeypatch):
+def test_packed_rows_match_list_reference(monkeypatch, lp_calls):
     cases, lps = pivot_cases()
     near = hadamard_instance()
     cases.append((near, list(range(len(near.points)))))
@@ -380,9 +381,12 @@ def test_packed_rows_match_list_reference(monkeypatch):
     calls = {}
     truth = {}
     kernel = geometry.exact_pivot
-    bound = bind_pivot(monkeypatch, lambda name: field_checked_pivot(calls, name, truth, kernel))
+    bound = bind_pivot(monkeypatch, lambda name: field_checked_pivot(calls, name, truth, kernel, lp_calls))
+    before = len(lp_calls)
     assert run_pivot_cases(cases, lps) == want
     assert set(calls) == set(bound), calls
+    # every LP case ran under the LP's checks
+    assert len(lp_calls) - before >= len(lps)
 
 
 def test_near_bound_simplex_is_exact():
@@ -452,27 +456,19 @@ def test_lattice_matches_reference_on_big_degenerate_sets(case):
     assert got == list(reference_containment_layers(coords, members))
 
 
-def test_reduction_solves_never_run_the_lp(monkeypatch):
+def test_reduction_solves_never_run_the_lp(lp_calls):
     # The witnesses here have at most d + 1 = 5 vertices, all on the moment
     # curve, so they are affinely independent and the final evaluate
     # decides every point with one elimination.  So does evaluate on five
     # graph vertices, whose simplex spans the space: every point is in its
     # affine hull, and the other graph vertices are outside it.
-    calls = []
-    feasible = geometry._convex_combination_feasible
-
-    def counted(lp, rhs):
-        calls.append(rhs)
-        return feasible(lp, rhs)
-
-    monkeypatch.setattr(geometry, "_convex_combination_feasible", counted)
     sizes = set()
     for name, inst in reduction_instances():
         for allow_empty in (True, False):
             sizes.add(len(solve_bruteforce(inst, allow_empty=allow_empty).chosen))
         vertices = inst.meta["vertex_point_index"]
         assert not set(vertices[5:]) & set(evaluate(inst, vertices[:5]).contained)
-    assert max(sizes) <= 5 and calls == [], (sizes, calls)
+    assert max(sizes) <= 5 and lp_calls == [], (sizes, lp_calls)
 
 
 def test_lattice_disagreeing_with_evaluate_raises(monkeypatch):
