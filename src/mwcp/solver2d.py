@@ -95,12 +95,12 @@ every such read exact.
   at c, and fc(j, c) is at most the first position of k's tie group in
   ``right[c]``, which is <= p(c, k).  A read of a column left of k therefore
   never reaches the positions past p(c, k), which keep stale maxima of
-  earlier slabs.
-- Columns right of k hold 2 * none, so a read from one is base + 2 * none.
-  Every base is a signed sum of weights of distinct points, so base <=
-  sum |w|, and base + 2 * none <= -sum |w| - 2 < none < every feasible
-  value.  Such a read never wins a max: k itself, feasible, sits at a
-  position <= p.
+  other slabs.
+- Columns right of k hold 2 * none (the sweep order below keeps them
+  so), so a read from one is base + 2 * none.  Every base is a signed sum
+  of weights of distinct points, so base <= sum |w|, and base + 2 * none
+  <= -sum |w| - 2 < none < every feasible value.  Such a read never wins
+  a max: k itself, feasible, sits at a position <= p.
 
 Each column has a slot for every fc in 0..|right[c]|, since fc(j, c) can be
 past the last position of ``right[c]``.  The rows of the sweep run over each
@@ -112,6 +112,34 @@ negates every key and turns convex chains into concave ones: one builder
 makes its rows from the counterclockwise lists, with the bottom chain's fc
 and p and -bot bases, and the same kernel maximises -V, whose max is minus
 the min of V.
+
+Sweep order and cut.  The slabs are independent.  Slab k fills columns
+k - 1, ..., 0, and column j reads three kinds of column: column k, which
+holds tip(k); columns c with j < c < k, which this fill has just written
+at every position it reads; and columns right of k, which must hold
+2 * none.  So the slabs may run in any order on one array per chain, and
+``solve_2d`` runs them right to left, k = m - 1 down to 0.
+
+- Reset.  Of the columns right of k, slab k + 1 wrote only column k + 1
+  (tip(k + 1)); so the sweep writes 2 * none over column k + 1 before slab
+  k, at O(m) per slab.  By induction from the all-2 * none start, every
+  column right of k then holds 2 * none while slab k runs, and every read
+  of one is base + 2 * none, as above.  When the sweep ends, every column
+  right of the last slab it filled still holds 2 * none, so the winning
+  slab, at or right of that one, is refilled with no further reset.
+- Cut.  Let P(k) be the weight of the candidates 0..k.  In the sheared
+  frame a polygon whose rightmost vertex is k lies in x <= x_k, so the
+  positive points it holds are among candidates 0..k, and its weight, and
+  each value slab k yields, is at most P(k).  Every candidate weighs > 0,
+  so P rises with k.  Once the best weight bw found so far exceeds P(k),
+  no slab k' <= k reaches bw and the sweep stops.  The test is strict: a
+  slab with P(k) = bw may still hold a polygon of weight bw with a smaller
+  leftmost vertex, which the tie rule prefers.
+- Ties.  The answer is the largest weight, then the smallest leftmost
+  vertex i, then the smallest rightmost vertex k.  Within a slab the
+  smallest i of the best row wins, the singleton (k, k) last.  Since k
+  falls, a slab's best replaces an equal incumbent exactly when its i is
+  at most the incumbent's: an equal i comes with a smaller k.
 
 Witness finishing reuses the same edge tables.  The walk gives the top
 path i0 -> ... -> k and the bottom path i0 -> ... -> k of the optimum, and
@@ -424,12 +452,24 @@ def _empty_slab(ch: _Chain) -> list[int]:
     return [2 * ch.none] * ch.doff[-1]
 
 
+def _fill_next_slab(ch: _Chain, sufmax, k: int, best) -> None:
+    """Fill slab k of a sweep that runs k = m - 1 down to 0 on one ``sufmax``.
+
+    Writes ``2 * none`` over column k + 1 first (it held tip(k + 1)), so the
+    columns right of k hold ``2 * none`` as :func:`_fill_slab` needs; for
+    k = m - 1 there is no column k + 1.
+    """
+    lo, n = ch.doff[k + 1], len(ch.tip) - 1 - k
+    sufmax[lo:lo + n] = repeat(2 * ch.none, n)
+    _fill_slab(ch, sufmax, k, best)
+
+
 def _walk(ctx: SolverContext, ch: _Chain, sufmax, i0: int, k: int):
     """Recover the best chain from i0 to k out of a filled slab k.
 
     Ties go to the smallest second vertex, then to the first candidate in
     each reading list, as the recurrence reads them.  Past p(j, k) a column
-    holds stale maxima of earlier slabs, so only the feasible positions
+    holds stale maxima of other slabs, so only the feasible positions
     f..p are read: there c <= k is exactly a compatible turn to k.
     """
 
@@ -513,11 +553,13 @@ def prune_with_tables(ctx: SolverContext, ew: EdgeWeights, cycle):
 def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     """Exact planar optimum with a reconstructed, maximal vertex witness.
 
-    Runs in O(n^3) time and O(n^2) memory: for each rightmost candidate k
-    one slab of per-column suffix maxima is filled (right to left, one read
-    per position <= p(j, k) of each column), and the best cell per (j, k)
-    falls out of the column fill.  The winning slab is refilled once for
-    reconstruction.
+    Runs in O(n^3) time and O(n^2) memory: for each rightmost candidate k,
+    from k = m - 1 down, one slab of per-column suffix maxima is filled
+    (columns right to left, one read per position <= p(j, k) of each
+    column), and the best cell per (j, k) falls out of the column fill.  The
+    sweep stops at the first k whose candidates 0..k weigh less than the
+    best polygon found, and the winning slab is refilled once for
+    reconstruction (module docstring: sweep order and cut).
     """
     if instance.dimension != 2:
         raise ValueError("solve_2d requires a 2-dimensional instance")
@@ -537,19 +579,25 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     rm_c = [0] * m  # rm_c[i]: best C[i, j, k] over j for the current k
     rm_v = [0] * m  # rm_v[i]: best -V[i, j, k] over j
 
+    # reach[k] = P(k), the weight of the candidates 0..k: no polygon whose
+    # rightmost vertex is k or left of it weighs more (module docstring).
+    reach = list(accumulate(ws[p] for p in cand))
     # The best scaled weight, then the lexicographically smallest (i, k).
-    # k only grows, so a later k wins a tie only with a smaller i.
-    bw, bi, bk = ws[cand[0]], 0, 0
-    for k in range(m):
-        _fill_slab(upper, suf_c, k, rm_c)
-        _fill_slab(lower, suf_v, k, rm_v)
+    # k only falls, so a later k wins a tie unless its i is larger.  Every
+    # candidate weighs > 0, so slab m - 1 replaces the start value.
+    bw, bi, bk = 0, m, m
+    for k in range(m - 1, -1, -1):
+        if reach[k] < bw:
+            break
+        _fill_next_slab(upper, suf_c, k, rm_c)
+        _fill_next_slab(lower, suf_v, k, rm_v)
         w, i = ws[cand[k]], k
         if k:
             row = list(map(add, rm_c[:k], rm_v[:k]))
             top = max(row)
             if top >= w:
                 w, i = top, row.index(top)
-        if w > bw or (w == bw and i < bi):
+        if w > bw or (w == bw and i <= bi):
             bw, bi, bk = w, i, k
 
     weight = Fraction(bw, instance.integer_view[2])
@@ -559,9 +607,9 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     if bi == bk:
         cycle = [bi]
     else:
+        # The sweep left 2 * none in every column right of its last slab,
+        # which is at most bk.
         for ch, suf, rm in ((upper, suf_c, rm_c), (lower, suf_v, rm_v)):
-            tail = ch.doff[bk + 1]
-            suf[tail:] = repeat(2 * ch.none, len(suf) - tail)
             _fill_slab(ch, suf, bk, rm)
         assert rm_c[bi] + rm_v[bi] == bw
         # CCW from bi: the bottom path, then the top path back without its

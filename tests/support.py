@@ -651,15 +651,17 @@ def naive_V_tables(ctx, ew):
 def _tables(ch) -> dict:
     """Every cell (i, j, k) of one chain, read off the solver's own sweep.
 
-    Cell (i, j, k) is base(i, j) + sufmax at fc(i, j) of column j, feasible
-    when j == k or fc(i, j) <= p(j, k); positions past p hold stale maxima.
+    The slabs run as in ``solve_2d``, k = m - 1 down to 0 through
+    ``_fill_next_slab``, but none is cut.  Cell (i, j, k) is base(i, j) +
+    sufmax at fc(i, j) of column j, feasible when j == k or fc(i, j) <=
+    p(j, k); positions past p hold stale maxima.
     """
     m = len(ch.order)
     sufmax = solver2d._empty_slab(ch)
     best = [0] * m
     out = {}
-    for k in range(m):
-        solver2d._fill_slab(ch, sufmax, k, best)
+    for k in range(m - 1, -1, -1):
+        solver2d._fill_next_slab(ch, sufmax, k, best)
         for i in range(k):
             for j, base, at in zip(ch.order[i], ch.bases[i], ch.addrs[i]):
                 if j > k:
@@ -677,8 +679,8 @@ def compute_C_tables(ctx, ew, lists) -> dict:
     """Every C[i, j, k] entry as a dict (None = infeasible).
 
     Read off the solver's own sweep (``solver2d._chains`` and
-    ``_fill_slab``) for the recurrence-isolation suite; the solver streams
-    one rightmost-vertex slab at a time.
+    ``_fill_next_slab``) for the recurrence-isolation suite; the solver
+    keeps one rightmost-vertex slab at a time and cuts the sweep early.
     """
     return _tables(solver2d._chains(ctx, ew, lists)[0])
 
@@ -686,6 +688,29 @@ def compute_C_tables(ctx, ew, lists) -> dict:
 def compute_V_tables(ctx, ew, lists) -> dict:
     """Every V[i, j, k] entry as a dict (None = infeasible)."""
     return _tables(solver2d._chains(ctx, ew, lists)[1])
+
+
+def ascending_sweep_best(ctx):
+    """(scaled weight, i, k) of the best (leftmost, rightmost) pair, ties to
+    the smallest (i, k), from every slab filled left to right: the sweep
+    ``solve_2d`` ran before it went right to left and cut it short.
+
+    Filled in this order, the columns right of k were never written, so
+    they hold ``2 * none`` with no reset.
+    """
+    ws, cand = ctx.ws, ctx.cand
+    ew = solver2d.precompute_edge_weights(ctx)
+    chains = solver2d._chains(ctx, ew, solver2d.build_angular_lists(ctx, ew))
+    slabs = [solver2d._empty_slab(ch) for ch in chains]
+    rows = [[0] * len(cand) for _ in chains]
+    pairs = []
+    for k in range(len(cand)):
+        for ch, suf, row in zip(chains, slabs, rows):
+            solver2d._fill_slab(ch, suf, k, row)
+        pairs.append((ws[cand[k]], -k, -k))
+        pairs += [(rows[0][i] + rows[1][i], -i, -k) for i in range(k)]
+    w, i, k = max(pairs)
+    return w, -i, -k
 
 
 def best_weight_from_tables(ctx, c_tab, v_tab):

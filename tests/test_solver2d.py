@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from mwcp.solver2d import (
     solve_2d,
 )
 from support import (
+    ascending_sweep_best,
     assert_valid_witness,
     best_weight_from_tables,
     boundary_cycle,
@@ -585,6 +587,104 @@ def test_tie_goes_to_smallest_leftmost_then_rightmost():
     assert sol.weight == 4
     assert sol.chosen == (3, 4, 5)
     assert_valid_witness(inst, sol)
+
+
+def _solve_walking(monkeypatch, inst, allow_empty=True):
+    """solve_2d's solution and the (leftmost, rightmost) pair it walked, or
+    None when it walked none."""
+    pairs, walk = [], solver2d._walk
+
+    def recorded_walk(ctx, ch, sufmax, i0, k):
+        pairs.append((i0, k))
+        return walk(ctx, ch, sufmax, i0, k)
+
+    monkeypatch.setattr(solver2d, "_walk", recorded_walk)
+    sol = solve_2d(inst, allow_empty=allow_empty)
+    monkeypatch.setattr(solver2d, "_walk", walk)
+    assert len(set(pairs)) <= 1
+    return sol, pairs[0] if pairs else None
+
+
+def test_tie_with_shared_leftmost_goes_to_smaller_rightmost(monkeypatch):
+    # In x order the candidates are A, B, C, D (ordinals 0..3).  A, B, C
+    # weigh 4, and so does their hull with D, which also holds the -1 point.
+    # Both pairs start at A; the sweep fills slab 3 before slab 2, yet
+    # (0, 2) must win.  P(2) = 4 equals the best, so slab 2 still runs.
+    inst = make_instance(
+        2, [((0, 0), 2), ((10, 10), 1), ((20, 2), 1), ((25, 1), -1), ((30, 0), 1)]
+    )
+    ref = solve_bruteforce(inst)
+    assert ref.weight == 4 and ref.chosen == (0, 1, 2)
+    assert ascending_sweep_best(build_context(inst)) == (4, 0, 2)
+    sol, pair = _solve_walking(monkeypatch, inst)
+    assert pair == (0, 2)
+    assert sol == ref
+
+
+def test_cut_is_strict_so_an_equal_reach_slab_still_runs(monkeypatch):
+    # Two pairs of weight 1 on one line, split by a -10 point that every
+    # polygon holding points of both pairs contains.  Both pairs weigh 2.
+    # Slab 3 finds (2, 3) first; slab 1 reaches only P(1) = 2, the best so
+    # far, yet holds the smaller pair (0, 1), so a <= cut would lose it.
+    inst = make_instance(2, [((0, 0), 1), ((1, 0), 1), ((2, 0), -10), ((3, 0), 1), ((4, 0), 1)])
+    ref = solve_bruteforce(inst)
+    assert ref.weight == 2 and ref.chosen == (0, 1)
+    assert ascending_sweep_best(build_context(inst)) == (2, 0, 1)
+    for allow_empty in (True, False):
+        sol, pair = _solve_walking(monkeypatch, inst, allow_empty)
+        assert pair == (0, 1)
+        assert sol == ref
+
+
+def test_walked_pair_matches_ascending_sweep_on_ties(monkeypatch):
+    # Small grids with weights in {-2, -1, 1, 3} tie often; the cut sweep
+    # must pick the pair the full ascending sweep picks.  Most winning slabs
+    # sit right at the cut's bound: P(k) equals the optimum.
+    rng = random.Random(93)
+    at_bound = 0
+    for _ in range(150):
+        inst = grid_instance(rng, range(rng.randint(2, 4)), range(4), rng.randint(5, 8))
+        ctx = build_context(inst)
+        if not ctx.cand:
+            continue
+        w, i, k = ascending_sweep_best(ctx)
+        sol, pair = _solve_walking(monkeypatch, inst, allow_empty=False)
+        assert sol.weight * inst.integer_view[2] == w
+        assert sol.weight == solve_bruteforce(inst, allow_empty=False).weight
+        if i == k:
+            assert pair is None and sol.chosen == (ctx.orig[ctx.cand[i]],)
+        else:
+            assert pair == (i, k)
+        at_bound += sum(ctx.ws[p] for p in ctx.cand[: k + 1]) == w
+    assert at_bound >= 50, at_bound
+
+
+def test_sweep_cut_fills_only_slabs_that_can_reach_the_optimum(monkeypatch):
+    # The sweep fills slab k exactly when P(k), the weight of candidates
+    # 0..k, is at least the optimum: the best so far only rises as k falls
+    # and never exceeds P of the slab that set it.  The winning slab is then
+    # refilled once per chain.
+    fills, fill = [], solver2d._fill_slab
+
+    def counted_fill(ch, sufmax, k, best):
+        fills.append(ch.sign)
+        return fill(ch, sufmax, k, best)
+
+    monkeypatch.setattr(solver2d, "_fill_slab", counted_fill)
+
+    def swept(inst):
+        fills.clear()
+        sol = solve_2d(inst)
+        ctx = build_context(inst)
+        reach = accumulate(ctx.ws[p] for p in ctx.cand)
+        best = sol.weight * inst.integer_view[2]
+        assert fills.count(1) == fills.count(-1) == 1 + sum(r >= best for r in reach)
+        return fills.count(1) - 1, len(ctx.cand)
+
+    for n in range(24, 33):
+        assert swept(gen_ngon_family(n)) == (1, n)
+    filled, m = swept(gen_uniform(200, 2, 0))
+    assert filled < m
 
 
 def test_all_negative_gives_empty():
