@@ -96,11 +96,15 @@ every such read exact.
   ``right[c]``, which is <= p(c, k).  A read of a column left of k therefore
   never reaches the positions past p(c, k), which keep stale maxima of
   other slabs.
-- Columns right of k hold 2 * none (the sweep order below keeps them
-  so), so a read from one is base + 2 * none.  Every base is a signed sum
-  of weights of distinct points, so base <= sum |w|, and base + 2 * none
-  <= -sum |w| - 2 < none < every feasible value.  Such a read never wins
-  a max: k itself, feasible, sits at a position <= p.
+- Columns right of k hold none (the sweep order below keeps them so), so
+  a read from one is base(j, c) + none.  Let P and N be the totals of the
+  positive and |negative| weights, so none = -P - N - 1.  On the top chain
+  base(j, c) = w_j + top(j, c) sums distinct points and leaves out c, so
+  base <= P - w_c and the read is <= -N - w_c - 1, while every feasible C
+  sums w_k and distinct points, so C > -N.  On the bottom chain base(j,
+  c) = -bot(j, c) <= N, so the read is <= -P - 1, while every feasible -V
+  leaves out at least w_k, so -V > -P.  Such a read never wins a max: k
+  itself, feasible, sits at a position <= p.
 
 Each column has a slot for every fc in 0..|right[c]|, since fc(j, c) can be
 past the last position of ``right[c]``.  The rows of the sweep run over each
@@ -117,16 +121,19 @@ Sweep order and cut.  The slabs are independent.  Slab k fills columns
 k - 1, ..., 0, and column j reads three kinds of column: column k, which
 holds tip(k); columns c with j < c < k, which this fill has just written
 at every position it reads; and columns right of k, which must hold
-2 * none.  So the slabs may run in any order on one array per chain, and
+none.  So the slabs may run in any order on one array per chain, and
 ``solve_2d`` runs them right to left, k = m - 1 down to 0.
 
 - Reset.  Of the columns right of k, slab k + 1 wrote only column k + 1
-  (tip(k + 1)); so the sweep writes 2 * none over column k + 1 before slab
-  k, at O(m) per slab.  By induction from the all-2 * none start, every
-  column right of k then holds 2 * none while slab k runs, and every read
-  of one is base + 2 * none, as above.  When the sweep ends, every column
-  right of the last slab it filled still holds 2 * none, so the winning
-  slab, at or right of that one, is refilled with no further reset.
+  (tip(k + 1)); so the fill of slab k first writes none over column k + 1,
+  at O(m) per slab.  A column c > k + 1 was reset by the fill of slab
+  c - 1, and the slabs filled since write only columns left of c.  So
+  every column right of k holds none while slab k runs.  When the sweep
+  stops, the chain still holds the last slab it filled, and every column
+  right of that slab holds none: a winning slab right of it is refilled
+  with no further reset, and the last slab itself is read as it stands.
+  The arrays start all none, so slabs filled in any other order, such as
+  ascending k, also find none right of k.
 - Cut.  Let P(k) be the weight of the candidates 0..k.  In the sheared
   frame a polygon whose rightmost vertex is k lies in x <= x_k, so the
   positive points it holds are among candidates 0..k, and its weight, and
@@ -353,23 +360,24 @@ def compute_first_compatible(count, at, top: bool):
 
 @dataclass
 class _Chain:
-    """One chain recurrence as per-column suffix maxima, maximised.
+    """One chain recurrence and its sweep state: per-column suffix maxima.
 
     The top chain stores C; the bottom chain stores -V, so both run the same
     max kernel and ``sign * value`` is the table entry.  Positions f of
     column j are positions in j's reading list (``right[j]`` for the top
-    chain, ``right[j]`` reversed for the bottom one).  For slab k, column j < k
-    holds ``sufmax[doff[j] + f]``, the best cell (j, c, k) over positions
-    f..p of the list, p = p(j, k) the last position of k's tie group;
-    column k holds ``tip[k]`` and columns right of k hold ``2 * none``.
-    Cell (i, j, k) is never stored: it is base(i, j) + sufmax[doff[j] +
-    fc(i, j)], and cell (i, k, k) is base(i, k) + tip[k].
+    chain, ``right[j]`` reversed for the bottom one).  Once slab k is filled,
+    column j < k holds ``sufmax[doff[j] + f]``, the best cell (j, c, k) over
+    positions f..p of the list, p = p(j, k) the last position of k's tie
+    group; column k holds ``tip[k]`` and columns right of k hold ``none``,
+    the infeasible sentinel; and ``best[j]`` is the best cell (j, c, k) over
+    all c.  Cell (i, j, k) is never stored: it is base(i, j) +
+    sufmax[doff[j] + fc(i, j)], and cell (i, k, k) is base(i, k) + tip[k].
 
     Row i runs over i's reading list in reverse (the order the sweep reads
     it): ``order[i][x]`` is the candidate c at position L - 1 - x, with L =
     m - 1 - i, ``bases[i][x]`` is base(i, c) and ``addrs[i][x]`` is doff[c] +
     fc(i, c).  ``start[i][k - i - 1]`` is L - 1 - p(i, k), the first row
-    index slab k reads.  ``none`` is the infeasible sentinel.
+    index slab k reads.
     """
 
     order: list[list[int]]
@@ -380,6 +388,8 @@ class _Chain:
     tip: list[int]
     none: int
     sign: int
+    sufmax: list[int]
+    best: list[int]
 
 
 def _chain_rows(orders, fcs, base, doff):
@@ -417,25 +427,28 @@ def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
         lambda i, cs: list(map(neg, map(bot[i].__getitem__, cs))), doff,
     )
     start = [list(map(c[-1].__sub__, map(c.__getitem__, p))) for c, p in zip(count, ranks.hi)]
-    lower = _Chain(*rows, start, doff, [0] * m, none, -1)
+    lower = _Chain(*rows, start, doff, [0] * m, none, -1, [none] * doff[-1], [0] * m)
     rows = _chain_rows(
         [row[::-1] for row in lists.right], compute_first_compatible(count, ranks.hi_b, True),
         lambda i, cs: list(map(wc[i].__add__, map(top[i].__getitem__, cs))), doff,
     )
     start = [list(map(c.__getitem__, p)) for c, p in zip(count, ranks.lo)]
-    return _Chain(*rows, start, doff, wc, none, 1), lower
+    return _Chain(*rows, start, doff, wc, none, 1, [none] * doff[-1], [0] * m), lower
 
 
-def _fill_slab(ch: _Chain, sufmax, k: int, best) -> None:
-    """Fill columns k, k-1, ..., 0 of slab k; best[j] := best cell (j, c, k).
+def _fill_slab(ch: _Chain, k: int) -> None:
+    """Fill slab k: columns k, k-1, ..., 0 of ``ch.sufmax`` and ``ch.best[:k]``.
 
-    Columns right of k must hold ``2 * none``.  Every base is at most
-    sum |w|, so a read from them is below ``none`` and never wins.
+    First writes ``none`` over column k + 1, which a fill of slab k + 1 left
+    holding tip(k + 1).  The columns right of k + 1 must hold ``none``
+    already; a read from any column right of k is then below every feasible
+    cell (module docstring) and never wins.
     """
     bases, addrs, start, doff = ch.bases, ch.addrs, ch.start, ch.doff
-    none = ch.none
+    sufmax, best, none = ch.sufmax, ch.best, ch.none
     get = sufmax.__getitem__
-    sufmax[doff[k]:doff[k + 1]] = repeat(ch.tip[k], doff[k + 1] - doff[k])
+    n = len(ch.tip) - 1 - k  # columns k and k + 1 have n + 1 and n slots
+    sufmax[doff[k]:doff[k] + 2 * n + 1] = [ch.tip[k]] * (n + 1) + [none] * n
     for j in range(k - 1, -1, -1):
         s = start[j][k - j - 1]
         # Running maxima of the cells (j, c, k) over positions p, p-1, ..., 0
@@ -448,24 +461,8 @@ def _fill_slab(ch: _Chain, sufmax, k: int, best) -> None:
             sufmax[doff[j]:doff[j] + len(d)] = d
 
 
-def _empty_slab(ch: _Chain) -> list[int]:
-    return [2 * ch.none] * ch.doff[-1]
-
-
-def _fill_next_slab(ch: _Chain, sufmax, k: int, best) -> None:
-    """Fill slab k of a sweep that runs k = m - 1 down to 0 on one ``sufmax``.
-
-    Writes ``2 * none`` over column k + 1 first (it held tip(k + 1)), so the
-    columns right of k hold ``2 * none`` as :func:`_fill_slab` needs; for
-    k = m - 1 there is no column k + 1.
-    """
-    lo, n = ch.doff[k + 1], len(ch.tip) - 1 - k
-    sufmax[lo:lo + n] = repeat(2 * ch.none, n)
-    _fill_slab(ch, sufmax, k, best)
-
-
-def _walk(ctx: SolverContext, ch: _Chain, sufmax, i0: int, k: int):
-    """Recover the best chain from i0 to k out of a filled slab k.
+def _walk(ctx: SolverContext, ch: _Chain, i0: int, k: int):
+    """Recover the best chain from i0 to k out of slab k, which ``ch`` holds.
 
     Ties go to the smallest second vertex, then to the first candidate in
     each reading list, as the recurrence reads them.  Past p(j, k) a column
@@ -475,7 +472,7 @@ def _walk(ctx: SolverContext, ch: _Chain, sufmax, i0: int, k: int):
 
     def steps(j, f):
         # (cell (j, c, k), c, its address) for c <= k at positions f..p(j, k).
-        order, bases, addrs = ch.order[j], ch.bases[j], ch.addrs[j]
+        order, bases, addrs, sufmax = ch.order[j], ch.bases[j], ch.addrs[j], ch.sufmax
         s = ch.start[j][k - j - 1]
         assert f <= len(order) - 1 - s, "walked into an infeasible cell"
         rows = range(len(order) - 1 - f, s - 1, -1)
@@ -485,7 +482,7 @@ def _walk(ctx: SolverContext, ch: _Chain, sufmax, i0: int, k: int):
     path = [i0, j]
     while j != k:
         v, j, nxt = max(steps(j, at - ch.doff[j]), key=itemgetter(0))
-        assert sufmax[at] == v, "the sweep's suffix maximum is not the best step"
+        assert ch.sufmax[at] == v, "the sweep's suffix maximum is not the best step"
         path.append(j)
         at = nxt
     # Each step's key in the chain's frame; zip(a, b) is (x_a, x_b), (y_a, y_b).
@@ -558,8 +555,9 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     (columns right to left, one read per position <= p(j, k) of each
     column), and the best cell per (j, k) falls out of the column fill.  The
     sweep stops at the first k whose candidates 0..k weigh less than the
-    best polygon found, and the winning slab is refilled once for
-    reconstruction (module docstring: sweep order and cut).
+    best polygon found.  The winning slab is refilled for reconstruction
+    unless it is the last slab filled (module docstring: sweep order and
+    cut).
     """
     if instance.dimension != 2:
         raise ValueError("solve_2d requires a 2-dimensional instance")
@@ -575,9 +573,6 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     ew.ranks.order = None
     upper, lower = _chains(ctx, ew, lists)
     ew.ranks = lists = None  # the chains keep the rows they use
-    suf_c, suf_v = _empty_slab(upper), _empty_slab(lower)
-    rm_c = [0] * m  # rm_c[i]: best C[i, j, k] over j for the current k
-    rm_v = [0] * m  # rm_v[i]: best -V[i, j, k] over j
 
     # reach[k] = P(k), the weight of the candidates 0..k: no polygon whose
     # rightmost vertex is k or left of it weighs more (module docstring).
@@ -589,14 +584,14 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     for k in range(m - 1, -1, -1):
         if reach[k] < bw:
             break
-        _fill_next_slab(upper, suf_c, k, rm_c)
-        _fill_next_slab(lower, suf_v, k, rm_v)
-        w, i = ws[cand[k]], k
-        if k:
-            row = list(map(add, rm_c[:k], rm_v[:k]))
-            top = max(row)
-            if top >= w:
-                w, i = top, row.index(top)
+        _fill_slab(upper, k)
+        _fill_slab(lower, k)
+        last = k
+        # The best cell per i < k, then the singleton (k, k): the first
+        # maximum has the smallest i.
+        row = [*map(add, upper.best[:k], lower.best[:k]), ws[cand[k]]]
+        w = max(row)
+        i = row.index(w)
         if w > bw or (w == bw and i <= bi):
             bw, bi, bk = w, i, k
 
@@ -607,15 +602,14 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     if bi == bk:
         cycle = [bi]
     else:
-        # The sweep left 2 * none in every column right of its last slab,
-        # which is at most bk.
-        for ch, suf, rm in ((upper, suf_c, rm_c), (lower, suf_v, rm_v)):
-            _fill_slab(ch, suf, bk, rm)
-        assert rm_c[bi] + rm_v[bi] == bw
+        if bk != last:
+            _fill_slab(upper, bk)
+            _fill_slab(lower, bk)
+        assert upper.best[bi] + lower.best[bi] == bw
         # CCW from bi: the bottom path, then the top path back without its
         # ends or the points it shares with the bottom path.
-        upper_path = _walk(ctx, upper, suf_c, bi, bk)
-        lower_path = _walk(ctx, lower, suf_v, bi, bk)
+        upper_path = _walk(ctx, upper, bi, bk)
+        lower_path = _walk(ctx, lower, bi, bk)
         on_lower = set(lower_path)
         cycle = lower_path + [c for c in reversed(upper_path[1:-1]) if c not in on_lower]
 

@@ -652,16 +652,14 @@ def _tables(ch) -> dict:
     """Every cell (i, j, k) of one chain, read off the solver's own sweep.
 
     The slabs run as in ``solve_2d``, k = m - 1 down to 0 through
-    ``_fill_next_slab``, but none is cut.  Cell (i, j, k) is base(i, j) +
+    ``_fill_slab``, but none is cut.  Cell (i, j, k) is base(i, j) +
     sufmax at fc(i, j) of column j, feasible when j == k or fc(i, j) <=
     p(j, k); positions past p hold stale maxima.
     """
     m = len(ch.order)
-    sufmax = solver2d._empty_slab(ch)
-    best = [0] * m
     out = {}
     for k in range(m - 1, -1, -1):
-        solver2d._fill_next_slab(ch, sufmax, k, best)
+        solver2d._fill_slab(ch, k)
         for i in range(k):
             for j, base, at in zip(ch.order[i], ch.bases[i], ch.addrs[i]):
                 if j > k:
@@ -671,7 +669,7 @@ def _tables(ch) -> dict:
                     if at - ch.doff[j] > p:  # fc(i, j) > p(j, k): infeasible
                         out[(i, j, k)] = None
                         continue
-                out[(i, j, k)] = ch.sign * (base + sufmax[at])
+                out[(i, j, k)] = ch.sign * (base + ch.sufmax[at])
     return out
 
 
@@ -679,7 +677,7 @@ def compute_C_tables(ctx, ew, lists) -> dict:
     """Every C[i, j, k] entry as a dict (None = infeasible).
 
     Read off the solver's own sweep (``solver2d._chains`` and
-    ``_fill_next_slab``) for the recurrence-isolation suite; the solver
+    ``_fill_slab``) for the recurrence-isolation suite; the solver
     keeps one rightmost-vertex slab at a time and cuts the sweep early.
     """
     return _tables(solver2d._chains(ctx, ew, lists)[0])
@@ -696,19 +694,18 @@ def ascending_sweep_best(ctx):
     ``solve_2d`` ran before it went right to left and cut it short.
 
     Filled in this order, the columns right of k were never written, so
-    they hold ``2 * none`` with no reset.
+    they hold ``none`` from the start; ``_fill_slab``'s write over column
+    k + 1 finds ``none`` there already.
     """
     ws, cand = ctx.ws, ctx.cand
     ew = solver2d.precompute_edge_weights(ctx)
     chains = solver2d._chains(ctx, ew, solver2d.build_angular_lists(ctx, ew))
-    slabs = [solver2d._empty_slab(ch) for ch in chains]
-    rows = [[0] * len(cand) for _ in chains]
     pairs = []
     for k in range(len(cand)):
-        for ch, suf, row in zip(chains, slabs, rows):
-            solver2d._fill_slab(ch, suf, k, row)
+        for ch in chains:
+            solver2d._fill_slab(ch, k)
         pairs.append((ws[cand[k]], -k, -k))
-        pairs += [(rows[0][i] + rows[1][i], -i, -k) for i in range(k)]
+        pairs += [(chains[0].best[i] + chains[1].best[i], -i, -k) for i in range(k)]
     w, i, k = max(pairs)
     return w, -i, -k
 

@@ -27,6 +27,7 @@ from mwcp.solver2d import (
     solve_2d,
 )
 from support import (
+    _tables,
     ascending_sweep_best,
     assert_valid_witness,
     best_weight_from_tables,
@@ -594,9 +595,9 @@ def _solve_walking(monkeypatch, inst, allow_empty=True):
     None when it walked none."""
     pairs, walk = [], solver2d._walk
 
-    def recorded_walk(ctx, ch, sufmax, i0, k):
+    def recorded_walk(ctx, ch, i0, k):
         pairs.append((i0, k))
-        return walk(ctx, ch, sufmax, i0, k)
+        return walk(ctx, ch, i0, k)
 
     monkeypatch.setattr(solver2d, "_walk", recorded_walk)
     sol = solve_2d(inst, allow_empty=allow_empty)
@@ -659,32 +660,87 @@ def test_walked_pair_matches_ascending_sweep_on_ties(monkeypatch):
     assert at_bound >= 50, at_bound
 
 
+def _sentinel_margins(inst):
+    """(least feasible cell, largest read, largest base) over the reads
+    base(j, c) + column c with c > k, per chain and slab k that has both.
+
+    Read off the solver's own sweep: the cells from ``_tables``, the reads
+    from the chain rows and ``sufmax`` once ``_fill_slab`` has filled slab k
+    (k = m - 1 down to 0, as ``solve_2d`` runs them).  Slab k reads every c
+    at a position <= p(j, k) of j's reading list.
+    """
+    ctx = build_context(inst)
+    ew = precompute_edge_weights(ctx)
+    lists = build_angular_lists(ctx, ew)
+    out = []
+    for ch, swept in zip(_chains(ctx, ew, lists), _chains(ctx, ew, lists)):
+        least = {}
+        for (_, _, k), v in _tables(ch).items():
+            if v is not None:
+                least[k] = min(least.get(k, ch.sign * v), ch.sign * v)
+        for k in range(len(swept.order) - 1, -1, -1):
+            solver2d._fill_slab(swept, k)
+            reads = [
+                (base + swept.sufmax[at], base)
+                for j in range(k)
+                for x, (c, base, at) in enumerate(
+                    zip(swept.order[j], swept.bases[j], swept.addrs[j]))
+                if x >= swept.start[j][k - j - 1] and c > k
+            ]
+            if reads and k in least:
+                out.append((least[k], *map(max, zip(*reads))))
+    return out
+
+
+def test_sentinel_reads_stay_below_every_feasible_cell():
+    # Columns right of k hold none, so a read from one is base(j, c) + none
+    # (module docstring: below -N on the top chain, below -P on the bottom
+    # one).  Every such read must lose to the least feasible cell of its
+    # slab; with 0 in those columns some read would not.
+    rng = random.Random(94)
+    corpus = [
+        grid_instance(rng, range(rng.randint(2, 4)), range(4), rng.randint(5, 8))
+        for _ in range(100)
+    ]
+    corpus += [
+        degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(3, 10))
+        for t in range(150)
+    ]
+    margins = [mg for inst in corpus for mg in _sentinel_margins(inst)]
+    assert len(margins) >= 500, len(margins)
+    assert min(low - read for low, read, _ in margins) > 0
+    assert min(low - base for low, _, base in margins) <= 0
+
+
 def test_sweep_cut_fills_only_slabs_that_can_reach_the_optimum(monkeypatch):
     # The sweep fills slab k exactly when P(k), the weight of candidates
     # 0..k, is at least the optimum: the best so far only rises as k falls
-    # and never exceeds P of the slab that set it.  The winning slab is then
-    # refilled once per chain.
+    # and never exceeds P of the slab that set it.  The last slab filled is
+    # the smallest such k; the winning slab is refilled once per chain
+    # exactly when it is another one.
     fills, fill = [], solver2d._fill_slab
 
-    def counted_fill(ch, sufmax, k, best):
+    def counted_fill(ch, k):
         fills.append(ch.sign)
-        return fill(ch, sufmax, k, best)
+        return fill(ch, k)
 
     monkeypatch.setattr(solver2d, "_fill_slab", counted_fill)
 
     def swept(inst):
         fills.clear()
-        sol = solve_2d(inst)
+        sol, pair = _solve_walking(monkeypatch, inst)
         ctx = build_context(inst)
-        reach = accumulate(ctx.ws[p] for p in ctx.cand)
         best = sol.weight * inst.integer_view[2]
-        assert fills.count(1) == fills.count(-1) == 1 + sum(r >= best for r in reach)
-        return fills.count(1) - 1, len(ctx.cand)
+        reach = list(accumulate(ctx.ws[p] for p in ctx.cand))
+        filled = [k for k, r in enumerate(reach) if r >= best]
+        refilled = pair[1] != filled[0]
+        assert fills.count(1) == fills.count(-1) == len(filled) + refilled
+        return len(filled), refilled, len(ctx.cand)
 
     for n in range(24, 33):
-        assert swept(gen_ngon_family(n)) == (1, n)
-    filled, m = swept(gen_uniform(200, 2, 0))
-    assert filled < m
+        assert swept(gen_ngon_family(n)) == (1, False, n)
+    filled, refilled, m = swept(gen_uniform(200, 2, 0))
+    assert refilled and filled < m
 
 
 def test_all_negative_gives_empty():
