@@ -181,7 +181,10 @@ def prune_to_maximal(instance: Instance, chosen) -> tuple[int, ...]:
     Repeats until every remaining vertex is load-bearing, i.e. the set is
     maximal.  On an optimal witness this never changes the weight.
     """
-    return prune_by_weight(chosen, lambda kept: evaluate(instance, kept).weight)[0]
+    def weight_of(kept, dropped):
+        return evaluate(instance, [u for u in kept if u != dropped]).weight
+
+    return prune_by_weight(chosen, weight_of)[0]
 
 
 def prune_by_weight(chosen, weight_of):
@@ -189,21 +192,22 @@ def prune_by_weight(chosen, weight_of):
 
     Vertices are tried in ascending index; the first whose removal leaves a
     weight >= the current one is dropped, and the pass restarts until a full
-    pass removes nothing.  ``weight_of`` maps a sorted index list to its
-    weight.  Returns the kept indices as a sorted tuple and their weight.
+    pass removes nothing.  ``weight_of(kept, dropped)`` is the weight of the
+    sorted index list ``kept`` without ``dropped`` (None drops nothing);
+    ``kept`` is the current set, a new list after each drop.  Returns the
+    kept indices as a sorted tuple and their weight.
     """
     current = sorted(set(chosen))
     if not current:
         return (), 0
-    weight = weight_of(current)
+    weight = weight_of(current, None)
     changed = True
     while changed and current:
         changed = False
         for v in current:
-            rest = [u for u in current if u != v]
-            w = weight_of(rest)
+            w = weight_of(current, v)
             if w >= weight:
-                current = rest
+                current = [u for u in current if u != v]
                 weight = w
                 changed = True
                 break

@@ -26,7 +26,7 @@ never wins one.
 Three facts make the pipeline run on plain int compares.
 
 Slope key.  After the shear every x is distinct.  With X = x_max - x_min
-and M = X^2 let
+and M = X^2 (but see the cap below) let
 
     key(a, b) = ((y_b - y_a) * M) // (x_b - x_a)        for x_a < x_b.
 
@@ -42,6 +42,26 @@ or below edge (a, b) exactly when key(a, q) <= key(a, b), strictly below
 when key(a, q) < key(a, b).  The angular list right of each candidate is
 sorted by decreasing key, ties by ascending x (by decreasing slope, i.e.
 clockwise).
+
+The key's scale is capped: ``build_context`` sets M = min(X^2, 2^64),
+since a 548-bit M made ``_key_row`` the largest cost of a big-integer
+solve.  Under the cap floor(M s) still never reverses two slopes (s < s'
+gives floor(M s) <= floor(M s')) but may merge them, so the edge pass
+checks that each key it bisects is alone in its tie group.  For a < b with
+k = key(a, b) it bisects k in a's row, where b itself has key k, and in
+b's row.  If b is the only point of a's row with key k, every comparison
+against k in a's row is strict, and since floor(M s) is monotone, key(a,
+q) < k gives a slope below that of (a, b) and key(a, q) > k one above it.
+Then no point of b's row has key k either: for q right of b the slope of
+(a, q) is a weighted mean of those of (a, b) and (b, q), so key(b, q) = k
+would put key(a, q) in the same floor cell, k, and q, a point of a's row,
+would tie with b.  So when every candidate's key is alone in its group of
+its own row (``bisect_right = bisect_left + 1``), P and Q below, the
+counts cnt, fc and p, and the row order of the candidates are exactly
+those of the uncapped key.  Otherwise the pass sets M = X^2 and runs once
+more.  An exact tie always merges under the cap, so an input with a point
+q right of a candidate a on the line through a and another candidate
+takes that second pass, and the proofs below hold as written.
 
 Edge weights from prefix sums.  ``bot(a, b)`` / ``top(a, b)`` sum the
 weights strictly below / on or below edge (a, b) with x strictly between.
@@ -151,10 +171,10 @@ none.  So the slabs may run in any order on one array per chain, and
 Witness finishing reuses the same edge tables.  The walk gives the top
 path i0 -> ... -> k and the bottom path i0 -> ... -> k of the optimum, and
 the prune runs on one cycle: the bottom path, then the top path back
-without its ends or any point already on the bottom path.  Every trial
-filters that cycle, rotates it to its smallest ordinal and sums the tables
-along it (``_cycle_weight``); no hull is built.  This is exact on every
-input:
+without its ends or any point already on the bottom path.  A trial's score
+is the table sum (``_cycle_weight``) along that cycle filtered to the kept
+points and rotated to its smallest ordinal; no hull is built.  This is
+exact on every input:
 
 - The top path is a weakly concave x-monotone chain, so it lies on or
   above the chord i0 k; the bottom path is weakly convex, so it lies on or
@@ -169,6 +189,17 @@ input:
   no hull vertex.  For u on the open segment ab (x is distinct after the
   shear), top(a, u) + w_u + top(u, b) = top(a, b) and bot(a, u) + bot(u, b)
   = bot(a, b).
+
+The sum is built in full once per drop and read in O(1) per trial.  The
+sum is w over the top path's points, plus top over its edges, minus bot
+over the bottom path's edges, the paths split at the leftmost and
+rightmost points.  A drop of any other point c, between its neighbours p
+and n on the cycle, keeps both ends and so the split, and changes only c's
+two edges, into the one edge (p, n): on the bottom path bot[p][c] +
+bot[c][n] becomes bot[p][n], and on the top path w_c + top[c][p] +
+top[n][c] becomes top[n][p] (the top path runs right to left).  A drop of
+the leftmost or rightmost point moves the split, so those two trials sum
+the filtered cycle in full.
 """
 
 from __future__ import annotations
@@ -193,6 +224,10 @@ from .model import (
 from .model import prune_to_maximal  # noqa: F401
 
 
+# The slope key's largest scale before the exact X^2 (module docstring).
+KEY_CAP = 1 << 64
+
+
 @dataclass
 class SolverContext:
     """Sheared, x-sorted ``Instance.integer_view`` of a canonical 2D instance.
@@ -203,7 +238,9 @@ class SolverContext:
     positive points.  DP indices below are ordinals into ``cand``.
     ``shear_k`` is the factor s that ``geometry.shear_normalize`` returns:
     1 exactly when no shear was applied, otherwise s >= 2.  ``slope_scale``
-    is M = (x_max - x_min)^2 of the slope key.
+    is M of the slope key: min(X^2, ``KEY_CAP``) with X = x_max - x_min, and
+    X^2 once :func:`precompute_edge_weights` has found a tie group under the
+    cap (module docstring).
     """
 
     instance: Instance
@@ -283,7 +320,7 @@ def build_context(instance: Instance) -> SolverContext:
     ws = [iw[i] for i in order]
     cand = [p for p in range(n) if ws[p] > 0]
     span = xs[-1] - xs[0] if n else 0
-    return SolverContext(instance, shear, span * span, xs, ys, ws, order, cand)
+    return SolverContext(instance, shear, min(span * span, KEY_CAP), xs, ys, ws, order, cand)
 
 
 def _key_row(xs, ys, a: int, scale: int) -> list[int]:
@@ -298,7 +335,22 @@ def _key_row(xs, ys, a: int, scale: int) -> list[int]:
 def precompute_edge_weights(ctx: SolverContext) -> EdgeWeights:
     """Edge weights for all candidate pairs from per-candidate prefix sums.
 
-    The identity, its proof and its cost are in the module docstring.
+    The identity, its proof and its cost are in the module docstring.  A
+    pass under the capped key that finds a tie group stops, and the pass
+    runs again with ``ctx.slope_scale`` set to the exact X^2.
+    """
+    span = ctx.xs[-1] - ctx.xs[0] if ctx.xs else 0
+    ew = _edge_pass(ctx, ctx.slope_scale < span * span)
+    if ew is None:
+        ctx.slope_scale = span * span
+        ew = _edge_pass(ctx, False)
+    return ew
+
+
+def _edge_pass(ctx: SolverContext, capped: bool) -> EdgeWeights | None:
+    """:func:`precompute_edge_weights` at ``ctx.slope_scale``, or None when
+    that scale is ``capped`` and some key(a, b) is not alone in a's row.
+
     Candidates run right to left, so the rows of every b right of a are at
     hand for the pairs (a, b); they are dropped on return.
     """
@@ -316,6 +368,11 @@ def precompute_edge_weights(ctx: SolverContext) -> EdgeWeights:
         ahead = list(compress(keys, is_cand[pa + 1:]))  # key(a, b) for b > a
         lo = list(map(bisect_left, repeat(sk), ahead))
         hi = list(map(bisect_right, repeat(sk), ahead))
+        # Each hi >= lo + 1, as b is in a's row, so the sums differ exactly
+        # when some key(a, b) shares its group; alone in a's row, it is
+        # alone in b's row too (module docstring).
+        if capped and sum(hi) - sum(lo) != len(lo):
+            return None
         lo_b = list(map(bisect_left, sks[a + 1:], ahead))
         hi_b = list(map(bisect_right, sks[a + 1:], ahead))
         pad = [0] * (a + 1)
@@ -527,22 +584,51 @@ def _cycle_weight(ctx: SolverContext, ew: EdgeWeights, cycle) -> int:
     return w
 
 
+def _from_leftmost(cycle):
+    """``cycle`` rotated to start at its smallest ordinal, its leftmost point."""
+    s = cycle.index(min(cycle)) if cycle else 0
+    return cycle[s:] + cycle[:s]
+
+
 def prune_with_tables(ctx: SolverContext, ew: EdgeWeights, cycle):
     """``model.prune_to_maximal`` on a boundary cycle, scored from the tables.
 
     ``cycle`` is the walked boundary cycle of the module docstring.  Same
     rules (``prune_by_weight``), so the same vertices go.  Returns the kept
     vertices as sorted instance indices, exactly as the model does, and
-    their scaled hull weight.  A trial filters the cycle, rotates it to its
-    smallest ordinal and sums the tables along it.
-    """
-    ordinal = {ctx.orig[ctx.cand[c]]: c for c in cycle}
+    their scaled hull weight.
 
-    def weight_of(kept):
-        keep = set(map(ordinal.__getitem__, kept))
-        hull = list(filter(keep.__contains__, cycle))
-        s = hull.index(min(hull)) if hull else 0
-        return _cycle_weight(ctx, ew, hull[s:] + hull[:s])
+    After each drop the kept points' cycle and its ``_cycle_weight`` are
+    built once.  A trial drop of a vertex c between its cycle neighbours p
+    and n changes that sum only at c's two edges: on the bottom path (after
+    the leftmost point, before the rightmost) by + bot[p][c] + bot[c][n] -
+    bot[p][n], on the top path by - w_c - top[c][p] - top[n][c] +
+    top[n][p].  Dropping the leftmost or rightmost point moves the split
+    between the two paths, so those two trials sum the shorter cycle whole.
+    """
+    ws, cand, top, bot = ctx.ws, ctx.cand, ew.top, ew.bot
+    ordinal = {ctx.orig[cand[c]]: c for c in cycle}
+    # The current kept list, its cycle from the leftmost point, each point's
+    # place on it, the place of the rightmost point and the cycle's weight.
+    state = [None]
+
+    def weight_of(kept, dropped):
+        if state[0] is not kept:
+            keep = set(map(ordinal.__getitem__, kept))
+            hull = _from_leftmost(list(filter(keep.__contains__, cycle)))
+            at = {c: i for i, c in enumerate(hull)}
+            state[:] = kept, hull, at, at[max(hull)], _cycle_weight(ctx, ew, hull)
+        _, hull, at, r, w = state
+        if dropped is None:
+            return w
+        c = ordinal[dropped]
+        i = at[c]
+        if i == 0 or i == r:
+            return _cycle_weight(ctx, ew, _from_leftmost(hull[:i] + hull[i + 1:]))
+        p, n = hull[i - 1], hull[(i + 1) % len(hull)]
+        if i < r:
+            return w + bot[p][c] + bot[c][n] - bot[p][n]
+        return w - ws[cand[c]] - top[c][p] - top[n][c] + top[n][p]
 
     return prune_by_weight(ordinal, weight_of)
 

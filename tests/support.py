@@ -12,7 +12,7 @@ from mwcp.geometry import (
     convex_hull_2d,
     point_in_hull,
 )
-from mwcp.model import Instance, Solution, WeightedPoint, evaluate
+from mwcp.model import Instance, Solution, WeightedPoint, evaluate, prune_by_weight
 from mwcp import geometry, solver2d
 from mwcp.reduction import _reduction_maps
 from mwcp.solver2d import EdgeWeights, _key_row
@@ -542,6 +542,21 @@ def is_boundary_cycle(ctx, cycle) -> bool:
     r = cycle.index(max(cycle))
     rise, fall = cycle[: r + 1], cycle[r:]
     return rise == sorted(rise) and fall == sorted(fall, reverse=True)
+
+
+def prune_by_cycle_sums(ctx, ew, cycle):
+    """The whole-cycle reference for ``solver2d.prune_with_tables``: every
+    trial filters ``cycle`` to the kept points, rotates it to its smallest
+    ordinal and sums the tables along all of it."""
+    ordinal = {ctx.orig[ctx.cand[c]]: c for c in cycle}
+
+    def weight_of(kept, dropped):
+        keep = {ordinal[u] for u in kept if u != dropped}
+        hull = [c for c in cycle if c in keep]
+        s = hull.index(min(hull)) if hull else 0
+        return solver2d._cycle_weight(ctx, ew, hull[s:] + hull[:s])
+
+    return prune_by_weight(ordinal, weight_of)
 
 
 def brute_edge_weights(ctx):

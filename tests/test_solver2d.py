@@ -17,8 +17,10 @@ from mwcp.model import (
 )
 from mwcp.oracle import solve_bruteforce
 from mwcp.solver2d import (
+    KEY_CAP,
     _chains,
     _cycle_weight,
+    _edge_pass,
     build_angular_lists,
     build_context,
     compute_first_compatible,
@@ -43,6 +45,7 @@ from support import (
     naive_C_tables,
     naive_V_tables,
     orientation,
+    prune_by_cycle_sums,
     random_instance,
     slope_key,
     turn_sign,
@@ -103,11 +106,23 @@ def test_integer_shear_keeps_order_and_orientation():
 
 
 def grid_instance(rng, xs, ys, n):
-    """n > len(xs) distinct grid points, at least one on every x, so two share an x."""
+    """n > len(xs) distinct grid points, at least one on every x, so two share an x.
+
+    Raises ``ValueError`` before drawing when the grid has fewer than n cells.
+    """
+    if n > len(xs) * len(ys):
+        raise ValueError(f"{n} distinct points do not fit a {len(xs)} x {len(ys)} grid")
     cells = {(x, rng.choice(ys)) for x in xs}
     while len(cells) < n:
         cells.add((rng.choice(xs), rng.choice(ys)))
     return make_instance(2, [(p, rng.choice([-2, -1, 1, 3])) for p in cells])
+
+
+def test_grid_instance_rejects_more_points_than_cells():
+    rng = random.Random(76)
+    with pytest.raises(ValueError, match="do not fit"):
+        grid_instance(rng, range(2), range(4), 9)
+    assert len(grid_instance(rng, range(2), range(4), 8).points) == 8
 
 
 def test_integer_shear_factor_two_and_unit_gap():
@@ -161,6 +176,8 @@ def slope_corpus():
 
 
 def test_slope_key_is_order_isomorphic_to_slope():
+    # At M = X^2 the key orders the slopes exactly, ties included.  Under
+    # the cap (the ngon family) it still never reverses two of them.
     for inst in slope_corpus():
         ctx = build_context(inst)
         xs, ys = ctx.xs, ctx.ys
@@ -171,10 +188,14 @@ def test_slope_key_is_order_isomorphic_to_slope():
             for b in range(a + 1, n)
         }
         order = sorted(slope, key=slope.get)
-        keys = [slope_key(ctx, a, b) for a, b in order]
-        for (p, q), (kp, kq) in zip(zip(order, order[1:]), zip(keys, keys[1:])):
-            assert kp <= kq
-            assert (kp == kq) == (slope[p] == slope[q])
+        exact = (xs[-1] - xs[0]) ** 2 if n else 0
+        for scale in {ctx.slope_scale, exact}:
+            ctx.slope_scale = scale
+            keys = [slope_key(ctx, a, b) for a, b in order]
+            for (p, q), (kp, kq) in zip(zip(order, order[1:]), zip(keys, keys[1:])):
+                assert kp <= kq
+                if scale == exact or slope[p] == slope[q]:
+                    assert (kp == kq) == (slope[p] == slope[q])
 
 
 def test_slope_key_tightest_gap():
@@ -216,6 +237,134 @@ def test_edge_weights_match_brute_force():
     for inst in edge_weight_corpus():
         ctx = build_context(inst)
         assert precompute_edge_weights(ctx) == brute_edge_weights(ctx)
+
+
+def exact_scale(ctx):
+    return (ctx.xs[-1] - ctx.xs[0]) ** 2
+
+
+def scaled_instance(inst, f):
+    return make_instance(2, [((x * f, y * f), wp.weight) for wp in inst.points for x, y in [wp.point]])
+
+
+def has_exact_tie(ctx):
+    """Does some point q right of a candidate a lie on the line through a and
+    another candidate b > a?  Then key(a, q) = key(a, b) at any scale."""
+    xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
+    return any(
+        (xs[b] - xs[a]) * (ys[q] - ys[a]) == (ys[b] - ys[a]) * (xs[q] - xs[a])
+        for a in cand
+        for b in cand
+        if b > a
+        for q in range(a + 1, len(xs))
+        if q != b
+    )
+
+
+def assert_exact_after_fallback(inst):
+    ctx = build_context(inst)
+    assert ctx.slope_scale == KEY_CAP < exact_scale(ctx)
+    ew = precompute_edge_weights(ctx)
+    assert ctx.slope_scale == exact_scale(ctx)
+    assert ew == brute_edge_weights(ctx)
+    for allow_empty in (True, False):
+        ref = solve_bruteforce(inst, allow_empty=allow_empty)
+        assert solve_2d(inst, allow_empty=allow_empty).weight == ref.weight
+
+
+def test_big_inputs_keep_the_capped_slope_key(monkeypatch):
+    # X^2 > 2^64 on the ngon family and on the sheared gen_uniform(200)
+    # seeds, and no key bisected under the cap has a tie group: the edge
+    # pass runs once, at 2^64.  A fallback would run it twice.
+    passes, edge_pass = [], solver2d._edge_pass
+
+    def counted(ctx, capped):
+        passes.append(capped)
+        return edge_pass(ctx, capped)
+
+    monkeypatch.setattr(solver2d, "_edge_pass", counted)
+    instances = [gen_ngon_family(n) for n in range(24, 33)]
+    instances += [gen_uniform(200, 2, seed) for seed in (5, 13, 50, 77, 81)]
+    for inst in instances:
+        ctx = build_context(inst)
+        assert ctx.slope_scale == KEY_CAP < exact_scale(ctx)
+        passes.clear()
+        precompute_edge_weights(ctx)
+        assert passes == [True]
+        assert ctx.slope_scale == KEY_CAP
+
+
+def test_capped_key_pass_equals_the_exact_pass():
+    # With every bisected key alone in its group, the pass under the cap
+    # gives the sums, the bisect positions and the candidates' row order of
+    # the uncapped key (module docstring).
+    instances = [gen_ngon_family(n) for n in range(24, 33)]
+    instances += [gen_uniform(200, 2, seed) for seed in (5, 13)]
+    for inst in instances:
+        ctx = build_context(inst)
+        capped = precompute_edge_weights(ctx)
+        assert ctx.slope_scale == KEY_CAP
+        ctx.slope_scale = exact_scale(ctx)
+        exact = _edge_pass(ctx, False)
+        assert capped == exact
+        for f in ("lo", "hi", "lo_b", "hi_b"):
+            assert getattr(capped.ranks, f) == getattr(exact.ranks, f)
+        is_cand = [w > 0 for w in ctx.ws]
+        for p, row_c, row_e in zip(ctx.cand, capped.ranks.order, exact.ranks.order):
+            assert [o for o in row_c if is_cand[p + 1 + o]] == [o for o in row_e if is_cand[p + 1 + o]]
+
+
+def test_exact_ties_under_the_cap_fall_back_to_the_exact_key():
+    # Tie-heavy grids scaled by 2^40, so X^2 > 2^64.  A point on the line
+    # through two candidates right of the left one ties with the right one
+    # at any scale, so the pass must fall back to X^2.
+    rng = random.Random(96)
+    ties = 0
+    for _ in range(100):
+        grid = grid_instance(rng, range(rng.randint(2, 4)), range(4), rng.randint(5, 8))
+        inst = scaled_instance(grid, 2**40)
+        if not has_exact_tie(build_context(inst)):
+            continue
+        ties += 1
+        assert_exact_after_fallback(inst)
+    assert ties >= 40, ties
+
+
+def test_slopes_closer_than_the_cap_fall_back_to_the_exact_key():
+    # From (0, 0) the rises 1 over the runs 2^40 - 1 and 2^40, or -1 over
+    # 2^40 and 2^40 + 1, give slopes that differ by about 2^-80: one key
+    # under the cap, two under X^2 >= 2^80.  No three points are collinear.
+    # The merged pair is two candidates, or a candidate and a negative point.
+    for sign, run in ((1, 2**40 - 1), (-1, 2**40)):
+        for w_near, w_far in ((1, 1), (1, -2), (-2, 1)):
+            inst = make_instance(
+                2, [((0, 0), 3), ((run, sign), w_near), ((run + 1, sign), w_far), ((run // 2, 0), -1)]
+            )
+            ctx = build_context(inst)
+            assert not has_exact_tie(ctx)
+            assert slope_key(ctx, 0, 2) == slope_key(ctx, 0, 3)
+            assert_exact_after_fallback(inst)
+
+
+def test_capped_tie_in_b_row_implies_one_in_a_row():
+    # Points on a near-line: x_i = i * 2^40 + d_i with d_i < 2^12, y_i = i,
+    # so under the cap most keys are 2^24 or 2^24 - 1.  Whenever key(a, b)
+    # ties in b's row it ties in a's row too, which is why the pass checks
+    # only a's row (module docstring).
+    rng = random.Random(97)
+    b_ties = 0
+    for _ in range(20):
+        rows = [((i * 2**40 + rng.randrange(2**12), i), rng.choice([-2, 1, 3])) for i in range(9)]
+        ctx = build_context(make_instance(2, rows))
+        if not ctx.cand:
+            continue
+        assert ctx.slope_scale == KEY_CAP
+        ranks = _edge_pass(ctx, False).ranks
+        rows = zip(ranks.lo, ranks.hi, ranks.lo_b, ranks.hi_b)
+        for lo, hi, lo_b, hi_b in (pos for row in rows for pos in zip(*row)):
+            b_ties += hi_b != lo_b
+            assert hi_b == lo_b or hi != lo + 1
+    assert b_ties >= 100, b_ties
 
 
 def test_angular_lists_match_comparator_sort():
@@ -499,6 +648,78 @@ def test_prune_with_tables_matches_model_prune():
     for _ in range(60):
         check(rng, grid_instance(rng, range(4), range(4), rng.randint(6, 12)))
     assert with_inner >= 80, with_inner
+
+
+def walked_cycles(monkeypatch, instances):
+    """(ctx, ew, cycle) of every prune ``solve_2d`` runs on these instances,
+    in both ``allow_empty`` modes."""
+    out, prune = [], solver2d.prune_with_tables
+
+    def recorded_prune(ctx, ew, cycle):
+        out.append((ctx, ew, list(cycle)))
+        return prune(ctx, ew, cycle)
+
+    monkeypatch.setattr(solver2d, "prune_with_tables", recorded_prune)
+    for inst in instances:
+        for allow_empty in (True, False):
+            solve_2d(inst, allow_empty=allow_empty)
+    monkeypatch.setattr(solver2d, "prune_with_tables", prune)
+    return out
+
+
+def test_prune_deltas_match_whole_cycle_sums(monkeypatch):
+    # The O(1) trials keep the vertices and the weight of the prune that
+    # sums the whole cycle per trial, on every walked cycle of the
+    # degenerate corpus, the ngon family and uniform instances.
+    rng = random.Random(98)
+    corpus = [degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 10)) for t in range(300)]
+    corpus += [gen_ngon_family(n) for n in range(24, 33)]
+    corpus += [gen_uniform(100, 2, seed) for seed in range(4)]
+    cycles = walked_cycles(monkeypatch, corpus)
+    drops = 0
+    for ctx, ew, cycle in cycles:
+        kept, w = prune_with_tables(ctx, ew, cycle)
+        assert (kept, w) == prune_by_cycle_sums(ctx, ew, cycle)
+        drops += len(cycle) - len(kept)
+    assert len(cycles) >= 500 and drops >= 60, (len(cycles), drops)
+
+
+def assert_prunes_to(rows, kept, weight):
+    """The boundary cycle of every candidate of ``rows`` prunes to the
+    instance indices ``kept`` of the given weight, by the delta trials, the
+    whole-cycle sums and the model."""
+    inst = make_instance(2, rows)
+    ctx = build_context(inst)
+    ew = precompute_edge_weights(ctx)
+    cycle = boundary_cycle(ctx, range(len(ctx.cand)))
+    expect = (kept, weight * inst.integer_view[2])
+    assert prune_with_tables(ctx, ew, cycle) == expect
+    assert prune_by_cycle_sums(ctx, ew, cycle) == expect
+    assert prune_to_maximal(inst, [i for i, (_, w) in enumerate(rows) if w > 0]) == kept
+
+
+def test_prune_drops_collinear_boundary_points():
+    # A square with points inside its edges: each edge point drops (the hull
+    # keeps it), top, bottom and vertical edges alike, one per restart.
+    corners = [((0, 0), 1), ((6, 0), 1), ((6, 6), 1), ((0, 6), 1)]
+    edges = [((2, 0), 2), ((4, 0), 1), ((6, 3), 1), ((3, 6), 2), ((0, 3), 1)]
+    assert_prunes_to(edges + corners, (5, 6, 7, 8), 11)
+    # The same on a tilted square, where no two points share an x.
+    tilted = [((3 * x - y, x + 3 * y), w) for (x, y), w in edges + corners]
+    assert_prunes_to(tilted, (5, 6, 7, 8), 11)
+
+
+def test_prune_drops_the_leftmost_and_the_rightmost_vertex():
+    # Each end pays 1 and, once dropped, leaves out a -3 point beside it.
+    left = [((0, 0), 1), ((2, 0), -3)]
+    right = [((24, 0), 1), ((22, 0), -3)]
+    body = [((10, 5), 5), ((11, -5), 5), ((14, 5), 5), ((15, -5), 5)]
+    assert_prunes_to(left + body, (2, 3, 4, 5), 20)
+    assert_prunes_to(body + right, (0, 1, 2, 3), 20)
+    # Both ends and the points inside the top and bottom edges: four drops,
+    # each followed by a restart.
+    inner = [((12, 5), 2), ((13, -5), 2)]
+    assert_prunes_to(left + inner + body + right, (4, 5, 6, 7), 24)
 
 
 def test_walked_cycles_are_boundary_cycles(monkeypatch):
