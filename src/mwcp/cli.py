@@ -27,7 +27,6 @@ from .model import (
 )
 from .oracle import DEFAULT_LIMIT, OracleSizeError, solve_bruteforce
 from .reduction import (
-    GraphParseError,
     parse_graph,
     reduce_is_to_mwcp,
     verify_edge_gadget,
@@ -292,7 +291,7 @@ def main(argv=None) -> int:
         parser.error("--mode solution requires --solution")
     try:
         return args.func(args)
-    except (InstanceParseError, GraphParseError, ValueError) as exc:
+    except ValueError as exc:  # InstanceParseError and GraphParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OracleSizeError as exc:

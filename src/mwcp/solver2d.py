@@ -2,9 +2,9 @@
 
 An optimal polygon whose vertices have pairwise distinct x splits at its
 leftmost and rightmost vertices into a top chain that only turns clockwise
-and a bottom chain that only turns counterclockwise.  Chains are scored
-through directed edge weights so every enclosed point is counted exactly
-once, which lets the two chains be optimized independently per endpoint
+and a bottom chain that only turns counterclockwise.  Every weight is the
+leftmost vertex's plus one edge-table entry per boundary edge (the identity
+below), which lets the two chains be optimized independently per endpoint
 pair.
 
 Candidate vertices are the positive points only; other points contribute
@@ -63,18 +63,19 @@ more.  An exact tie always merges under the cap, so an input with a point
 q right of a candidate a on the line through a and another candidate
 takes that second pass, and the proofs below hold as written.
 
-Edge weights from prefix sums.  ``bot(a, b)`` / ``top(a, b)`` sum the
-weights strictly below / on or below edge (a, b) with x strictly between.
-Let P_a(t) / Q_a(t) be the weight of the points right of a with key(a, .) <
-t / <= t.  For candidates a < b and k = key(a, b),
+Edge weights from prefix sums.  ``top(a, b)`` / ``bot(a, b)`` sum the
+weights on or below / strictly below edge (a, b) over the half-open slab
+x_a < x <= x_b.  Let P_a(t) / Q_a(t) be the weight of the points right of a
+with key(a, .) < t / <= t.  For candidates a < b and k = key(a, b),
 
-    bot(a, b) = P_a(k) - P_b(k),    top(a, b) = Q_a(k) - Q_b(k) - w_b.
+    bot(a, b) = P_a(k) - P_b(k),    top(a, b) = Q_a(k) - Q_b(k).
 
 Of the points q that P_a(k) counts, those with x_q < x_b are the points
-strictly below ab, and b itself has key k.  For x_q > x_b the slope of (a,
-q) is a weighted mean, with positive weights, of the slopes of (a, b) and
-(b, q), so key(a, q) < k exactly when key(b, q) < k: those sum to P_b(k).
-With <= the same split puts b itself in Q_a(k), and the rest gives Q_b(k).
+strictly below ab, and b itself has key k, as b is never strictly below its
+own edge.  For x_q > x_b the slope of (a, q) is a weighted mean, with
+positive weights, of the slopes of (a, b) and (b, q), so key(a, q) < k
+exactly when key(b, q) < k: those sum to P_b(k).  With <= the same split
+puts b itself in Q_a(k), where top counts it, and the rest gives Q_b(k).
 So each candidate needs one key row over the points right of it, sorted
 stably by ascending key (ties by descending x), and the prefix sums of the
 weights in that order: P_a(t) / Q_a(t) is the sum at ``bisect_left`` /
@@ -90,25 +91,43 @@ list.  In b's row they give fc(a, b) (below), the candidates before the
 first compatible turn: the L_b - cnt_b(hi) with key(b, .) > k for the top
 chain, the cnt_b(lo) with key(b, .) < k for the bottom chain.
 
+One identity weighs every polygon.  Take a counterclockwise boundary
+cycle with leftmost point L (its smallest ordinal, as x is distinct), and
+let e(a -> b) be -bot(a, b) when a < b, a lower edge, and top(b, a) when
+a > b, an upper edge.  Then
+
+    weight * weight_scale = w_L + sum of e(a -> b) over the cycle's edges.
+
+The lower edges tile (x_L, x_R] in x, R the rightmost point, and so do the
+upper ones.  Over each slab the upper edge counts the points on or below
+the boundary and the lower edge takes back those strictly below it, which
+leaves the points of the polygon with x in (x_L, x_R]; L is the one point
+with x = x_L.  So the upper edges count each upper vertex except L once, as
+a right end, and nothing on a lower edge is counted.  The top chain below
+sums top over its edges and the bottom chain -bot over its edges: e along
+the cycle's two paths between i and k.  So a pair (i, k) weighs w_i plus
+its best top chain plus its best bottom chain.
+
 Suffix maxima.  A concave x-monotone chain lies on or above its chord, so
-C[i, j, k] (a concave chain i -> j -> ... -> k) exists exactly when (i, j, k)
-is concave: then i -> j -> k itself is one.  Let p = p(j, k) be the last
-position of k's tie group in ``right[j]``, which is sorted by decreasing
-key(j, .).  The c <= k at positions <= p are exactly the c <= k with key(j,
-c) >= key(j, k), so by the weighted mean they are exactly the c that make
-(j, c, k) concave.  The first-compatible pointer fc(i, j), the first position
-of ``right[j]`` that turns concavely after i, always starts a tie group, so
-(i, j, k) is concave exactly when fc(i, j) <= p, and then k itself lies
-between fc(i, j) and p.  So the sweep stores, for slab k, only the suffix
-maxima of each column j < k: sufmax(j, f), the best cell (j, c, k) over
-positions f..p, for f = 0..p.  Cell (i, j, k) is never stored: it is base(i,
-j) + sufmax(j, fc(i, j)), and cell (i, k, k) is base(i, k) + tip(k).  Column
-j's maxima come from one pass over the cells (j, c, k) for c at positions p,
-p-1, ..., 0, each read as base(j, c) + sufmax(c, fc(j, c)).  Two facts make
-every such read exact.
+C[i, j, k], the best sum of top over a concave chain i -> j -> ... -> k,
+exists exactly when (i, j, k) is concave: then i -> j -> k itself is one.
+Let p = p(j, k) be the last position of k's tie group in ``right[j]``,
+which is sorted by decreasing key(j, .).  The c <= k at positions <= p are
+exactly the c <= k with key(j, c) >= key(j, k), so by the weighted mean
+they are exactly the c that make (j, c, k) concave.  The first-compatible
+pointer fc(i, j), the first position of ``right[j]`` that turns concavely
+after i, always starts a tie group, so (i, j, k) is concave exactly when
+fc(i, j) <= p, and then k itself lies between fc(i, j) and p.  So the sweep
+stores, for slab k, only the suffix maxima of each column j < k: sufmax(j,
+f), the best cell (j, c, k) over positions f..p, for f = 0..p.  Cell (i, j,
+k) is never stored: it is base(i, j) + sufmax(j, fc(i, j)), with base(i, j)
+= top(i, j), and cell (i, k, k) is base(i, k): column k holds 0 in every
+slot.  Column j's maxima come from one pass over the cells (j, c, k) for c
+at positions p, p-1, ..., 0, each read as base(j, c) + sufmax(c, fc(j,
+c)).  Two facts make every such read exact.
 
 - c <= k at a position <= p(j, k) implies fc(j, c) <= p(c, k).  For c = k
-  there is nothing to show: column k holds tip(k) in every slot.  For c < k,
+  there is nothing to show: column k holds 0 in every slot.  For c < k,
   key(j, c) >= key(j, k), and key(j, k) is a weighted mean of key(j, c) and
   key(c, k) (the key is order-isomorphic to the slope), so key(c, k) <=
   key(j, k) <= key(j, c).  So (j, c, k) is concave, k is compatible after j
@@ -119,12 +138,13 @@ every such read exact.
 - Columns right of k hold none (the sweep order below keeps them so), so
   a read from one is base(j, c) + none.  Let P and N be the totals of the
   positive and |negative| weights, so none = -P - N - 1.  On the top chain
-  base(j, c) = w_j + top(j, c) sums distinct points and leaves out c, so
-  base <= P - w_c and the read is <= -N - w_c - 1, while every feasible C
-  sums w_k and distinct points, so C > -N.  On the bottom chain base(j,
-  c) = -bot(j, c) <= N, so the read is <= -P - 1, while every feasible -V
-  leaves out at least w_k, so -V > -P.  Such a read never wins a max: k
-  itself, feasible, sits at a position <= p.
+  base(j, c) = top(j, c) sums distinct points of the slab (x_j, x_c], which
+  holds c and leaves out j, so base <= P - w_j and the read is <= -N - w_j
+  - 1.  A feasible cell of column j sums top over a chain from j to k,
+  which counts w_k and distinct points, so it is > -N and so > -N - w_j.
+  On the bottom chain base(j, c) = -bot(j, c) <= N, so the read is <= -P -
+  1, while every feasible -V leaves out at least w_k, so -V > -P.  Such a
+  read never wins a max: k itself, feasible, sits at a position <= p.
 
 Each column has a slot for every fc in 0..|right[c]|, since fc(j, c) can be
 past the last position of ``right[c]``.  The rows of the sweep run over each
@@ -139,13 +159,13 @@ the min of V.
 
 Sweep order and cut.  The slabs are independent.  Slab k fills columns
 k - 1, ..., 0, and column j reads three kinds of column: column k, which
-holds tip(k); columns c with j < c < k, which this fill has just written
+holds 0; columns c with j < c < k, which this fill has just written
 at every position it reads; and columns right of k, which must hold
 none.  So the slabs may run in any order on one array per chain, and
 ``solve_2d`` runs them right to left, k = m - 1 down to 0.
 
 - Reset.  Of the columns right of k, slab k + 1 wrote only column k + 1
-  (tip(k + 1)); so the fill of slab k first writes none over column k + 1,
+  (with 0); so the fill of slab k first writes none over column k + 1,
   at O(m) per slab.  A column c > k + 1 was reset by the fill of slab
   c - 1, and the slabs filled since write only columns left of c.  So
   every column right of k holds none while slab k runs.  When the sweep
@@ -172,9 +192,8 @@ Witness finishing reuses the same edge tables.  The walk gives the top
 path i0 -> ... -> k and the bottom path i0 -> ... -> k of the optimum, and
 the prune runs on one cycle: the bottom path, then the top path back
 without its ends or any point already on the bottom path.  A trial's score
-is the table sum (``_cycle_weight``) along that cycle filtered to the kept
-points and rotated to its smallest ordinal; no hull is built.  This is
-exact on every input:
+is the identity's sum (``_cycle_weight``) along that cycle filtered to the
+kept points; no hull is built.  This is exact on every input:
 
 - The top path is a weakly concave x-monotone chain, so it lies on or
   above the chord i0 k; the bottom path is weakly convex, so it lies on or
@@ -185,21 +204,20 @@ exact on every input:
   whole top path lies on the chord, and dropping the repeat is safe.
 - Any subset of boundary points lies on the boundary of its own hull, in
   the inherited order.
-- The table sum is exact on a boundary cycle that holds points which are
-  no hull vertex.  For u on the open segment ab (x is distinct after the
-  shear), top(a, u) + w_u + top(u, b) = top(a, b) and bot(a, u) + bot(u, b)
-  = bot(a, b).
+- The identity holds on a boundary cycle that holds points which are no
+  hull vertex.  For u on the open segment ab (x is distinct after the
+  shear), top(a, u) + top(u, b) = top(a, b) and bot(a, u) + bot(u, b) =
+  bot(a, b).
 
-The sum is built in full once per drop and read in O(1) per trial.  The
-sum is w over the top path's points, plus top over its edges, minus bot
-over the bottom path's edges, the paths split at the leftmost and
-rightmost points.  A drop of any other point c, between its neighbours p
-and n on the cycle, keeps both ends and so the split, and changes only c's
-two edges, into the one edge (p, n): on the bottom path bot[p][c] +
-bot[c][n] becomes bot[p][n], and on the top path w_c + top[c][p] +
-top[n][c] becomes top[n][p] (the top path runs right to left).  A drop of
-the leftmost or rightmost point moves the split, so those two trials sum
-the filtered cycle in full.
+The identity takes the cycle in any rotation.  The sum is built in full
+once per drop and read in O(1) per trial.  A drop of a point c between its
+neighbours p and n on the cycle changes only c's two edges, into the one
+edge p -> n, so the trial scores the sum + e(p -> n) - e(p -> c) - e(c ->
+n).  When c is the leftmost point the trial also adds w_{min(p, n)} - w_c:
+x rises from L along the lower path and falls back to L along the upper
+one, so the next leftmost point is one of c's two neighbours.  On a cycle
+of two points p = n, and e(p -> p) = 0; a cycle of one point drops to the
+empty set, which weighs 0.
 """
 
 from __future__ import annotations
@@ -273,12 +291,13 @@ class Ranks:
 
 @dataclass
 class EdgeWeights:
-    """``top[a][b]`` / ``bot[a][b]``: weight on-or-below / strictly-below edge (a, b).
+    """``top[a][b - a - 1]`` / ``bot[a][b - a - 1]``: top(a, b) / bot(a, b).
 
-    Indexed by candidate ordinals a < b (entries with b <= a are 0); sums
-    run over every instance point strictly between the endpoints in x.
-    ``top - bot`` is exactly the weight sitting on the open segment, which
-    is what makes boundary points of degenerate inputs count once overall.
+    For candidate ordinals a < b, the weight on or below / strictly below
+    edge (a, b) over the half-open slab x_a < x <= x_b, so top counts b
+    itself and bot never does.  ``top - bot`` is exactly the weight on the
+    segment without a, which is what makes boundary points of degenerate
+    inputs count once overall (module docstring: one identity).
     ``ranks`` holds the sorted rows and bisect positions of the pass that
     made the sums, which :func:`build_angular_lists`, :func:`_chains` and
     :func:`compute_first_compatible` read; ``solve_2d`` drops it once the
@@ -309,7 +328,7 @@ class AngularLists:
 
 def build_context(instance: Instance) -> SolverContext:
     if instance.dimension != 2:
-        raise ValueError("solver2d requires a 2-dimensional instance")
+        raise ValueError("solve_2d requires a 2-dimensional instance")
     require_canonical(instance)
     ints, iw, _ = instance.integer_view
     n = len(ints)
@@ -357,7 +376,6 @@ def _edge_pass(ctx: SolverContext, capped: bool) -> EdgeWeights | None:
     xs, ys, ws, cand, scale = ctx.xs, ctx.ys, ctx.ws, ctx.cand, ctx.slope_scale
     m = len(cand)
     is_cand = [w > 0 for w in ws]
-    wc = [ws[p] for p in cand]
     top, bot, sks, pres, rows = ([None] * m for _ in range(5))
     for a in range(m - 1, -1, -1):
         pa = cand[a]
@@ -375,10 +393,8 @@ def _edge_pass(ctx: SolverContext, capped: bool) -> EdgeWeights | None:
             return None
         lo_b = list(map(bisect_left, sks[a + 1:], ahead))
         hi_b = list(map(bisect_right, sks[a + 1:], ahead))
-        pad = [0] * (a + 1)
-        bot[a] = pad + list(map(sub, map(pre.__getitem__, lo), map(getitem, pres[a + 1:], lo_b)))
-        q_b = map(add, map(getitem, pres[a + 1:], hi_b), wc[a + 1:])
-        top[a] = pad + list(map(sub, map(pre.__getitem__, hi), q_b))
+        bot[a] = list(map(sub, map(pre.__getitem__, lo), map(getitem, pres[a + 1:], lo_b)))
+        top[a] = list(map(sub, map(pre.__getitem__, hi), map(getitem, pres[a + 1:], hi_b)))
         rows[a] = (order, lo, hi, lo_b, hi_b)
     return EdgeWeights(top, bot, Ranks(*([row[f] for row in rows] for f in range(5))))
 
@@ -425,10 +441,11 @@ class _Chain:
     chain, ``right[j]`` reversed for the bottom one).  Once slab k is filled,
     column j < k holds ``sufmax[doff[j] + f]``, the best cell (j, c, k) over
     positions f..p of the list, p = p(j, k) the last position of k's tie
-    group; column k holds ``tip[k]`` and columns right of k hold ``none``,
-    the infeasible sentinel; and ``best[j]`` is the best cell (j, c, k) over
-    all c.  Cell (i, j, k) is never stored: it is base(i, j) +
-    sufmax[doff[j] + fc(i, j)], and cell (i, k, k) is base(i, k) + tip[k].
+    group; column k holds 0 and columns right of k hold ``none``, the
+    infeasible sentinel; and ``best[j]`` is the best cell (j, c, k) over all
+    c.  Cell (i, j, k) is never stored: it is base(i, j) + sufmax[doff[j] +
+    fc(i, j)], and cell (i, k, k) is base(i, k).  Every cell leaves out w_i,
+    which ``solve_2d`` adds once per pair (module docstring: one identity).
 
     Row i runs over i's reading list in reverse (the order the sweep reads
     it): ``order[i][x]`` is the candidate c at position L - 1 - x, with L =
@@ -442,7 +459,6 @@ class _Chain:
     addrs: list[list[int]]
     start: list[list[int]]
     doff: list[int]
-    tip: list[int]
     none: int
     sign: int
     sufmax: list[int]
@@ -454,58 +470,59 @@ def _chain_rows(orders, fcs, base, doff):
 
     ``orders[i]`` is i's reading list (clockwise in the chain's frame) read
     backwards, as the sweep reads it; ``fcs`` holds :func:`compute_first_compatible`'s
-    rows, and ``base(i, cs)`` gives base(i, c) for the candidates cs.
+    rows, and ``base(i, xs)`` gives base(i, c) for the places xs = c - i - 1
+    of the candidates c in i's pair rows.
     """
-    bases = [base(i, order) for i, order in enumerate(orders)]
-    addrs = []
+    bases, addrs = [], []
     for i, (order, fc) in enumerate(zip(orders, fcs)):
+        xs = list(map((i + 1).__rsub__, order))
         at = list(map(add, doff[i + 1:], fc))  # doff[c] + fc(i, c) at c - i - 1
-        addrs.append(list(map(at.__getitem__, map((i + 1).__rsub__, order))))
+        bases.append(base(i, xs))
+        addrs.append(list(map(at.__getitem__, xs)))
     return orders, bases, addrs
 
 
 def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
     """The top-chain (C) and bottom-chain (-V) recurrences, one builder twice.
 
-    The top chain reads ``right`` with bases w_i + top(i, c).  The bottom
-    chain is the top chain of the reflection y -> -y: it reads ``right``
-    reversed (counterclockwise) with bases -bot(i, c).  Needs ``ew.ranks``.
-    The bottom chain is built first, so one chain's pointers are live at a
-    time; ``start`` rows come from p(i, k) (module docstring).
+    The top chain reads ``right`` with bases top(i, c).  The bottom chain is
+    the top chain of the reflection y -> -y: it reads ``right`` reversed
+    (counterclockwise) with bases -bot(i, c).  Needs ``ew.ranks``.  The
+    bottom chain is built first, so one chain's pointers are live at a time;
+    ``start`` rows come from p(i, k) (module docstring).
     """
-    wc = [ctx.ws[p] for p in ctx.cand]
-    m = len(wc)
+    m = len(ctx.cand)
     none = -sum(map(abs, ctx.ws)) - 1
     # Column c has a slot for each fc(., c) in 0..m - 1 - c.
     doff = list(accumulate(range(m, 0, -1), initial=0))
     top, bot, ranks, count = ew.top, ew.bot, ew.ranks, lists.count
     rows = _chain_rows(
         lists.right, compute_first_compatible(count, ranks.lo_b, False),
-        lambda i, cs: list(map(neg, map(bot[i].__getitem__, cs))), doff,
+        lambda i, xs: list(map(neg, map(bot[i].__getitem__, xs))), doff,
     )
     start = [list(map(c[-1].__sub__, map(c.__getitem__, p))) for c, p in zip(count, ranks.hi)]
-    lower = _Chain(*rows, start, doff, [0] * m, none, -1, [none] * doff[-1], [0] * m)
+    lower = _Chain(*rows, start, doff, none, -1, [none] * doff[-1], [0] * m)
     rows = _chain_rows(
         [row[::-1] for row in lists.right], compute_first_compatible(count, ranks.hi_b, True),
-        lambda i, cs: list(map(wc[i].__add__, map(top[i].__getitem__, cs))), doff,
+        lambda i, xs: list(map(top[i].__getitem__, xs)), doff,
     )
     start = [list(map(c.__getitem__, p)) for c, p in zip(count, ranks.lo)]
-    return _Chain(*rows, start, doff, wc, none, 1, [none] * doff[-1], [0] * m), lower
+    return _Chain(*rows, start, doff, none, 1, [none] * doff[-1], [0] * m), lower
 
 
 def _fill_slab(ch: _Chain, k: int) -> None:
     """Fill slab k: columns k, k-1, ..., 0 of ``ch.sufmax`` and ``ch.best[:k]``.
 
     First writes ``none`` over column k + 1, which a fill of slab k + 1 left
-    holding tip(k + 1).  The columns right of k + 1 must hold ``none``
-    already; a read from any column right of k is then below every feasible
-    cell (module docstring) and never wins.
+    holding 0.  The columns right of k + 1 must hold ``none`` already; a
+    read from any column right of k is then below every feasible cell
+    (module docstring) and never wins.
     """
     bases, addrs, start, doff = ch.bases, ch.addrs, ch.start, ch.doff
     sufmax, best, none = ch.sufmax, ch.best, ch.none
     get = sufmax.__getitem__
-    n = len(ch.tip) - 1 - k  # columns k and k + 1 have n + 1 and n slots
-    sufmax[doff[k]:doff[k] + 2 * n + 1] = [ch.tip[k]] * (n + 1) + [none] * n
+    n = len(ch.order) - 1 - k  # columns k and k + 1 have n + 1 and n slots
+    sufmax[doff[k]:doff[k] + 2 * n + 1] = [0] * (n + 1) + [none] * n
     for j in range(k - 1, -1, -1):
         s = start[j][k - j - 1]
         # Running maxima of the cells (j, c, k) over positions p, p-1, ..., 0
@@ -549,45 +566,32 @@ def _walk(ctx: SolverContext, ch: _Chain, i0: int, k: int):
     return path
 
 
+def _edge(ew: EdgeWeights, a: int, b: int) -> int:
+    """e(a -> b) of a boundary cycle: -bot(a, b) on a lower edge (a < b),
+    top(b, a) on an upper edge (a > b) and 0 when a = b (module docstring:
+    one identity)."""
+    if a < b:
+        return -ew.bot[a][b - a - 1]
+    if a > b:
+        return ew.top[b][a - b - 1]
+    return 0
+
+
 def _cycle_weight(ctx: SolverContext, ew: EdgeWeights, cycle) -> int:
     """Weight of conv(T) times the integer view's weight_scale, from the tables.
 
-    ``cycle`` lists T's candidate ordinals, all on the boundary of conv(T),
-    counterclockwise from the leftmost (the smallest ordinal); some may be
-    no hull vertex.  With L/R its leftmost/rightmost points, D the cycle
-    from L to R and U the rest, from R back to L, every instance point
-    strictly between L and R in x on or below U is in some ``top`` edge sum,
-    the points strictly below D are in the ``bot`` sums, and the points level
-    with a point of U are that point alone (x is distinct).  So
-
-        weight(conv T) * weight_scale
-            = sum top[a][b] over edges of U + sum ws[u] over points of U
-              - sum bot[a][b] over edges of D.
-
-    A point on an open edge changes nothing (module docstring), so a
-    collinear T gives top - bot + w_L + w_R whichever side holds its inner
-    points; a single point gives its own weight and the empty cycle 0.
+    ``cycle`` lists T's candidate ordinals counterclockwise, in any
+    rotation, all on the boundary of conv(T); some may be no hull vertex.
+    The weight is w_L, L the leftmost point (the smallest ordinal), plus
+    e(a -> b) over the cycle's edges (module docstring: one identity).  A
+    collinear T rises from L to its rightmost point R and falls back, and
+    gives w_L + top(L, R) - bot(L, R) whichever side holds its inner points;
+    a single point gives its own weight and the empty cycle 0.
     """
-    ws, cand = ctx.ws, ctx.cand
-    if len(cycle) <= 1:
-        return sum(ws[cand[c]] for c in cycle)
-    # Ordinals ascend with x, so R is the largest.
-    r = cycle.index(max(cycle))
-    lower = cycle[: r + 1]
-    upper = cycle[r:] + cycle[:1]
-    top, bot = ew.top, ew.bot
-    w = sum(ws[cand[c]] for c in upper)
-    for b, a in zip(upper, upper[1:]):
-        w += top[a][b]
-    for a, b in zip(lower, lower[1:]):
-        w -= bot[a][b]
-    return w
-
-
-def _from_leftmost(cycle):
-    """``cycle`` rotated to start at its smallest ordinal, its leftmost point."""
-    s = cycle.index(min(cycle)) if cycle else 0
-    return cycle[s:] + cycle[:s]
+    if not cycle:
+        return 0
+    edges = map(_edge, repeat(ew), cycle, cycle[1:] + cycle[:1])
+    return ctx.ws[ctx.cand[min(cycle)]] + sum(edges)
 
 
 def prune_with_tables(ctx: SolverContext, ew: EdgeWeights, cycle):
@@ -599,36 +603,36 @@ def prune_with_tables(ctx: SolverContext, ew: EdgeWeights, cycle):
     their scaled hull weight.
 
     After each drop the kept points' cycle and its ``_cycle_weight`` are
-    built once.  A trial drop of a vertex c between its cycle neighbours p
-    and n changes that sum only at c's two edges: on the bottom path (after
-    the leftmost point, before the rightmost) by + bot[p][c] + bot[c][n] -
-    bot[p][n], on the top path by - w_c - top[c][p] - top[n][c] +
-    top[n][p].  Dropping the leftmost or rightmost point moves the split
-    between the two paths, so those two trials sum the shorter cycle whole.
+    built once.  A trial drop of a point c between its cycle neighbours p
+    and n scores that sum + e(p -> n) - e(p -> c) - e(c -> n), plus
+    w_{min(p, n)} - w_c when c is the leftmost point; the last point of a
+    cycle drops to the empty set, which weighs 0 (module docstring: witness
+    finishing).
     """
-    ws, cand, top, bot = ctx.ws, ctx.cand, ew.top, ew.bot
+    ws, cand = ctx.ws, ctx.cand
     ordinal = {ctx.orig[cand[c]]: c for c in cycle}
-    # The current kept list, its cycle from the leftmost point, each point's
-    # place on it, the place of the rightmost point and the cycle's weight.
+    # The current kept list, its cycle, each point's place on it, its
+    # leftmost point and the cycle's weight.
     state = [None]
 
     def weight_of(kept, dropped):
         if state[0] is not kept:
             keep = set(map(ordinal.__getitem__, kept))
-            hull = _from_leftmost(list(filter(keep.__contains__, cycle)))
+            hull = list(filter(keep.__contains__, cycle))
             at = {c: i for i, c in enumerate(hull)}
-            state[:] = kept, hull, at, at[max(hull)], _cycle_weight(ctx, ew, hull)
-        _, hull, at, r, w = state
+            state[:] = kept, hull, at, min(hull), _cycle_weight(ctx, ew, hull)
+        _, hull, at, left, w = state
         if dropped is None:
             return w
+        if len(hull) == 1:
+            return 0
         c = ordinal[dropped]
         i = at[c]
-        if i == 0 or i == r:
-            return _cycle_weight(ctx, ew, _from_leftmost(hull[:i] + hull[i + 1:]))
         p, n = hull[i - 1], hull[(i + 1) % len(hull)]
-        if i < r:
-            return w + bot[p][c] + bot[c][n] - bot[p][n]
-        return w - ws[cand[c]] - top[c][p] - top[n][c] + top[n][p]
+        w += _edge(ew, p, n) - _edge(ew, p, c) - _edge(ew, c, n)
+        if c == left:
+            w += ws[cand[min(p, n)]] - ws[cand[c]]
+        return w
 
     return prune_by_weight(ordinal, weight_of)
 
@@ -645,15 +649,13 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     unless it is the last slab filled (module docstring: sweep order and
     cut).
     """
-    if instance.dimension != 2:
-        raise ValueError("solve_2d requires a 2-dimensional instance")
-    ctx = build_context(instance)  # also rejects a non-canonical instance
+    ctx = build_context(instance)  # rejects other dimensions and non-canonical input
     m = len(ctx.cand)
     if m == 0:
         if allow_empty:
             return empty_solution(2)
         return best_singleton(instance)
-    ws, cand = ctx.ws, ctx.cand
+    wc = [ctx.ws[p] for p in ctx.cand]
     ew = precompute_edge_weights(ctx)
     lists = build_angular_lists(ctx, ew)
     ew.ranks.order = None
@@ -662,7 +664,7 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
 
     # reach[k] = P(k), the weight of the candidates 0..k: no polygon whose
     # rightmost vertex is k or left of it weighs more (module docstring).
-    reach = list(accumulate(ws[p] for p in cand))
+    reach = list(accumulate(wc))
     # The best scaled weight, then the lexicographically smallest (i, k).
     # k only falls, so a later k wins a tie unless its i is larger.  Every
     # candidate weighs > 0, so slab m - 1 replaces the start value.
@@ -673,9 +675,9 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
         _fill_slab(upper, k)
         _fill_slab(lower, k)
         last = k
-        # The best cell per i < k, then the singleton (k, k): the first
-        # maximum has the smallest i.
-        row = [*map(add, upper.best[:k], lower.best[:k]), ws[cand[k]]]
+        # w_i plus the best cells per i < k, then the singleton (k, k): the
+        # first maximum has the smallest i.
+        row = [*map(add, map(add, upper.best[:k], lower.best), wc), wc[k]]
         w = max(row)
         i = row.index(w)
         if w > bw or (w == bw and i <= bi):
@@ -691,7 +693,7 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
         if bk != last:
             _fill_slab(upper, bk)
             _fill_slab(lower, bk)
-        assert upper.best[bi] + lower.best[bi] == bw
+        assert upper.best[bi] + lower.best[bi] + wc[bi] == bw
         # CCW from bi: the bottom path, then the top path back without its
         # ends or the points it shares with the bottom path.
         upper_path = _walk(ctx, upper, bi, bk)

@@ -546,37 +546,36 @@ def is_boundary_cycle(ctx, cycle) -> bool:
 
 def prune_by_cycle_sums(ctx, ew, cycle):
     """The whole-cycle reference for ``solver2d.prune_with_tables``: every
-    trial filters ``cycle`` to the kept points, rotates it to its smallest
-    ordinal and sums the tables along all of it."""
+    trial filters ``cycle`` to the kept points and sums the tables along all
+    of it."""
     ordinal = {ctx.orig[ctx.cand[c]]: c for c in cycle}
 
     def weight_of(kept, dropped):
         keep = {ordinal[u] for u in kept if u != dropped}
-        hull = [c for c in cycle if c in keep]
-        s = hull.index(min(hull)) if hull else 0
-        return solver2d._cycle_weight(ctx, ew, hull[s:] + hull[:s])
+        return solver2d._cycle_weight(ctx, ew, [c for c in cycle if c in keep])
 
     return prune_by_weight(ordinal, weight_of)
 
 
 def brute_edge_weights(ctx):
-    """Edge weights by scanning every point between each candidate pair, O(n^3)."""
+    """Edge weights by scanning every point of the slab x_a < x <= x_b of each
+    candidate pair a < b, O(n^3); row a holds b at b - a - 1."""
     xs, ys, ws, cand = ctx.xs, ctx.ys, ctx.ws, ctx.cand
     m = len(cand)
-    top = [[0] * m for _ in range(m)]
-    bot = [[0] * m for _ in range(m)]
+    top = [[0] * (m - a - 1) for a in range(m)]
+    bot = [[0] * (m - a - 1) for a in range(m)]
     for a in range(m):
         pa = cand[a]
         for b in range(a + 1, m):
             pb = cand[b]
             dx = xs[pb] - xs[pa]
             dy = ys[pb] - ys[pa]
-            for q in range(pa + 1, pb):
+            for q in range(pa + 1, pb + 1):
                 c = dx * (ys[q] - ys[pa]) - dy * (xs[q] - xs[pa])
                 if c <= 0:
-                    top[a][b] += ws[q]
+                    top[a][b - a - 1] += ws[q]
                     if c < 0:
-                        bot[a][b] += ws[q]
+                        bot[a][b - a - 1] += ws[q]
     return EdgeWeights(top, bot)
 
 
@@ -609,21 +608,18 @@ def direct_key_rows(ctx):
     return [[-k for k in _key_row(cx, cy, i, ctx.slope_scale)] for i in range(len(cx))]
 
 
-def _base_top(ctx, ew, i, k):
-    return ew.top[i][k] + ctx.ws[ctx.cand[i]] + ctx.ws[ctx.cand[k]]
-
-
 def naive_C_tables(ctx, ew):
     """Quartic-time direct evaluation of the top-chain recurrence.
 
     Independent of the angular lists and pointer trick; serves as the
     reference the accelerated tables are checked against entry for entry.
+    A cell sums top(a, b) over the chain's edges, so it leaves out w_i.
     """
     m = len(ctx.cand)
     out = {}
     for k in range(m):
         for i in range(k):
-            out[(i, k, k)] = _base_top(ctx, ew, i, k)
+            out[(i, k, k)] = ew.top[i][k - i - 1]
         for j in range(k - 1, 0, -1):
             for i in range(j):
                 if turn_sign(ctx, i, j, k) < 0:
@@ -635,9 +631,7 @@ def naive_C_tables(ctx, ew):
                         v = out[(j, jp, k)]
                         if v is not None and (best is None or v > best):
                             best = v
-                out[(i, j, k)] = (
-                    None if best is None else ew.top[i][j] + ctx.ws[ctx.cand[i]] + best
-                )
+                out[(i, j, k)] = None if best is None else ew.top[i][j - i - 1] + best
     return out
 
 
@@ -647,7 +641,7 @@ def naive_V_tables(ctx, ew):
     out = {}
     for k in range(m):
         for i in range(k):
-            out[(i, k, k)] = ew.bot[i][k]
+            out[(i, k, k)] = ew.bot[i][k - i - 1]
         for j in range(k - 1, 0, -1):
             for i in range(j):
                 if turn_sign(ctx, i, j, k) > 0:
@@ -659,7 +653,7 @@ def naive_V_tables(ctx, ew):
                         v = out[(j, jp, k)]
                         if v is not None and (best is None or v < best):
                             best = v
-                out[(i, j, k)] = None if best is None else ew.bot[i][j] + best
+                out[(i, j, k)] = None if best is None else ew.bot[i][j - i - 1] + best
     return out
 
 
@@ -720,7 +714,7 @@ def ascending_sweep_best(ctx):
         for ch in chains:
             solver2d._fill_slab(ch, k)
         pairs.append((ws[cand[k]], -k, -k))
-        pairs += [(chains[0].best[i] + chains[1].best[i], -i, -k) for i in range(k)]
+        pairs += [(ws[cand[i]] + chains[0].best[i] + chains[1].best[i], -i, -k) for i in range(k)]
     w, i, k = max(pairs)
     return w, -i, -k
 
@@ -742,6 +736,6 @@ def best_weight_from_tables(ctx, c_tab, v_tab):
                 v = v_tab[(i, j, k)]
                 if v is not None and (minv is None or v < minv):
                     minv = v
-            if maxc is not None and minv is not None and maxc - minv > best:
-                best = maxc - minv
+            if maxc is not None and minv is not None and ws[cand[i]] + maxc - minv > best:
+                best = ws[cand[i]] + maxc - minv
     return None if best is None else Fraction(best, ctx.instance.integer_view[2])

@@ -486,3 +486,34 @@ def test_rationals_become_ints_only_in_the_integer_view():
         found |= {(name, path.stem, func) for name, func in refs}
     assert found <= allowed, sorted(found - allowed, key=str)
     assert {("scale_to_integers", "model", "integer_view"), ("lcm", "model", "integer_view")} <= found
+
+
+def _names_read(node):
+    """Every bare name and attribute name read anywhere under ``node``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_private_module_level_name_is_read():
+    # A module-level _name function or class that nothing in the package
+    # reads outside its own body is dead code left behind by a refactor.
+    stmts = [
+        (path.stem, stmt)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    reads = [_names_read(stmt) for _, stmt in stmts]
+    private = [
+        (module, stmt.name, at)
+        for at, (module, stmt) in enumerate(stmts)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
+    ]
+    unread = [
+        (module, name)
+        for module, name, at in private
+        if not any(name in r for i, r in enumerate(reads) if i != at)
+    ]
+    assert len(private) >= 20 and not unread, unread

@@ -61,23 +61,26 @@ def ctx_for(rows):
 def test_edge_weight_point_below():
     ctx = ctx_for([((0, 0), 1), ((2, 0), 1), ((1, -1), 5)])
     ew = precompute_edge_weights(ctx)
-    # candidates in x order: (0,0), (1,-1), (2,0); edge between ordinals 0 and 2
-    assert ew.top[0][2] == 5
-    assert ew.bot[0][2] == 5
+    # candidates in x order: (0,0), (1,-1), (2,0); edge between ordinals 0
+    # and 2, at place 1 of row 0: the point below and the right end (2,0)
+    assert ew.top[0][1] == 5 + 1
+    assert ew.bot[0][1] == 5
 
 
 def test_edge_weight_point_on_segment():
     ctx = ctx_for([((0, 0), 1), ((2, 0), 1), ((1, 0), 3)])
     ew = precompute_edge_weights(ctx)
-    assert ew.top[0][2] == 3
-    assert ew.bot[0][2] == 0
+    # the point on the segment and the right end count on or below, not below
+    assert ew.top[0][1] == 3 + 1
+    assert ew.bot[0][1] == 0
 
 
 def test_edge_weight_no_intermediate():
     ctx = ctx_for([((0, 0), 1), ((2, 0), 1)])
     ew = precompute_edge_weights(ctx)
-    assert ew.top[0][1] == 0
-    assert ew.bot[0][1] == 0
+    # only the right end lies in the slab 0 < x <= 2
+    assert ew.top[0] == [1]
+    assert ew.bot[0] == [0]
 
 
 def assert_shear_matches_rational(rng, inst):
@@ -542,8 +545,10 @@ def test_c_base_two_points():
     ew = precompute_edge_weights(ctx)
     lists = build_angular_lists(ctx, ew)
     ctab = compute_C_tables(ctx, ew, lists)
-    # candidates: (0,0)=0, (3,1)=1; the negative point only feeds edge weights
-    assert ctab[(0, 1, 1)] == ew.top[0][1] + 2 + 4
+    # candidates: (0,0)=0, (3,1)=1; the negative point only feeds edge weights.
+    # The cell is top(0, 1): the -1 below the edge and the right end's 4; the
+    # left end's 2 is added once per pair, outside the chains.
+    assert ctab[(0, 1, 1)] == -1 + 4
 
 
 def test_c_base_infeasible_is_none():
@@ -585,7 +590,10 @@ def test_solver_matches_table_weight():
 
 
 def test_cycle_weight_matches_evaluate():
+    # Every rotation of the boundary cycle of the empty set, of one point, of
+    # every size from two points up and of all candidates.
     rng = random.Random(52)
+    sizes = set()
     for t in range(150):
         inst = degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(1, 10))
         ctx = build_context(inst)
@@ -598,7 +606,11 @@ def test_cycle_weight_matches_evaluate():
         for seq in subsets:
             chosen = [ctx.orig[ctx.cand[c]] for c in seq]
             expect = evaluate(inst, chosen).weight * inst.integer_view[2]
-            assert _cycle_weight(ctx, ew, boundary_cycle(ctx, seq)) == expect
+            cycle = boundary_cycle(ctx, seq)
+            sizes.add(len(cycle))
+            for r in range(max(len(cycle), 1)):
+                assert _cycle_weight(ctx, ew, cycle[r:] + cycle[:r]) == expect
+    assert {0, 1, 2, 3} <= sizes, sizes
 
 
 def test_cycle_weight_collinear_set():
@@ -720,6 +732,17 @@ def test_prune_drops_the_leftmost_and_the_rightmost_vertex():
     # each followed by a restart.
     inner = [((12, 5), 2), ((13, -5), 2)]
     assert_prunes_to(left + inner + body + right, (4, 5, 6, 7), 24)
+    # The left end of a triangle drops, and its two neighbours weigh 3 and
+    # 2: the new leftmost point is the one of them further left.
+    triangle = [((0, 0), 1), ((4, 4), 3), ((5, -3), 2), ((1, 0), -3)]
+    assert_prunes_to(triangle, (1, 2), 5)
+    # Either point of a two-point cycle drops: the trial's neighbours p and
+    # n are the same point, and e(p -> p) = 0.  A single point never drops,
+    # as the empty set weighs 0.
+    between = [((2, 0), -2)]
+    assert_prunes_to([((0, 0), 1), ((4, 0), 3)] + between, (1,), 3)
+    assert_prunes_to([((0, 0), 3), ((4, 0), 1)] + between, (0,), 3)
+    assert_prunes_to([((0, 0), 1)] + between, (0,), 1)
 
 
 def test_walked_cycles_are_boundary_cycles(monkeypatch):
