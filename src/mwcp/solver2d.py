@@ -147,15 +147,19 @@ c)).  Two facts make every such read exact.
   read never wins a max: k itself, feasible, sits at a position <= p.
 
 Each column has a slot for every fc in 0..|right[c]|, since fc(j, c) can be
-past the last position of ``right[c]``.  The rows of the sweep run over each
-right list in reverse reading order, so slab k reads a tail of each row: one
-gather-add and one running max per column, stored with one slice
-assignment.  The suffix maximum at position 0 is the best cell for the pair
-(j, k).  The bottom chain is the top chain of the reflection y -> -y, which
-negates every key and turns convex chains into concave ones: one builder
-makes its rows from the counterclockwise lists, with the bottom chain's fc
-and p and -bot bases, and the same kernel maximises -V, whose max is minus
-the min of V.
+past the last position of ``right[c]``.  The rows of the sweep hold each
+reading list in reading order, and p(j, k) sits in a table, so slab k fills
+column j in place with one index loop over positions p, p-1, ..., 0: each
+step reads one cell, updates the running max and stores it at slot f of
+column j.  (Before CPython 3.11 a C-level gather over reversed slices of
+the rows fills the same slots faster; ``_fill_slab`` picks the kernel.)
+Column 0 is written too, though no reader reads it: every fc address names
+a column c > i >= 0.  The suffix maximum at position 0 is the best cell for
+the pair (j, k).  The bottom chain is the top chain of the reflection y ->
+-y, which negates every key and turns convex chains into concave ones: one
+builder makes its rows from the counterclockwise lists, with the bottom
+chain's fc and p and -bot bases, and the same kernel maximises -V, whose
+max is minus the min of V.
 
 Sweep order and cut.  The slabs are independent.  Slab k fills columns
 k - 1, ..., 0, and column j reads three kinds of column: column k, which
@@ -222,6 +226,7 @@ empty set, which weighs 0.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -440,24 +445,23 @@ class _Chain:
     column j are positions in j's reading list (``right[j]`` for the top
     chain, ``right[j]`` reversed for the bottom one).  Once slab k is filled,
     column j < k holds ``sufmax[doff[j] + f]``, the best cell (j, c, k) over
-    positions f..p of the list, p = p(j, k) the last position of k's tie
-    group; column k holds 0 and columns right of k hold ``none``, the
-    infeasible sentinel; and ``best[j]`` is the best cell (j, c, k) over all
-    c.  Cell (i, j, k) is never stored: it is base(i, j) + sufmax[doff[j] +
-    fc(i, j)], and cell (i, k, k) is base(i, k).  Every cell leaves out w_i,
-    which ``solve_2d`` adds once per pair (module docstring: one identity).
+    positions f..p of the list, p = p(j, k) = ``p[j][k - j - 1]`` the last
+    position of k's tie group; column k holds 0 and columns right of k hold
+    ``none``, the infeasible sentinel; and ``best[j]`` is the best cell (j,
+    c, k) over all c.  Cell (i, j, k) is never stored: it is base(i, j) +
+    sufmax[doff[j] + fc(i, j)], and cell (i, k, k) is base(i, k).  Every
+    cell leaves out w_i, which ``solve_2d`` adds once per pair (module
+    docstring: one identity).
 
-    Row i runs over i's reading list in reverse (the order the sweep reads
-    it): ``order[i][x]`` is the candidate c at position L - 1 - x, with L =
-    m - 1 - i, ``bases[i][x]`` is base(i, c) and ``addrs[i][x]`` is doff[c] +
-    fc(i, c).  ``start[i][k - i - 1]`` is L - 1 - p(i, k), the first row
-    index slab k reads.
+    Row i runs over i's reading list in reading order: ``order[i][f]`` is
+    the candidate c at position f, ``bases[i][f]`` is base(i, c) and
+    ``addrs[i][f]`` is doff[c] + fc(i, c).
     """
 
     order: list[list[int]]
     bases: list[list[int]]
     addrs: list[list[int]]
-    start: list[list[int]]
+    p: list[list[int]]
     doff: list[int]
     none: int
     sign: int
@@ -468,10 +472,11 @@ class _Chain:
 def _chain_rows(orders, fcs, base, doff):
     """The rows ``order``, ``bases`` and ``addrs`` of one :class:`_Chain`.
 
-    ``orders[i]`` is i's reading list (clockwise in the chain's frame) read
-    backwards, as the sweep reads it; ``fcs`` holds :func:`compute_first_compatible`'s
-    rows, and ``base(i, xs)`` gives base(i, c) for the places xs = c - i - 1
-    of the candidates c in i's pair rows.
+    ``orders[i]`` is i's reading list (clockwise in the chain's frame), in
+    the order the sweep's positions count it; ``fcs`` holds
+    :func:`compute_first_compatible`'s rows, and ``base(i, xs)`` gives
+    base(i, c) for the places xs = c - i - 1 of the candidates c in i's pair
+    rows.
     """
     bases, addrs = [], []
     for i, (order, fc) in enumerate(zip(orders, fcs)):
@@ -489,7 +494,8 @@ def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
     the top chain of the reflection y -> -y: it reads ``right`` reversed
     (counterclockwise) with bases -bot(i, c).  Needs ``ew.ranks``.  The
     bottom chain is built first, so one chain's pointers are live at a time;
-    ``start`` rows come from p(i, k) (module docstring).
+    the ``p`` rows come from the counts at the bisect positions of key(i,
+    k) in i's row (module docstring).
     """
     m = len(ctx.cand)
     none = -sum(map(abs, ctx.ws)) - 1
@@ -497,42 +503,71 @@ def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
     doff = list(accumulate(range(m, 0, -1), initial=0))
     top, bot, ranks, count = ew.top, ew.bot, ew.ranks, lists.count
     rows = _chain_rows(
-        lists.right, compute_first_compatible(count, ranks.lo_b, False),
+        [row[::-1] for row in lists.right], compute_first_compatible(count, ranks.lo_b, False),
         lambda i, xs: list(map(neg, map(bot[i].__getitem__, xs))), doff,
     )
-    start = [list(map(c[-1].__sub__, map(c.__getitem__, p))) for c, p in zip(count, ranks.hi)]
-    lower = _Chain(*rows, start, doff, none, -1, [none] * doff[-1], [0] * m)
+    p = [list(map((-1).__add__, map(c.__getitem__, h))) for c, h in zip(count, ranks.hi)]
+    lower = _Chain(*rows, p, doff, none, -1, [none] * doff[-1], [0] * m)
     rows = _chain_rows(
-        [row[::-1] for row in lists.right], compute_first_compatible(count, ranks.hi_b, True),
+        lists.right, compute_first_compatible(count, ranks.hi_b, True),
         lambda i, xs: list(map(top[i].__getitem__, xs)), doff,
     )
-    start = [list(map(c.__getitem__, p)) for c, p in zip(count, ranks.lo)]
-    return _Chain(*rows, start, doff, none, 1, [none] * doff[-1], [0] * m), lower
+    p = [list(map((c[-1] - 1).__sub__, map(c.__getitem__, lo))) for c, lo in zip(count, ranks.lo)]
+    return _Chain(*rows, p, doff, none, 1, [none] * doff[-1], [0] * m), lower
 
 
-def _fill_slab(ch: _Chain, k: int) -> None:
+def _fill_slab_indexed(ch: _Chain, k: int) -> None:
     """Fill slab k: columns k, k-1, ..., 0 of ``ch.sufmax`` and ``ch.best[:k]``.
 
     First writes ``none`` over column k + 1, which a fill of slab k + 1 left
     holding 0.  The columns right of k + 1 must hold ``none`` already; a
     read from any column right of k is then below every feasible cell
-    (module docstring) and never wins.
+    (module docstring) and never wins.  Column j takes the cells (j, c, k)
+    at positions p(j, k) down to 0 of j's reading list and stores each
+    running maximum in place, at its own position.  Column 0 is written
+    too, though no reader reads it.
     """
-    bases, addrs, start, doff = ch.bases, ch.addrs, ch.start, ch.doff
+    bases, addrs, p, doff = ch.bases, ch.addrs, ch.p, ch.doff
     sufmax, best, none = ch.sufmax, ch.best, ch.none
-    get = sufmax.__getitem__
     n = len(ch.order) - 1 - k  # columns k and k + 1 have n + 1 and n slots
     sufmax[doff[k]:doff[k] + 2 * n + 1] = [0] * (n + 1) + [none] * n
     for j in range(k - 1, -1, -1):
-        s = start[j][k - j - 1]
-        # Running maxima of the cells (j, c, k) over positions p, p-1, ..., 0
-        # of j's reading list, so d[::-1] holds the suffix maxima.
+        bj, aj, o = bases[j], addrs[j], doff[j]
         b = none
-        d = [(b := v) if v > b else b for v in map(add, bases[j][s:], map(get, addrs[j][s:]))]
+        for f in range(p[j][k - j - 1], -1, -1):
+            v = bj[f] + sufmax[aj[f]]
+            if v > b:
+                b = v
+            sufmax[o + f] = b
         best[j] = b
-        if j:  # no reader ever reads column 0
-            d.reverse()
-            sufmax[doff[j]:doff[j] + len(d)] = d
+
+
+def _fill_slab_gathered(ch: _Chain, k: int) -> None:
+    """:func:`_fill_slab_indexed` with each column gathered at C level.
+
+    Writes the same slots and ``best``: the cells of positions p(j, k), ...,
+    0 come from reversed slices of the rows and one ``map``, their running
+    maxima from one comprehension, and one slice assignment stores them
+    reversed.  Before CPython 3.11, which specialises the list-subscript
+    and int bytecodes of the index loop, this is the faster kernel.
+    """
+    bases, addrs, p, doff = ch.bases, ch.addrs, ch.p, ch.doff
+    sufmax, best, none = ch.sufmax, ch.best, ch.none
+    get = sufmax.__getitem__
+    n = len(ch.order) - 1 - k
+    sufmax[doff[k]:doff[k] + 2 * n + 1] = [0] * (n + 1) + [none] * n
+    for j in range(k - 1, -1, -1):
+        q = p[j][k - j - 1]
+        b = none
+        d = [(b := v) if v > b else b for v in map(add, bases[j][q::-1], map(get, addrs[j][q::-1]))]
+        best[j] = b
+        d.reverse()
+        sufmax[doff[j]:doff[j] + q + 1] = d
+
+
+# The slab kernel ``solve_2d`` runs.  Both fill the same slots; the index
+# loop is faster from CPython 3.11 on, the C-level gather before it.
+_fill_slab = _fill_slab_indexed if sys.version_info >= (3, 11) else _fill_slab_gathered
 
 
 def _walk(ctx: SolverContext, ch: _Chain, i0: int, k: int):
@@ -541,15 +576,16 @@ def _walk(ctx: SolverContext, ch: _Chain, i0: int, k: int):
     Ties go to the smallest second vertex, then to the first candidate in
     each reading list, as the recurrence reads them.  Past p(j, k) a column
     holds stale maxima of other slabs, so only the feasible positions
-    f..p are read: there c <= k is exactly a compatible turn to k.
+    f..p are read, straight from the rows, which keep reading order: there
+    c <= k is exactly a compatible turn to k.
     """
 
     def steps(j, f):
         # (cell (j, c, k), c, its address) for c <= k at positions f..p(j, k).
         order, bases, addrs, sufmax = ch.order[j], ch.bases[j], ch.addrs[j], ch.sufmax
-        s = ch.start[j][k - j - 1]
-        assert f <= len(order) - 1 - s, "walked into an infeasible cell"
-        rows = range(len(order) - 1 - f, s - 1, -1)
+        p = ch.p[j][k - j - 1]
+        assert f <= p, "walked into an infeasible cell"
+        rows = range(f, p + 1)
         return [(bases[x] + sufmax[addrs[x]], order[x], addrs[x]) for x in rows if order[x] <= k]
 
     v, j, at = max(sorted(steps(i0, 0), key=itemgetter(1)), key=itemgetter(0))

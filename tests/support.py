@@ -674,8 +674,7 @@ def _tables(ch) -> dict:
                 if j > k:
                     continue
                 if j < k:
-                    p = len(ch.order[j]) - 1 - ch.start[j][k - j - 1]
-                    if at - ch.doff[j] > p:  # fc(i, j) > p(j, k): infeasible
+                    if at - ch.doff[j] > ch.p[j][k - j - 1]:  # fc(i, j) > p(j, k): infeasible
                         out[(i, j, k)] = None
                         continue
                 out[(i, j, k)] = ch.sign * (base + ch.sufmax[at])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwcp import solver2d
+from mwcp.cli import _loglog_slope
 from mwcp.generators import gen_ngon_family, gen_uniform
 from mwcp.geometry import scale_to_integers
 from mwcp.model import (
@@ -449,13 +451,13 @@ def chain_readings(lists):
 
 def first_compatible_rows(ew, lists):
     """Each chain's fc(i, c) from ``compute_first_compatible``, row i over
-    the candidates c of i's reading list read backwards."""
+    the candidates c of i's reading list, in reading order."""
     tables = (
         compute_first_compatible(lists.count, ew.ranks.hi_b, True),
         compute_first_compatible(lists.count, ew.ranks.lo_b, False),
     )
     return [
-        [[fc[i][c - i - 1] for c in reversed(reading)] for i, reading in enumerate(readings)]
+        [[fc[i][c - i - 1] for c in reading] for i, reading in enumerate(readings)]
         for (readings, _), fc in zip(chain_readings(lists), tables)
     ]
 
@@ -472,7 +474,7 @@ def test_first_compatible_monotone():
         for (reading, sign), fc in zip(chain_readings(lists), first_compatible_rows(ew, lists)):
             by_c = {}
             for i, (row, fcs) in enumerate(zip(reading, fc)):
-                for c, f in zip(reversed(row), fcs):
+                for c, f in zip(row, fcs):
                     key = -sign * slope_key(ctx, ctx.cand[i], ctx.cand[c])
                     by_c.setdefault(c, []).append((key, f))
             for pairs in by_c.values():
@@ -482,7 +484,7 @@ def test_first_compatible_monotone():
 
 def direct_first_compatible(ctx, readings, sign):
     """The pointer rows by direct search: row i holds, for each c of
-    ``readings[i]`` read backwards, the first position in ``readings[c]``
+    ``readings[i]`` in reading order, the first position in ``readings[c]``
     whose turn (i, c, r) has ``sign`` or is collinear."""
     return [
         [
@@ -490,7 +492,7 @@ def direct_first_compatible(ctx, readings, sign):
                 (p for p, r in enumerate(readings[c]) if sign * turn_sign(ctx, i, c, r) >= 0),
                 len(readings[c]),
             )
-            for c in reversed(reading)
+            for c in reading
         ]
         for i, reading in enumerate(readings)
     ]
@@ -515,18 +517,18 @@ def test_first_compatible_matches_direct_search():
 def assert_chain_rows_match_direct_search(ctx):
     """The sweep's rows against the direct pointer search: fc(i, c) from the
     addresses, and p(i, k), the last position of k's tie group in i's
-    reading list, from the start indices."""
+    reading list, from the p table."""
     ew = precompute_edge_weights(ctx)
     lists = build_angular_lists(ctx, ew)
     chains = _chains(ctx, ew, lists)
     for ch, (readings, sign) in zip(chains, chain_readings(lists)):
         direct = direct_first_compatible(ctx, readings, sign)
         for i, reading in enumerate(readings):
-            assert ch.order[i] == reading[::-1]
-            assert ch.addrs[i] == [ch.doff[c] + f for c, f in zip(ch.order[i], direct[i])]
+            assert ch.order[i] == reading
+            assert ch.addrs[i] == [ch.doff[c] + f for c, f in zip(reading, direct[i])]
             for k in reading:
                 p = max(x for x, c in enumerate(reading) if turn_sign(ctx, i, c, k) == 0)
-                assert ch.start[i][k - i - 1] == len(reading) - 1 - p
+                assert ch.p[i][k - i - 1] == p
 
 
 def test_chain_rows_match_direct_search():
@@ -927,9 +929,9 @@ def _sentinel_margins(inst):
             reads = [
                 (base + swept.sufmax[at], base)
                 for j in range(k)
-                for x, (c, base, at) in enumerate(
+                for f, (c, base, at) in enumerate(
                     zip(swept.order[j], swept.bases[j], swept.addrs[j]))
-                if x >= swept.start[j][k - j - 1] and c > k
+                if f <= swept.p[j][k - j - 1] and c > k
             ]
             if reads and k in least:
                 out.append((least[k], *map(max, zip(*reads))))
@@ -954,6 +956,84 @@ def test_sentinel_reads_stay_below_every_feasible_cell():
     assert len(margins) >= 500, len(margins)
     assert min(low - read for low, read, _ in margins) > 0
     assert min(low - base for low, _, base in margins) <= 0
+
+
+def _assert_slab_slots_match_naive_cells(inst, fill):
+    """Fill every slab through ``fill``, k = m - 1 down and none cut, and
+    check each slot against the quartic references.
+
+    Slot f of column j, 1 <= j < k, must hold the largest of none and the
+    reads at positions f..p(j, k) of j's reading list: the cell (j, c, k)
+    from ``naive_C_tables`` / ``naive_V_tables`` for c <= k, and base(j, c)
+    + none for c > k, a read of a column right of k, which loses to every
+    cell.  ``best[j]`` must hold that maximum at f = 0, for j = 0 too.
+    p(j, k) comes from a direct turn test and the bases from
+    ``brute_edge_weights``, not from the solver's rows.  Returns the
+    number of slots checked.
+    """
+    ctx = build_context(inst)
+    ew = precompute_edge_weights(ctx)
+    lists = build_angular_lists(ctx, ew)
+    brute = brute_edge_weights(ctx)
+    tables = (naive_C_tables(ctx, brute), naive_V_tables(ctx, brute))
+    bases = (brute.top, [[-b for b in row] for row in brute.bot])
+    checked = 0
+    for ch, cells, base, (readings, sign) in zip(
+        _chains(ctx, ew, lists), tables, bases, chain_readings(lists)
+    ):
+        for k in range(len(ctx.cand) - 1, -1, -1):
+            fill(ch, k)
+            for j in range(k):
+                reading = readings[j]
+                p = max(f for f, c in enumerate(reading) if turn_sign(ctx, j, c, k) == 0)
+                run = ch.none
+                for f in range(p, -1, -1):
+                    c = reading[f]
+                    v = sign * cells[(j, c, k)] if c <= k else base[j][c - j - 1] + ch.none
+                    run = max(run, v)
+                    if j:
+                        assert ch.sufmax[ch.doff[j] + f] == run, (j, f, k)
+                        checked += 1
+                assert ch.best[j] == run, (j, k)
+    return checked
+
+
+@pytest.mark.parametrize("kernel", ["_fill_slab_indexed", "_fill_slab_gathered"])
+def test_fill_slab_slots_match_naive_cells(kernel):
+    # Criterion 3 reads only the slots at fc addresses; this pins every
+    # slot 0..p(j, k) of every column j >= 1 and every best[j], for both
+    # kernels that ``_fill_slab`` picks between.
+    fill = getattr(solver2d, kernel)
+    rng = random.Random(95)
+    corpus = [
+        grid_instance(rng, range(rng.randint(2, 4)), range(4), rng.randint(5, 8))
+        for _ in range(40)
+    ]
+    corpus += [
+        degenerate_instance_2d(rng, DEGENERACIES[t % 3], rng.randint(3, 12))
+        for t in range(60)
+    ]
+    corpus += [gen_ngon_family(n) for n in range(24, 33)]
+    corpus += [gen_uniform(60, 2, seed) for seed in range(2)]
+    assert sum(_assert_slab_slots_match_naive_cells(inst, fill) for inst in corpus) >= 10_000
+
+
+def test_solve_2d_memory_stays_quadratic():
+    # Every table of a solve is a pair table (the sweep keeps one slot per
+    # column and fc value, m(m + 1) / 2 per chain), so the tracemalloc peak
+    # grows about as n^2, a log-log slope near 2; a row per (j, k) pair
+    # would make it O(m^3), a slope near 3.  The bound sits between the two.
+    peaks = []
+    for n in (50, 100, 200):
+        inst = gen_uniform(n, 2, 0)
+        tracemalloc.start()
+        try:
+            solve_2d(inst)
+            peaks.append((n, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+    slope = _loglog_slope(peaks)
+    assert slope < 2.5, f"tracemalloc peak slope {slope:.3f} over n = 50, 100, 200"
 
 
 def test_sweep_cut_fills_only_slabs_that_can_reach_the_optimum(monkeypatch):
