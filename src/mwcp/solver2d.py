@@ -151,15 +151,13 @@ past the last position of ``right[c]``.  The rows of the sweep hold each
 reading list in reading order, and p(j, k) sits in a table, so slab k fills
 column j in place with one index loop over positions p, p-1, ..., 0: each
 step reads one cell, updates the running max and stores it at slot f of
-column j.  (Before CPython 3.11 a C-level gather over reversed slices of
-the rows fills the same slots faster; ``_fill_slab`` picks the kernel.)
-Column 0 is written too, though no reader reads it: every fc address names
-a column c > i >= 0.  The suffix maximum at position 0 is the best cell for
-the pair (j, k).  The bottom chain is the top chain of the reflection y ->
--y, which negates every key and turns convex chains into concave ones: one
-builder makes its rows from the counterclockwise lists, with the bottom
-chain's fc and p and -bot bases, and the same kernel maximises -V, whose
-max is minus the min of V.
+column j.  Column 0 is written too, though no reader reads it: every fc
+address names a column c > i >= 0.  The suffix maximum at position 0 is
+the best cell for the pair (j, k).  The bottom chain is the top chain of
+the reflection y -> -y, which negates every key and turns convex chains
+into concave ones: one builder makes its rows from the counterclockwise
+lists, with the bottom chain's fc and p and -bot bases, and the same
+kernel maximises -V, whose max is minus the min of V.
 
 Sweep order and cut.  The slabs are independent.  Slab k fills columns
 k - 1, ..., 0, and column j reads three kinds of column: column k, which
@@ -226,7 +224,6 @@ empty set, which weighs 0.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -516,7 +513,7 @@ def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
     return _Chain(*rows, p, doff, none, 1, [none] * doff[-1], [0] * m), lower
 
 
-def _fill_slab_indexed(ch: _Chain, k: int) -> None:
+def _fill_slab(ch: _Chain, k: int) -> None:
     """Fill slab k: columns k, k-1, ..., 0 of ``ch.sufmax`` and ``ch.best[:k]``.
 
     First writes ``none`` over column k + 1, which a fill of slab k + 1 left
@@ -540,34 +537,6 @@ def _fill_slab_indexed(ch: _Chain, k: int) -> None:
                 b = v
             sufmax[o + f] = b
         best[j] = b
-
-
-def _fill_slab_gathered(ch: _Chain, k: int) -> None:
-    """:func:`_fill_slab_indexed` with each column gathered at C level.
-
-    Writes the same slots and ``best``: the cells of positions p(j, k), ...,
-    0 come from reversed slices of the rows and one ``map``, their running
-    maxima from one comprehension, and one slice assignment stores them
-    reversed.  Before CPython 3.11, which specialises the list-subscript
-    and int bytecodes of the index loop, this is the faster kernel.
-    """
-    bases, addrs, p, doff = ch.bases, ch.addrs, ch.p, ch.doff
-    sufmax, best, none = ch.sufmax, ch.best, ch.none
-    get = sufmax.__getitem__
-    n = len(ch.order) - 1 - k
-    sufmax[doff[k]:doff[k] + 2 * n + 1] = [0] * (n + 1) + [none] * n
-    for j in range(k - 1, -1, -1):
-        q = p[j][k - j - 1]
-        b = none
-        d = [(b := v) if v > b else b for v in map(add, bases[j][q::-1], map(get, addrs[j][q::-1]))]
-        best[j] = b
-        d.reverse()
-        sufmax[doff[j]:doff[j] + q + 1] = d
-
-
-# The slab kernel ``solve_2d`` runs.  Both fill the same slots; the index
-# loop is faster from CPython 3.11 on, the C-level gather before it.
-_fill_slab = _fill_slab_indexed if sys.version_info >= (3, 11) else _fill_slab_gathered
 
 
 def _walk(ctx: SolverContext, ch: _Chain, i0: int, k: int):

@@ -958,8 +958,8 @@ def test_sentinel_reads_stay_below_every_feasible_cell():
     assert min(low - base for low, _, base in margins) <= 0
 
 
-def _assert_slab_slots_match_naive_cells(inst, fill):
-    """Fill every slab through ``fill``, k = m - 1 down and none cut, and
+def _assert_slab_slots_match_naive_cells(inst):
+    """Fill every slab through ``_fill_slab``, k = m - 1 down and none cut, and
     check each slot against the quartic references.
 
     Slot f of column j, 1 <= j < k, must hold the largest of none and the
@@ -982,7 +982,7 @@ def _assert_slab_slots_match_naive_cells(inst, fill):
         _chains(ctx, ew, lists), tables, bases, chain_readings(lists)
     ):
         for k in range(len(ctx.cand) - 1, -1, -1):
-            fill(ch, k)
+            solver2d._fill_slab(ch, k)
             for j in range(k):
                 reading = readings[j]
                 p = max(f for f, c in enumerate(reading) if turn_sign(ctx, j, c, k) == 0)
@@ -998,12 +998,9 @@ def _assert_slab_slots_match_naive_cells(inst, fill):
     return checked
 
 
-@pytest.mark.parametrize("kernel", ["_fill_slab_indexed", "_fill_slab_gathered"])
-def test_fill_slab_slots_match_naive_cells(kernel):
+def test_fill_slab_slots_match_naive_cells():
     # Criterion 3 reads only the slots at fc addresses; this pins every
-    # slot 0..p(j, k) of every column j >= 1 and every best[j], for both
-    # kernels that ``_fill_slab`` picks between.
-    fill = getattr(solver2d, kernel)
+    # slot 0..p(j, k) of every column j >= 1 and every best[j].
     rng = random.Random(95)
     corpus = [
         grid_instance(rng, range(rng.randint(2, 4)), range(4), rng.randint(5, 8))
@@ -1015,7 +1012,7 @@ def test_fill_slab_slots_match_naive_cells(kernel):
     ]
     corpus += [gen_ngon_family(n) for n in range(24, 33)]
     corpus += [gen_uniform(60, 2, seed) for seed in range(2)]
-    assert sum(_assert_slab_slots_match_naive_cells(inst, fill) for inst in corpus) >= 10_000
+    assert sum(_assert_slab_slots_match_naive_cells(inst) for inst in corpus) >= 10_000
 
 
 def test_solve_2d_memory_stays_quadratic():
