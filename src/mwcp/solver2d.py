@@ -46,27 +46,29 @@ clockwise).
 The key's scale is capped: ``build_context`` sets M = min(X^2, 2^64),
 since a 548-bit M made ``_key_row`` the largest cost of a big-integer
 solve.  Under the cap floor(M s) still never reverses two slopes (s < s'
-gives floor(M s) <= floor(M s')) but may merge them, so the edge pass
-checks that each key it bisects is alone in its tie group.  For a < b with
-k = key(a, b) it bisects k in a's row, where b itself has key k, and in
-b's row.  If b is the only point of a's row with key k, every comparison
+gives floor(M s) <= floor(M s')) but may merge them, so the pair pass
+checks that each candidate's key is alone in its own row.  For a < b with
+k = key(a, b) the pass reads a's row, where b itself has key k, and b's
+row at k.  If b is the only point of a's row with key k, every comparison
 against k in a's row is strict, and since floor(M s) is monotone, key(a,
 q) < k gives a slope below that of (a, b) and key(a, q) > k one above it.
 Then no point of b's row has key k either: for q right of b the slope of
 (a, q) is a weighted mean of those of (a, b) and (b, q), so key(b, q) = k
 would put key(a, q) in the same floor cell, k, and q, a point of a's row,
-would tie with b.  So when every candidate's key is alone in its group of
-its own row (``bisect_right = bisect_left + 1``), P and Q below, the
-counts cnt, fc and p, and the row order of the candidates are exactly
-those of the uncapped key.  Otherwise the pass sets M = X^2 and runs once
-more.  An exact tie always merges under the cap, so an input with a point
-q right of a candidate a on the line through a and another candidate
-takes that second pass, and the proofs below hold as written.
+would tie with b.  So when every candidate b is alone in a's row at
+key(a, b), P and C below, and with them the sums, the counts fc and p,
+and the row order of the candidates, are exactly those of the uncapped
+key.  A pair of another row may share k: the pass reads only rows a and b
+at (a, b), so it changes nothing.  Otherwise the pass sets M = X^2 and runs once more.  An exact tie always
+merges under the cap, so an input with a point q right of a candidate a on
+the line through a and another candidate takes that second pass, and the
+proofs below hold as written.
 
-Edge weights from prefix sums.  ``top(a, b)`` / ``bot(a, b)`` sum the
-weights on or below / strictly below edge (a, b) over the half-open slab
-x_a < x <= x_b.  Let P_a(t) / Q_a(t) be the weight of the points right of a
-with key(a, .) < t / <= t.  For candidates a < b and k = key(a, b),
+Edge weights from one pass in slope order.  ``top(a, b)`` / ``bot(a, b)``
+sum the weights on or below / strictly below edge (a, b) over the
+half-open slab x_a < x <= x_b.  Let P_a(t) / Q_a(t) be the weight of the
+points right of a with key(a, .) < t / <= t.  For candidates a < b and k =
+key(a, b),
 
     bot(a, b) = P_a(k) - P_b(k),    top(a, b) = Q_a(k) - Q_b(k).
 
@@ -76,20 +78,51 @@ own edge.  For x_q > x_b the slope of (a, q) is a weighted mean, with
 positive weights, of the slopes of (a, b) and (b, q), so key(a, q) < k
 exactly when key(b, q) < k: those sum to P_b(k).  With <= the same split
 puts b itself in Q_a(k), where top counts it, and the rest gives Q_b(k).
-So each candidate needs one key row over the points right of it, sorted
-stably by ascending key (ties by descending x), and the prefix sums of the
-weights in that order: P_a(t) / Q_a(t) is the sum at ``bisect_left`` /
-``bisect_right`` of t.  A pair costs four bisects, so O(m n log n) in all.
 
-The same positions rank the candidates for the chains.  The candidates of
-a's sorted row, reversed, are ``right[a]``; let cnt_a(x) count those among
-the row's first x points, L_a = |right[a]|, and lo / hi be the two positions
-of k in a's row.  Of a's candidates cnt_a(lo) have key < k and L_a -
-cnt_a(hi) key > k, so b's tie group ends at p(a, b) = L_a - cnt_a(lo) - 1 of
-``right[a]`` and at cnt_a(hi) - 1 of its reverse, the bottom chain's reading
-list.  In b's row they give fc(a, b) (below), the candidates before the
-first compatible turn: the L_b - cnt_b(hi) with key(b, .) > k for the top
-chain, the cnt_b(lo) with key(b, .) < k for the bottom chain.
+So a pair needs only the weight that each of its two rows holds below and
+at its key.  The pass lists every pair (a, q) of a candidate a and a point
+q right of it, row a after row a - 1 and each row right to left, and
+sorts them once, stably, by key(a, q): ties go by ascending a, then by
+descending x.  It walks them in that order and keeps two running values
+per candidate a, P[a] and C[a], the weight and the number of candidates of
+a's pairs walked so far.  The invariant: before the first pair of key k,
+P[a] = P_a(k) and C[a] counts a's candidates with key below k, for every a.
+At a candidate pair (a, b) the walk reads P[a], C[a], P[b] and C[b], then
+adds w_b and 1 to a's values.
+
+- If b is alone in a's row at k, those reads are the values before k's
+  key group: a's row has no other pair of key k, and b's row has none at
+  all (points of it with key k would lie on the ray from a through b,
+  beyond b, in a's row; under the cap see above).  After the group, a's
+  row has gained w_b and b, and b's row nothing.  So bot(a, b) = P[a] -
+  P[b], top(a, b) = bot(a, b) + w_b, a's counts below / at most k are C[a]
+  and C[a] + 1, and b's are both C[b].
+- Otherwise b is in a tie run, the r > 1 pairs of a's row with key k,
+  which holds a candidate only under the exact key (under the cap the pass
+  falls back).  Its points are then the points of a's row on one ray from
+  a, walked in descending x, q_1, ..., q_r, with total weight W and Cn
+  candidates.  For b = q_i let s and d be the weight and the candidates of
+  q_1, ..., q_{i-1}: exactly the points of b's row with key k, which the
+  sort puts after the run.  So the walk read P[a] = P_a(k) + s, C[a] =
+  C_a(< k) + d, P[b] = P_b(k) and C[b] = C_b(< k), and after the group
+  Q_a(k) = P_a(k) + W, C_a(<= k) = C_a(< k) + Cn, Q_b(k) = P_b(k) + s and
+  C_b(<= k) = C_b(< k) + d.  The pass corrects each run's candidate pairs
+  from those four readings after the walk, in O(r) per run.
+
+The keys cost O(m n) big-integer divisions and the one sort O(N log N) for
+the N <= m n pairs; the walk is O(1) per pair.  The flat pair lists are
+dropped before the chains are built.
+
+The same counts rank the candidates for the chains.  The walk meets a's
+candidates by ascending key, ties by descending x, so C[a] before b's add
+is b's place in a's counterclockwise list, the bottom chain's reading
+list.  ``right[a]``, the top chain's, is that list reversed; L_a =
+|right[a]| = m - 1 - a.  Of a's candidates C_a(< k) have key < k and L_a -
+C_a(<= k) key > k, so b's tie group ends at p(a, b) = L_a - C_a(< k) - 1
+of ``right[a]`` and at C_a(<= k) - 1 of its reverse.  In b's row they give
+fc(a, b) (below), the candidates before the first compatible turn: the L_b
+- C_b(<= k) with key(b, .) > k for the top chain, the C_b(< k) with key(b,
+.) < k for the bottom chain.
 
 One identity weighs every polygon.  Take a counterclockwise boundary
 cycle with leftmost point L (its smallest ordinal, as x is distinct), and
@@ -224,11 +257,10 @@ empty set, which weighs 0.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
-from operator import add, getitem, itemgetter, mul, neg, sub
+from itertools import accumulate, repeat
+from operator import add, itemgetter, neg, sub
 
 from .geometry import shear_normalize
 from .model import (
@@ -275,20 +307,23 @@ class SolverContext:
 
 @dataclass
 class Ranks:
-    """The sorted rows and bisect positions behind :class:`EdgeWeights`.
+    """The positions and counts of the pair pass, for the lists and the chains.
 
-    ``order[a]`` lists the offsets o (sorted position ``cand[a] + 1 + o``)
-    of the points right of candidate a by ascending key(a, .), ties by
-    descending x.  For a < b, ``lo[a][b - a - 1]`` / ``hi[a][b - a - 1]``
-    are the ``bisect_left`` / ``bisect_right`` positions of key(a, b) in a's
-    sorted keys, and ``lo_b[a][b - a - 1]`` / ``hi_b[a][b - a - 1]`` in b's.
+    ``ccw[a]`` lists the candidates b right of a, as their offsets b - a - 1
+    in a's pair rows, by ascending key(a, b), ties by descending x:
+    counterclockwise around a.  For candidate ordinals a < b with k =
+    key(a, b), at [a][b - a - 1]: ``first`` / ``last`` are the positions in
+    ``ccw[a]`` of the first / last candidate c with key(a, c) = k, so
+    ``first`` counts a's candidates with key below k and ``last + 1`` those
+    with key at most k; ``lo_b`` / ``hi_b`` count the candidates c right of
+    b with key(b, c) < k / <= k.
     """
 
-    order: list[list[int]]
-    lo: list[list[int]]
-    hi: list[list[int]]
+    first: list[list[int]]
+    last: list[list[int]]
     lo_b: list[list[int]]
     hi_b: list[list[int]]
+    ccw: list[list[int]]
 
 
 @dataclass
@@ -300,10 +335,10 @@ class EdgeWeights:
     itself and bot never does.  ``top - bot`` is exactly the weight on the
     segment without a, which is what makes boundary points of degenerate
     inputs count once overall (module docstring: one identity).
-    ``ranks`` holds the sorted rows and bisect positions of the pass that
-    made the sums, which :func:`build_angular_lists`, :func:`_chains` and
-    :func:`compute_first_compatible` read; ``solve_2d`` drops it once the
-    chains are built, and equality compares only ``top`` and ``bot``.
+    ``ranks`` holds the positions and counts the same pass read, which
+    :func:`build_angular_lists`, :func:`compute_first_compatible` and
+    :func:`_chains` take; ``solve_2d`` drops it once the chains are built,
+    and equality compares only ``top`` and ``bot``.
     """
 
     top: list[list[int]]
@@ -317,15 +352,12 @@ class AngularLists:
 
     ``right[j]`` holds the ordinals right of candidate j sorted clockwise
     around it, i.e. by decreasing slope of the outgoing direction (ties by
-    ascending ordinal).  ``count[j][x]`` is the number of candidates among
-    the first x points of j's sorted row (``Ranks.order[j]``), so
-    ``count[j][-1]`` is ``len(right[j])``.  The top chain's reading list of
-    j is ``right[j]``; the bottom chain's is ``right[j]`` reversed, the
-    clockwise order of the reflection y -> -y (:func:`_chains`).
+    ascending ordinal).  The top chain's reading list of j is ``right[j]``;
+    the bottom chain's is ``right[j]`` reversed, the clockwise order of the
+    reflection y -> -y (:func:`_chains`).
     """
 
     right: list[list[int]]
-    count: list[list[int]]
 
 
 def build_context(instance: Instance) -> SolverContext:
@@ -354,83 +386,114 @@ def _key_row(xs, ys, a: int, scale: int) -> list[int]:
 
 
 def precompute_edge_weights(ctx: SolverContext) -> EdgeWeights:
-    """Edge weights for all candidate pairs from per-candidate prefix sums.
+    """Edge weights for all candidate pairs from one pass in slope order.
 
-    The identity, its proof and its cost are in the module docstring.  A
-    pass under the capped key that finds a tie group stops, and the pass
-    runs again with ``ctx.slope_scale`` set to the exact X^2.
+    The pass, its invariant and its cost are in the module docstring.  A
+    pass under the capped key that finds a candidate's key shared in its
+    own row stops, and the pass runs again with ``ctx.slope_scale`` set to
+    the exact X^2.
     """
     span = ctx.xs[-1] - ctx.xs[0] if ctx.xs else 0
-    ew = _edge_pass(ctx, ctx.slope_scale < span * span)
+    ew = _pair_pass(ctx, ctx.slope_scale < span * span)
     if ew is None:
         ctx.slope_scale = span * span
-        ew = _edge_pass(ctx, False)
+        ew = _pair_pass(ctx, False)
     return ew
 
 
-def _edge_pass(ctx: SolverContext, capped: bool) -> EdgeWeights | None:
+def _pair_pass(ctx: SolverContext, capped: bool) -> EdgeWeights | None:
     """:func:`precompute_edge_weights` at ``ctx.slope_scale``, or None when
     that scale is ``capped`` and some key(a, b) is not alone in a's row.
 
-    Candidates run right to left, so the rows of every b right of a are at
-    hand for the pairs (a, b); they are dropped on return.
+    Sorts every pair (a, q) of a candidate a and a point q right of it
+    once by key(a, q) and walks them with P[a] and C[a], then corrects the
+    tie runs of candidate pairs (module docstring: edge weights from one
+    pass in slope order).  Under the cap a tie run of a candidate stops the
+    pass before the sort.
     """
     xs, ys, ws, cand, scale = ctx.xs, ctx.ys, ctx.ws, ctx.cand, ctx.slope_scale
-    m = len(cand)
-    is_cand = [w > 0 for w in ws]
-    top, bot, sks, pres, rows = ([None] * m for _ in range(5))
-    for a in range(m - 1, -1, -1):
-        pa = cand[a]
-        keys = _key_row(xs, ys, pa, scale)
-        order = sorted(range(len(keys) - 1, -1, -1), key=keys.__getitem__)
-        sk = sks[a] = list(map(keys.__getitem__, order))
-        pre = pres[a] = list(accumulate(map(ws[pa + 1:].__getitem__, order), initial=0))
-        ahead = list(compress(keys, is_cand[pa + 1:]))  # key(a, b) for b > a
-        lo = list(map(bisect_left, repeat(sk), ahead))
-        hi = list(map(bisect_right, repeat(sk), ahead))
-        # Each hi >= lo + 1, as b is in a's row, so the sums differ exactly
-        # when some key(a, b) shares its group; alone in a's row, it is
-        # alone in b's row too (module docstring).
-        if capped and sum(hi) - sum(lo) != len(lo):
-            return None
-        lo_b = list(map(bisect_left, sks[a + 1:], ahead))
-        hi_b = list(map(bisect_right, sks[a + 1:], ahead))
-        bot[a] = list(map(sub, map(pre.__getitem__, lo), map(getitem, pres[a + 1:], lo_b)))
-        top[a] = list(map(sub, map(pre.__getitem__, hi), map(getitem, pres[a + 1:], hi_b)))
-        rows[a] = (order, lo, hi, lo_b, hi_b)
-    return EdgeWeights(top, bot, Ranks(*([row[f] for row in rows] for f in range(5))))
+    n, m = len(xs), len(cand)
+    ordinal = [0] * n  # a candidate's ordinal, 0 for other points (ordinal 0 is in no row)
+    for c, p in enumerate(cand):
+        ordinal[p] = c
+    # Row a lists the points right of a from right to left, so the stable
+    # sort breaks ties by ascending row, then by descending x.
+    keys, rows, wts, ords, runs = [], [], [], [], []
+    for a, p in enumerate(cand):
+        row = _key_row(xs, ys, p, scale)
+        row.reverse()
+        if len(set(row)) < len(row):
+            groups = {}
+            for q, k in zip(range(n - 1, p, -1), row):
+                groups.setdefault(k, []).append(q)
+            for run in groups.values():
+                if len(run) > 1 and any(map(ordinal.__getitem__, run)):
+                    if capped:
+                        return None
+                    runs.append((a, run))
+        keys += row
+        rows += repeat(a, len(row))
+        wts += ws[:p:-1]
+        ords += ordinal[:p:-1]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys
+
+    bot, first, lo_b, ccw = ([[0] * (m - 1 - a) for a in range(m)] for _ in range(4))
+    P, C = [0] * m, [0] * m
+    for t in order:
+        a = rows[t]
+        pa = P[a]
+        P[a] = pa + wts[t]
+        b = ords[t]
+        if b:
+            x = b - a - 1
+            bot[a][x] = pa - P[b]
+            first[a][x] = ca = C[a]
+            lo_b[a][x] = C[b]
+            ccw[a][ca] = x
+            C[a] = ca + 1
+    del order, rows, wts, ords
+    wc = list(map(ws.__getitem__, cand))
+    top = [list(map(add, row, wc[a + 1:])) for a, row in enumerate(bot)]
+    last = [row[:] for row in first]
+    hi_b = [row[:] for row in lo_b]
+    for a, run in runs:
+        # The run's points in descending x; s and d are the weight and the
+        # candidates of those before b (module docstring).
+        total = sum(map(ws.__getitem__, run))
+        count = sum(1 for q in run if ordinal[q])
+        s = d = 0
+        for q in run:
+            b = ordinal[q]
+            if b:
+                x = b - a - 1
+                bot[a][x] -= s
+                top[a][x] = bot[a][x] + total - s
+                first[a][x] -= d
+                last[a][x] = first[a][x] + count - 1
+                hi_b[a][x] = lo_b[a][x] + d
+                d += 1
+            s += ws[q]
+    return EdgeWeights(top, bot, Ranks(first, last, lo_b, hi_b, ccw))
 
 
 def build_angular_lists(ctx: SolverContext, ew: EdgeWeights) -> AngularLists:
-    """Clockwise orderings right of every candidate, with no sort of their own.
-
-    Each row of ``ew.ranks.order`` is sorted by ascending key, ties by
-    descending x; its candidates, reversed, are the clockwise list.
-    """
-    mark = [w > 0 for w in ctx.ws]
-    ordinal = list(map(mul, accumulate(mark, initial=0), mark))
-    right, count = [], []
-    for p, row in zip(ctx.cand, ew.ranks.order):
-        # A point that is no candidate maps to 0, and ordinal 0 is in no row.
-        ords = list(map(ordinal[p + 1:].__getitem__, row))
-        right.append(list(filter(None, ords))[::-1])
-        count.append(list(accumulate(map(bool, ords), initial=0)))
-    return AngularLists(right, count)
+    """Clockwise orderings right of every candidate, with no sort of their own:
+    each is a counterclockwise list of the pair pass reversed."""
+    return AngularLists([[a + 1 + x for x in reversed(row)] for a, row in enumerate(ew.ranks.ccw)])
 
 
-def compute_first_compatible(count, at, top: bool):
+def compute_first_compatible(ranks: Ranks, top: bool):
     """One chain's first-compatible pointers, fc(i, c) at [i][c - i - 1].
 
-    ``count`` is ``AngularLists.count`` and ``at[i][c - i - 1]`` the
-    ``bisect_right`` (top chain) or ``bisect_left`` (bottom chain) position
-    of key(i, c) in c's row; fc(i, c) is L_c - count_c(at) or count_c(at)
-    (module docstring).
+    From the counts of the pair pass in c's row at k = key(i, c): the L_c -
+    ``hi_b`` candidates with key(c, .) > k for the top chain, the ``lo_b``
+    with key(c, .) < k for the bottom chain (module docstring).
     """
-    ends, rows = [cnt[-1] for cnt in count], []
-    for i, pos in enumerate(at):
-        row = map(getitem, count[i + 1:], pos)
-        rows.append(list(map(sub, ends[i + 1:], row)) if top else list(row))
-    return rows
+    if not top:
+        return ranks.lo_b
+    m = len(ranks.hi_b)
+    return [list(map(sub, range(m - 2 - i, -1, -1), row)) for i, row in enumerate(ranks.hi_b)]
 
 
 @dataclass
@@ -466,22 +529,21 @@ class _Chain:
     best: list[int]
 
 
-def _chain_rows(orders, fcs, base, doff):
-    """The rows ``order``, ``bases`` and ``addrs`` of one :class:`_Chain`.
+def _chain_rows(offsets, fcs, base, doff):
+    """The rows ``bases`` and ``addrs`` of one :class:`_Chain`.
 
-    ``orders[i]`` is i's reading list (clockwise in the chain's frame), in
-    the order the sweep's positions count it; ``fcs`` holds
+    ``offsets[i]`` lists i's reading list (clockwise in the chain's frame),
+    in the order the sweep's positions count it, as the offsets xs = c - i
+    - 1 of its candidates c in i's pair rows; ``fcs`` holds
     :func:`compute_first_compatible`'s rows, and ``base(i, xs)`` gives
-    base(i, c) for the places xs = c - i - 1 of the candidates c in i's pair
-    rows.
+    base(i, c) at those offsets.
     """
     bases, addrs = [], []
-    for i, (order, fc) in enumerate(zip(orders, fcs)):
-        xs = list(map((i + 1).__rsub__, order))
+    for i, (xs, fc) in enumerate(zip(offsets, fcs)):
         at = list(map(add, doff[i + 1:], fc))  # doff[c] + fc(i, c) at c - i - 1
         bases.append(base(i, xs))
         addrs.append(list(map(at.__getitem__, xs)))
-    return orders, bases, addrs
+    return bases, addrs
 
 
 def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
@@ -490,27 +552,27 @@ def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
     The top chain reads ``right`` with bases top(i, c).  The bottom chain is
     the top chain of the reflection y -> -y: it reads ``right`` reversed
     (counterclockwise) with bases -bot(i, c).  Needs ``ew.ranks``.  The
-    bottom chain is built first, so one chain's pointers are live at a time;
-    the ``p`` rows come from the counts at the bisect positions of key(i,
-    k) in i's row (module docstring).
+    bottom chain is built first, so one chain's pointers are live at a time.
+    p(i, k) is ``ranks.last`` on the bottom chain and L_i - 1 -
+    ``ranks.first`` on the top chain (module docstring).
     """
     m = len(ctx.cand)
     none = -sum(map(abs, ctx.ws)) - 1
     # Column c has a slot for each fc(., c) in 0..m - 1 - c.
     doff = list(accumulate(range(m, 0, -1), initial=0))
-    top, bot, ranks, count = ew.top, ew.bot, ew.ranks, lists.count
+    top, bot, ranks = ew.top, ew.bot, ew.ranks
     rows = _chain_rows(
-        [row[::-1] for row in lists.right], compute_first_compatible(count, ranks.lo_b, False),
+        ranks.ccw, compute_first_compatible(ranks, False),
         lambda i, xs: list(map(neg, map(bot[i].__getitem__, xs))), doff,
     )
-    p = [list(map((-1).__add__, map(c.__getitem__, h))) for c, h in zip(count, ranks.hi)]
-    lower = _Chain(*rows, p, doff, none, -1, [none] * doff[-1], [0] * m)
+    orders = [row[::-1] for row in lists.right]
+    lower = _Chain(orders, *rows, ranks.last, doff, none, -1, [none] * doff[-1], [0] * m)
     rows = _chain_rows(
-        lists.right, compute_first_compatible(count, ranks.hi_b, True),
+        [row[::-1] for row in ranks.ccw], compute_first_compatible(ranks, True),
         lambda i, xs: list(map(top[i].__getitem__, xs)), doff,
     )
-    p = [list(map((c[-1] - 1).__sub__, map(c.__getitem__, lo))) for c, lo in zip(count, ranks.lo)]
-    return _Chain(*rows, p, doff, none, 1, [none] * doff[-1], [0] * m), lower
+    p = [list(map(sub, repeat(m - 2 - a), row)) for a, row in enumerate(ranks.first)]
+    return _Chain(lists.right, *rows, p, doff, none, 1, [none] * doff[-1], [0] * m), lower
 
 
 def _fill_slab(ch: _Chain, k: int) -> None:
@@ -663,7 +725,6 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
     wc = [ctx.ws[p] for p in ctx.cand]
     ew = precompute_edge_weights(ctx)
     lists = build_angular_lists(ctx, ew)
-    ew.ranks.order = None
     upper, lower = _chains(ctx, ew, lists)
     ew.ranks = lists = None  # the chains keep the rows they use
 

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -22,7 +23,8 @@ from mwcp.solver2d import (
     KEY_CAP,
     _chains,
     _cycle_weight,
-    _edge_pass,
+    _key_row,
+    _pair_pass,
     build_angular_lists,
     build_context,
     compute_first_compatible,
@@ -279,15 +281,15 @@ def assert_exact_after_fallback(inst):
 
 def test_big_inputs_keep_the_capped_slope_key(monkeypatch):
     # X^2 > 2^64 on the ngon family and on the sheared gen_uniform(200)
-    # seeds, and no key bisected under the cap has a tie group: the edge
-    # pass runs once, at 2^64.  A fallback would run it twice.
-    passes, edge_pass = [], solver2d._edge_pass
+    # seeds, and no candidate's key shares its own row under the cap: the
+    # pair pass runs once, at 2^64.  A fallback would run it twice.
+    passes, pair_pass = [], solver2d._pair_pass
 
     def counted(ctx, capped):
         passes.append(capped)
-        return edge_pass(ctx, capped)
+        return pair_pass(ctx, capped)
 
-    monkeypatch.setattr(solver2d, "_edge_pass", counted)
+    monkeypatch.setattr(solver2d, "_pair_pass", counted)
     instances = [gen_ngon_family(n) for n in range(24, 33)]
     instances += [gen_uniform(200, 2, seed) for seed in (5, 13, 50, 77, 81)]
     for inst in instances:
@@ -300,9 +302,9 @@ def test_big_inputs_keep_the_capped_slope_key(monkeypatch):
 
 
 def test_capped_key_pass_equals_the_exact_pass():
-    # With every bisected key alone in its group, the pass under the cap
-    # gives the sums, the bisect positions and the candidates' row order of
-    # the uncapped key (module docstring).
+    # With every candidate's key alone in its own row, the pass under the
+    # cap gives the sums, the places and counts, and the candidates'
+    # counterclockwise order of the uncapped key (module docstring).
     instances = [gen_ngon_family(n) for n in range(24, 33)]
     instances += [gen_uniform(200, 2, seed) for seed in (5, 13)]
     for inst in instances:
@@ -310,13 +312,51 @@ def test_capped_key_pass_equals_the_exact_pass():
         capped = precompute_edge_weights(ctx)
         assert ctx.slope_scale == KEY_CAP
         ctx.slope_scale = exact_scale(ctx)
-        exact = _edge_pass(ctx, False)
+        exact = _pair_pass(ctx, False)
         assert capped == exact
-        for f in ("lo", "hi", "lo_b", "hi_b"):
-            assert getattr(capped.ranks, f) == getattr(exact.ranks, f)
-        is_cand = [w > 0 for w in ctx.ws]
-        for p, row_c, row_e in zip(ctx.cand, capped.ranks.order, exact.ranks.order):
-            assert [o for o in row_c if is_cand[p + 1 + o]] == [o for o in row_e if is_cand[p + 1 + o]]
+        assert capped.ranks == exact.ranks
+
+
+def parallel_pair_in_other_row(ctx):
+    """Does a pair (a, b) of a candidate a and a candidate b > a have the
+    exact slope of a pair (c, q) of another candidate c that shares no
+    point with it?  Then key(a, b) = key(c, q) at any scale."""
+    xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
+    by_slope = {}
+    for a in cand:
+        for q in range(a + 1, len(xs)):
+            by_slope.setdefault(Fraction(ys[q] - ys[a], xs[q] - xs[a]), []).append((a, q))
+    return any(
+        ctx.ws[b] > 0 and c != a and not {a, b} & {c, q}
+        for group in by_slope.values()
+        for a, b in group
+        for c, q in group
+    )
+
+
+def test_pair_pass_on_mixed_tie_groups():
+    # Key groups that mix ties within a row (a point on the line through two
+    # candidates, right of the left one) with parallel pairs of other rows
+    # that share no point, at the exact scale and scaled by 2^40 (X^2 >
+    # 2^64, the capped key).  The sums, the lists and both chains' fc and p
+    # stay exact, and the pass falls back exactly when a candidate pair's
+    # key is shared within its own row: a parallel pair never makes it.
+    rng = random.Random(99)
+    kinds = Counter()
+    for _ in range(120):
+        grid = grid_instance(rng, range(4), range(4), rng.randint(6, 11))
+        base = build_context(grid)
+        within = has_exact_tie(base)
+        kinds[within, parallel_pair_in_other_row(base)] += 1
+        for inst in (grid, scaled_instance(grid, 2**40)):
+            ctx = build_context(inst)
+            capped = ctx.slope_scale < exact_scale(ctx)
+            ew = precompute_edge_weights(ctx)
+            assert (ctx.slope_scale == KEY_CAP) == (capped and not within)
+            assert ew == brute_edge_weights(ctx)
+            assert build_angular_lists(ctx, ew).right == cmp_angular_lists(ctx)
+            assert_chain_rows_match_direct_search(ctx)
+    assert min(kinds[True, True], kinds[False, True]) >= 10, kinds
 
 
 def test_exact_ties_under_the_cap_fall_back_to_the_exact_key():
@@ -355,21 +395,55 @@ def test_capped_tie_in_b_row_implies_one_in_a_row():
     # Points on a near-line: x_i = i * 2^40 + d_i with d_i < 2^12, y_i = i,
     # so under the cap most keys are 2^24 or 2^24 - 1.  Whenever key(a, b)
     # ties in b's row it ties in a's row too, which is why the pass checks
-    # only a's row (module docstring).
+    # each candidate's key only in its own row (module docstring).  The pass
+    # falls back exactly when some key(a, b) ties in a's row, and its sums
+    # are exact either way.
     rng = random.Random(97)
-    b_ties = 0
+    b_ties = fallbacks = 0
     for _ in range(20):
         rows = [((i * 2**40 + rng.randrange(2**12), i), rng.choice([-2, 1, 3])) for i in range(9)]
         ctx = build_context(make_instance(2, rows))
         if not ctx.cand:
             continue
         assert ctx.slope_scale == KEY_CAP
-        ranks = _edge_pass(ctx, False).ranks
-        rows = zip(ranks.lo, ranks.hi, ranks.lo_b, ranks.hi_b)
-        for lo, hi, lo_b, hi_b in (pos for row in rows for pos in zip(*row)):
-            b_ties += hi_b != lo_b
-            assert hi_b == lo_b or hi != lo + 1
-    assert b_ties >= 100, b_ties
+        keys = {p: _key_row(ctx.xs, ctx.ys, p, KEY_CAP) for p in ctx.cand}
+        a_tied = False
+        for pa in ctx.cand:
+            for pb in ctx.cand:
+                if pb > pa:
+                    k = keys[pa][pb - pa - 1]
+                    in_a, in_b = keys[pa].count(k) > 1, k in keys[pb]
+                    b_ties += in_b
+                    assert in_a or not in_b
+                    a_tied |= in_a
+        ew = precompute_edge_weights(ctx)
+        fallbacks += a_tied
+        assert (ctx.slope_scale == exact_scale(ctx)) == a_tied
+        assert ew == brute_edge_weights(ctx)
+    assert b_ties >= 100 and fallbacks >= 5, (b_ties, fallbacks)
+
+
+def direct_ranks(ctx):
+    """``solver2d.Ranks`` from the slope keys of the candidate pairs alone,
+    at the context's current scale: the places of each key's tie group in
+    the counterclockwise lists, the counts in b's row, and those lists."""
+    cand, m = ctx.cand, len(ctx.cand)
+    key = [[slope_key(ctx, cand[a], cand[c]) for c in range(a + 1, m)] for a in range(m)]
+
+    def below(a, k):
+        return sum(v < k for v in key[a])
+
+    def upto(a, k):
+        return sum(v <= k for v in key[a])
+
+    pairs = [[(a, b, key[a][b - a - 1]) for b in range(a + 1, m)] for a in range(m)]
+    return solver2d.Ranks(
+        [[below(a, k) for a, _, k in row] for row in pairs],
+        [[upto(a, k) - 1 for a, _, k in row] for row in pairs],
+        [[below(b, k) for _, b, k in row] for row in pairs],
+        [[upto(b, k) for _, b, k in row] for row in pairs],
+        [sorted(range(m - 1 - a), key=lambda x: (key[a][x], -x)) for a in range(m)],
+    )
 
 
 def test_angular_lists_match_comparator_sort():
@@ -385,13 +459,9 @@ def test_angular_lists_match_comparator_sort():
         ew = precompute_edge_weights(ctx)
         lists = build_angular_lists(ctx, ew)
         assert lists.right == cmp_angular_lists(ctx)
-        # The sorted rows: ascending key, ties by descending x; the counts
-        # run over the candidates along them.
-        for p, row, count in zip(ctx.cand, ew.ranks.order, lists.count):
-            right = range(len(ctx.xs) - p - 1)
-            assert row == sorted(right, key=lambda o: (slope_key(ctx, p, p + 1 + o), -o))
-            marks = [ctx.ws[p + 1 + o] > 0 for o in row]
-            assert count == [sum(marks[:x]) for x in range(len(row) + 1)]
+        # The pass's counterclockwise lists (ascending key, ties by
+        # descending x), tie-group places and counts, from the keys alone.
+        assert ew.ranks == direct_ranks(ctx)
 
 
 def test_angular_lists_from_shared_key_rows():
@@ -453,8 +523,8 @@ def first_compatible_rows(ew, lists):
     """Each chain's fc(i, c) from ``compute_first_compatible``, row i over
     the candidates c of i's reading list, in reading order."""
     tables = (
-        compute_first_compatible(lists.count, ew.ranks.hi_b, True),
-        compute_first_compatible(lists.count, ew.ranks.lo_b, False),
+        compute_first_compatible(ew.ranks, True),
+        compute_first_compatible(ew.ranks, False),
     )
     return [
         [[fc[i][c - i - 1] for c in reading] for i, reading in enumerate(readings)]
