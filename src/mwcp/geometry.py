@@ -356,8 +356,8 @@ def _membership_lp(rows):
     r, m = len(rows), len(rows[0])
     w = sum(max(1, *map(abs, row)).bit_length() for row in rows)
     w += factorial(r).bit_length() + r.bit_length() + 2
-    bias = sum(1 << w * j for j in range(m + r + 1)) << w - 1
-    packed = [sum(x << w * j for j, x in enumerate(row)) for row in rows]
+    bias = _pack([1] * (m + r + 1), w) << w - 1
+    packed = [_pack(row, w) for row in rows]
     art = [1 << w * (m + i) for i in range(r)]
     return m, w, bias, [a + p for a, p in zip(art, packed)], [a - p for a, p in zip(art, packed)]
 

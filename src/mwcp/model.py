@@ -181,34 +181,36 @@ def prune_to_maximal(instance: Instance, chosen) -> tuple[int, ...]:
     Repeats until every remaining vertex is load-bearing, i.e. the set is
     maximal.  On an optimal witness this never changes the weight.
     """
-    def weight_of(kept, dropped):
-        return evaluate(instance, [u for u in kept if u != dropped]).weight
+    def weigh(kept):
+        def trial(dropped):
+            return evaluate(instance, [u for u in kept if u != dropped]).weight
 
-    return prune_by_weight(chosen, weight_of)[0]
+        return evaluate(instance, kept).weight, trial
+
+    return prune_by_weight(chosen, weigh)[0]
 
 
-def prune_by_weight(chosen, weight_of):
+def prune_by_weight(chosen, weigh):
     """The pruning rules of :func:`prune_to_maximal` for any weight function.
 
     Vertices are tried in ascending index; the first whose removal leaves a
     weight >= the current one is dropped, and the pass restarts until a full
-    pass removes nothing.  ``weight_of(kept, dropped)`` is the weight of the
-    sorted index list ``kept`` without ``dropped`` (None drops nothing);
-    ``kept`` is the current set, a new list after each drop.  Returns the
-    kept indices as a sorted tuple and their weight.
+    pass removes nothing.  ``weigh(kept)`` takes the current set, a sorted
+    index list, once per set and returns ``(weight, trial)``: the weight of
+    ``kept`` and a function ``trial(v)`` giving the weight of ``kept``
+    without v.  Returns the kept indices as a sorted tuple and their weight.
     """
     current = sorted(set(chosen))
     if not current:
         return (), 0
-    weight = weight_of(current, None)
+    weight, trial = weigh(current)
     changed = True
     while changed and current:
         changed = False
         for v in current:
-            w = weight_of(current, v)
-            if w >= weight:
+            if trial(v) >= weight:
                 current = [u for u in current if u != v]
-                weight = w
+                weight, trial = weigh(current)
                 changed = True
                 break
     return tuple(current), weight

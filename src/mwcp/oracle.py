@@ -53,7 +53,6 @@ are the instance's cached ``integer_view``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 
 from .geometry import pack_affine, pivot_free_row, split_columns
 from .model import (
@@ -83,9 +82,11 @@ def solve_bruteforce(
     strictly better weights replace the incumbent, so the first optimum found
     is the canonical witness.  Contained sets come from
     :func:`containment_layers` (see the module docstring for why that needs
-    no LP).  Weights are the ints of ``Instance.integer_view``: a subset's
-    weight is its parent's plus that of the points it contains and its
-    parent does not, exact because the parent's hull lies inside its own.
+    no LP).  Weights are the ints of ``Instance.integer_view``, kept per
+    layer in a dict keyed by subset: a subset's weight is its parent's (the
+    subset minus its largest member, read by key) plus that of the points it
+    contains and its parent does not, exact because the parent's hull lies
+    inside its own.
 
     That witness is already maximal.  Dropping a vertex leaves a subset one
     smaller.  Were its weight >= the optimum, it would itself be optimal and
@@ -113,20 +114,17 @@ def solve_bruteforce(
         return empty_solution(instance.dimension) if allow_empty else best_singleton(instance)
     coords, iw, scale = instance.integer_view
     layers = containment_layers(coords, pos)
-    prev_layer, prev_weight = next(layers), [0]
+    prev_layer, prev_weight = next(layers), {0: 0}
     best = (0, 0, 0) if allow_empty else None  # (subset, contained, scaled weight)
     best_child_weight = None
     for layer in layers:
-        # Parents come in step: a layer extends each previous subset in turn.
-        weight = []
-        children = iter(layer.items())
-        for (p, cp), wp in zip(prev_layer.items(), prev_weight):
-            for s, c in islice(children, len(pos) - p.bit_length()):
-                ws = wp + _mask_weight(c & ~cp, iw)
-                weight.append(ws)
-                if best is None or ws > best[2]:
-                    best = (s, c, ws)
-                    best_child_weight = max(_mask_weight(prev_layer[s ^ b], iw) for b in _bits(s))
+        weight = {}
+        for s, c in layer.items():
+            p = s ^ 1 << s.bit_length() - 1  # the parent: s minus its largest member
+            weight[s] = ws = prev_weight[p] + _mask_weight(c & ~prev_layer[p], iw)
+            if best is None or ws > best[2]:
+                best = (s, c, ws)
+                best_child_weight = max(_mask_weight(prev_layer[s ^ b], iw) for b in _bits(s))
         prev_layer, prev_weight = layer, weight
     subset, contained, w = best
     if best_child_weight is not None and best_child_weight >= w:

@@ -59,10 +59,10 @@ would tie with b.  So when every candidate b is alone in a's row at
 key(a, b), P and C below, and with them the sums, the counts fc and p,
 and the row order of the candidates, are exactly those of the uncapped
 key.  A pair of another row may share k: the pass reads only rows a and b
-at (a, b), so it changes nothing.  Otherwise the pass sets M = X^2 and runs once more.  An exact tie always
-merges under the cap, so an input with a point q right of a candidate a on
-the line through a and another candidate takes that second pass, and the
-proofs below hold as written.
+at (a, b), so it changes nothing.  Otherwise the pass sets M = X^2 and
+runs once more.  An exact tie always merges under the cap, so an input
+with a point q right of a candidate a on the line through a and another
+candidate takes that second pass, and the proofs below hold as written.
 
 Edge weights from one pass in slope order.  ``top(a, b)`` / ``bot(a, b)``
 sum the weights on or below / strictly below edge (a, b) over the
@@ -116,13 +116,18 @@ dropped before the chains are built.
 The same counts rank the candidates for the chains.  The walk meets a's
 candidates by ascending key, ties by descending x, so C[a] before b's add
 is b's place in a's counterclockwise list, the bottom chain's reading
-list.  ``right[a]``, the top chain's, is that list reversed; L_a =
-|right[a]| = m - 1 - a.  Of a's candidates C_a(< k) have key < k and L_a -
-C_a(<= k) key > k, so b's tie group ends at p(a, b) = L_a - C_a(< k) - 1
-of ``right[a]`` and at C_a(<= k) - 1 of its reverse.  In b's row they give
-fc(a, b) (below), the candidates before the first compatible turn: the L_b
-- C_b(<= k) with key(b, .) > k for the top chain, the C_b(< k) with key(b,
-.) < k for the bottom chain.
+list.  The pass writes b there as its offset b - a - 1, the index of every
+pair table, and every reading list keeps that offset, so no list is
+converted.  ``right[a]``, the top chain's, is that list reversed, the one
+list reversal of a solve; L_a = |right[a]| = m - 1 - a.  Of a's candidates
+C_a(< k) have key < k and L_a - C_a(<= k) key > k, so b's tie group ends
+at p(a, b) = L_a - C_a(< k) - 1 of ``right[a]`` and at C_a(<= k) - 1 of
+its reverse.  In b's row they give fc(a, b) (below), the candidates before
+the first compatible turn: the L_b - C_b(<= k) with key(b, .) > k for the
+top chain, the C_b(< k) with key(b, .) < k for the bottom chain.  The
+sweep reads fc(a, b) only at its address in column b's slots, so
+``compute_first_compatible`` returns the addresses themselves, indexed by
+offset like the pair tables.
 
 One identity weighs every polygon.  Take a counterclockwise boundary
 cycle with leftmost point L (its smallest ordinal, as x is distinct), and
@@ -311,7 +316,9 @@ class Ranks:
 
     ``ccw[a]`` lists the candidates b right of a, as their offsets b - a - 1
     in a's pair rows, by ascending key(a, b), ties by descending x:
-    counterclockwise around a.  For candidate ordinals a < b with k =
+    counterclockwise around a.  It is the bottom chain's reading list of a,
+    and reversed the top chain's (:func:`build_angular_lists`); every
+    reading list holds such offsets.  For candidate ordinals a < b with k =
     key(a, b), at [a][b - a - 1]: ``first`` / ``last`` are the positions in
     ``ccw[a]`` of the first / last candidate c with key(a, c) = k, so
     ``first`` counts a's candidates with key below k and ``last + 1`` those
@@ -334,7 +341,9 @@ class EdgeWeights:
     edge (a, b) over the half-open slab x_a < x <= x_b, so top counts b
     itself and bot never does.  ``top - bot`` is exactly the weight on the
     segment without a, which is what makes boundary points of degenerate
-    inputs count once overall (module docstring: one identity).
+    inputs count once overall (module docstring: one identity).  The
+    offset b - a - 1 indexes every 2D row: these tables, ``ranks``, the
+    reading lists and the chains' address rows.
     ``ranks`` holds the positions and counts the same pass read, which
     :func:`build_angular_lists`, :func:`compute_first_compatible` and
     :func:`_chains` take; ``solve_2d`` drops it once the chains are built,
@@ -344,20 +353,6 @@ class EdgeWeights:
     top: list[list[int]]
     bot: list[list[int]]
     ranks: Ranks | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass
-class AngularLists:
-    """Per-candidate clockwise orderings of the candidates to the right.
-
-    ``right[j]`` holds the ordinals right of candidate j sorted clockwise
-    around it, i.e. by decreasing slope of the outgoing direction (ties by
-    ascending ordinal).  The top chain's reading list of j is ``right[j]``;
-    the bottom chain's is ``right[j]`` reversed, the clockwise order of the
-    reflection y -> -y (:func:`_chains`).
-    """
-
-    right: list[list[int]]
 
 
 def build_context(instance: Instance) -> SolverContext:
@@ -477,23 +472,28 @@ def _pair_pass(ctx: SolverContext, capped: bool) -> EdgeWeights | None:
     return EdgeWeights(top, bot, Ranks(first, last, lo_b, hi_b, ccw))
 
 
-def build_angular_lists(ctx: SolverContext, ew: EdgeWeights) -> AngularLists:
-    """Clockwise orderings right of every candidate, with no sort of their own:
-    each is a counterclockwise list of the pair pass reversed."""
-    return AngularLists([[a + 1 + x for x in reversed(row)] for a, row in enumerate(ew.ranks.ccw)])
+def build_angular_lists(ctx: SolverContext, ew: EdgeWeights) -> list[list[int]]:
+    """The top chain's reading lists: row a holds the candidates b right of
+    a, as offsets b - a - 1, clockwise around a (by decreasing key(a, b),
+    ties by ascending x).  Each is a counterclockwise row of the pair pass,
+    ``ranks.ccw``, reversed: the one list reversal of a solve."""
+    return [row[::-1] for row in ew.ranks.ccw]
 
 
-def compute_first_compatible(ranks: Ranks, top: bool):
-    """One chain's first-compatible pointers, fc(i, c) at [i][c - i - 1].
+def compute_first_compatible(ranks: Ranks, doff: list[int], top: bool):
+    """One chain's first-compatible pointers as sweep addresses: doff[c] +
+    fc(i, c) at [i][c - i - 1].
 
-    From the counts of the pair pass in c's row at k = key(i, c): the L_c -
-    ``hi_b`` candidates with key(c, .) > k for the top chain, the ``lo_b``
-    with key(c, .) < k for the bottom chain (module docstring).
+    From the counts of the pair pass in c's row at k = key(i, c): fc is the
+    L_c - ``hi_b`` candidates with key(c, .) > k on the top chain, and
+    column c has L_c + 1 slots, so the address is doff[c + 1] - 1 -
+    ``hi_b``; on the bottom chain fc is the ``lo_b`` candidates with key(c,
+    .) < k, at doff[c] + ``lo_b`` (module docstring).
     """
-    if not top:
-        return ranks.lo_b
-    m = len(ranks.hi_b)
-    return [list(map(sub, range(m - 2 - i, -1, -1), row)) for i, row in enumerate(ranks.hi_b)]
+    if top:
+        ends = [d - 1 for d in doff]
+        return [list(map(sub, ends[i + 2:], row)) for i, row in enumerate(ranks.hi_b)]
+    return [list(map(add, doff[i + 1:], row)) for i, row in enumerate(ranks.lo_b)]
 
 
 @dataclass
@@ -503,19 +503,20 @@ class _Chain:
     The top chain stores C; the bottom chain stores -V, so both run the same
     max kernel and ``sign * value`` is the table entry.  Positions f of
     column j are positions in j's reading list (``right[j]`` for the top
-    chain, ``right[j]`` reversed for the bottom one).  Once slab k is filled,
-    column j < k holds ``sufmax[doff[j] + f]``, the best cell (j, c, k) over
-    positions f..p of the list, p = p(j, k) = ``p[j][k - j - 1]`` the last
-    position of k's tie group; column k holds 0 and columns right of k hold
-    ``none``, the infeasible sentinel; and ``best[j]`` is the best cell (j,
-    c, k) over all c.  Cell (i, j, k) is never stored: it is base(i, j) +
-    sufmax[doff[j] + fc(i, j)], and cell (i, k, k) is base(i, k).  Every
-    cell leaves out w_i, which ``solve_2d`` adds once per pair (module
-    docstring: one identity).
+    chain, ``ranks.ccw[j]``, its reverse, for the bottom one).  Once slab k
+    is filled, column j < k holds ``sufmax[doff[j] + f]``, the best cell (j,
+    c, k) over positions f..p of the list, p = p(j, k) = ``p[j][k - j - 1]``
+    the last position of k's tie group; column k holds 0 and columns right
+    of k hold ``none``, the infeasible sentinel; and ``best[j]`` is the best
+    cell (j, c, k) over all c.  Cell (i, j, k) is never stored: it is
+    base(i, j) + sufmax[doff[j] + fc(i, j)], and cell (i, k, k) is base(i,
+    k).  Every cell leaves out w_i, which ``solve_2d`` adds once per pair
+    (module docstring: one identity).
 
     Row i runs over i's reading list in reading order: ``order[i][f]`` is
-    the candidate c at position f, ``bases[i][f]`` is base(i, c) and
-    ``addrs[i][f]`` is doff[c] + fc(i, c).
+    the offset c - i - 1 of the candidate c at position f, as in the pair
+    tables, ``bases[i][f]`` is base(i, c) and ``addrs[i][f]`` is doff[c] +
+    fc(i, c).
     """
 
     order: list[list[int]]
@@ -529,50 +530,32 @@ class _Chain:
     best: list[int]
 
 
-def _chain_rows(offsets, fcs, base, doff):
-    """The rows ``bases`` and ``addrs`` of one :class:`_Chain`.
-
-    ``offsets[i]`` lists i's reading list (clockwise in the chain's frame),
-    in the order the sweep's positions count it, as the offsets xs = c - i
-    - 1 of its candidates c in i's pair rows; ``fcs`` holds
-    :func:`compute_first_compatible`'s rows, and ``base(i, xs)`` gives
-    base(i, c) at those offsets.
-    """
-    bases, addrs = [], []
-    for i, (xs, fc) in enumerate(zip(offsets, fcs)):
-        at = list(map(add, doff[i + 1:], fc))  # doff[c] + fc(i, c) at c - i - 1
-        bases.append(base(i, xs))
-        addrs.append(list(map(at.__getitem__, xs)))
-    return bases, addrs
-
-
-def _chains(ctx: SolverContext, ew: EdgeWeights, lists: AngularLists):
+def _chains(ctx: SolverContext, ew: EdgeWeights, right: list[list[int]]):
     """The top-chain (C) and bottom-chain (-V) recurrences, one builder twice.
 
-    The top chain reads ``right`` with bases top(i, c).  The bottom chain is
-    the top chain of the reflection y -> -y: it reads ``right`` reversed
-    (counterclockwise) with bases -bot(i, c).  Needs ``ew.ranks``.  The
-    bottom chain is built first, so one chain's pointers are live at a time.
-    p(i, k) is ``ranks.last`` on the bottom chain and L_i - 1 -
-    ``ranks.first`` on the top chain (module docstring).
+    The top chain reads ``right``, from :func:`build_angular_lists`, with
+    bases top(i, c).  The bottom chain is the top chain of the reflection y
+    -> -y: it reads the pass's counterclockwise lists ``ranks.ccw`` with
+    bases -bot(i, c).  Needs ``ew.ranks``.  The bottom chain is built first,
+    so one chain's pointers are live at a time.  p(i, k) is ``ranks.last``
+    on the bottom chain and L_i - 1 - ``ranks.first`` on the top chain
+    (module docstring).
     """
     m = len(ctx.cand)
     none = -sum(map(abs, ctx.ws)) - 1
     # Column c has a slot for each fc(., c) in 0..m - 1 - c.
     doff = list(accumulate(range(m, 0, -1), initial=0))
-    top, bot, ranks = ew.top, ew.bot, ew.ranks
-    rows = _chain_rows(
-        ranks.ccw, compute_first_compatible(ranks, False),
-        lambda i, xs: list(map(neg, map(bot[i].__getitem__, xs))), doff,
-    )
-    orders = [row[::-1] for row in lists.right]
-    lower = _Chain(orders, *rows, ranks.last, doff, none, -1, [none] * doff[-1], [0] * m)
-    rows = _chain_rows(
-        [row[::-1] for row in ranks.ccw], compute_first_compatible(ranks, True),
-        lambda i, xs: list(map(top[i].__getitem__, xs)), doff,
-    )
+    ranks = ew.ranks
+
+    def chain(order, table, sign, p):
+        at = compute_first_compatible(ranks, doff, sign > 0)
+        bases = [list(map(row.__getitem__, xs)) for row, xs in zip(table, order)]
+        addrs = [list(map(row.__getitem__, xs)) for row, xs in zip(at, order)]
+        return _Chain(order, bases, addrs, p, doff, none, sign, [none] * doff[-1], [0] * m)
+
+    lower = chain(ranks.ccw, [list(map(neg, row)) for row in ew.bot], -1, ranks.last)
     p = [list(map(sub, repeat(m - 2 - a), row)) for a, row in enumerate(ranks.first)]
-    return _Chain(lists.right, *rows, p, doff, none, 1, [none] * doff[-1], [0] * m), lower
+    return chain(right, ew.top, 1, p), lower
 
 
 def _fill_slab(ch: _Chain, k: int) -> None:
@@ -612,12 +595,16 @@ def _walk(ctx: SolverContext, ch: _Chain, i0: int, k: int):
     """
 
     def steps(j, f):
-        # (cell (j, c, k), c, its address) for c <= k at positions f..p(j, k).
+        # (cell (j, c, k), c, its address) at positions f..p(j, k) for c <=
+        # k, the offsets c - j - 1 up to k's own.
         order, bases, addrs, sufmax = ch.order[j], ch.bases[j], ch.addrs[j], ch.sufmax
-        p = ch.p[j][k - j - 1]
+        last = k - j - 1
+        p = ch.p[j][last]
         assert f <= p, "walked into an infeasible cell"
-        rows = range(f, p + 1)
-        return [(bases[x] + sufmax[addrs[x]], order[x], addrs[x]) for x in rows if order[x] <= k]
+        return [
+            (bases[x] + sufmax[addrs[x]], j + 1 + order[x], addrs[x])
+            for x in range(f, p + 1) if order[x] <= last
+        ]
 
     v, j, at = max(sorted(steps(i0, 0), key=itemgetter(1)), key=itemgetter(0))
     path = [i0, j]
@@ -669,39 +656,36 @@ def prune_with_tables(ctx: SolverContext, ew: EdgeWeights, cycle):
     vertices as sorted instance indices, exactly as the model does, and
     their scaled hull weight.
 
-    After each drop the kept points' cycle and its ``_cycle_weight`` are
-    built once.  A trial drop of a point c between its cycle neighbours p
-    and n scores that sum + e(p -> n) - e(p -> c) - e(c -> n), plus
-    w_{min(p, n)} - w_c when c is the leftmost point; the last point of a
-    cycle drops to the empty set, which weighs 0 (module docstring: witness
-    finishing).
+    ``weigh`` builds the kept points' cycle and its ``_cycle_weight`` once
+    per kept set, as ``prune_by_weight`` calls it.  A trial drop of a point
+    c between its cycle neighbours p and n scores that sum + e(p -> n) -
+    e(p -> c) - e(c -> n), plus w_{min(p, n)} - w_c when c is the leftmost
+    point; the last point of a cycle drops to the empty set, which weighs 0
+    (module docstring: witness finishing).
     """
     ws, cand = ctx.ws, ctx.cand
     ordinal = {ctx.orig[cand[c]]: c for c in cycle}
-    # The current kept list, its cycle, each point's place on it, its
-    # leftmost point and the cycle's weight.
-    state = [None]
 
-    def weight_of(kept, dropped):
-        if state[0] is not kept:
-            keep = set(map(ordinal.__getitem__, kept))
-            hull = list(filter(keep.__contains__, cycle))
-            at = {c: i for i, c in enumerate(hull)}
-            state[:] = kept, hull, at, min(hull), _cycle_weight(ctx, ew, hull)
-        _, hull, at, left, w = state
-        if dropped is None:
-            return w
-        if len(hull) == 1:
-            return 0
-        c = ordinal[dropped]
-        i = at[c]
-        p, n = hull[i - 1], hull[(i + 1) % len(hull)]
-        w += _edge(ew, p, n) - _edge(ew, p, c) - _edge(ew, c, n)
-        if c == left:
-            w += ws[cand[min(p, n)]] - ws[cand[c]]
-        return w
+    def weigh(kept):
+        keep = set(map(ordinal.__getitem__, kept))
+        hull = list(filter(keep.__contains__, cycle))
+        at = {c: i for i, c in enumerate(hull)}
+        left, w = min(hull, default=None), _cycle_weight(ctx, ew, hull)
 
-    return prune_by_weight(ordinal, weight_of)
+        def trial(dropped):
+            if len(hull) == 1:
+                return 0
+            c = ordinal[dropped]
+            i = at[c]
+            p, n = hull[i - 1], hull[(i + 1) % len(hull)]
+            t = w + _edge(ew, p, n) - _edge(ew, p, c) - _edge(ew, c, n)
+            if c == left:
+                t += ws[cand[min(p, n)]] - ws[cand[c]]
+            return t
+
+        return w, trial
+
+    return prune_by_weight(ordinal, weigh)
 
 
 def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
@@ -724,9 +708,8 @@ def solve_2d(instance: Instance, *, allow_empty: bool = True) -> Solution:
         return best_singleton(instance)
     wc = [ctx.ws[p] for p in ctx.cand]
     ew = precompute_edge_weights(ctx)
-    lists = build_angular_lists(ctx, ew)
-    upper, lower = _chains(ctx, ew, lists)
-    ew.ranks = lists = None  # the chains keep the rows they use
+    upper, lower = _chains(ctx, ew, build_angular_lists(ctx, ew))
+    ew.ranks = None  # the chains keep the rows they use
 
     # reach[k] = P(k), the weight of the candidates 0..k: no polygon whose
     # rightmost vertex is k or left of it weighs more (module docstring).

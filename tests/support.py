@@ -550,11 +550,14 @@ def prune_by_cycle_sums(ctx, ew, cycle):
     of it."""
     ordinal = {ctx.orig[ctx.cand[c]]: c for c in cycle}
 
-    def weight_of(kept, dropped):
-        keep = {ordinal[u] for u in kept if u != dropped}
-        return solver2d._cycle_weight(ctx, ew, [c for c in cycle if c in keep])
+    def weigh(kept):
+        def trial(dropped):
+            keep = {ordinal[u] for u in kept if u != dropped}
+            return solver2d._cycle_weight(ctx, ew, [c for c in cycle if c in keep])
 
-    return prune_by_weight(ordinal, weight_of)
+        return trial(None), trial
+
+    return prune_by_weight(ordinal, weigh)
 
 
 def brute_edge_weights(ctx):
@@ -657,6 +660,12 @@ def naive_V_tables(ctx, ew):
     return out
 
 
+def ordinals(rows):
+    """Rows of offsets c - i - 1, the 2D reading lists and ``_Chain.order``,
+    as the candidate ordinals c."""
+    return [[i + 1 + x for x in row] for i, row in enumerate(rows)]
+
+
 def _tables(ch) -> dict:
     """Every cell (i, j, k) of one chain, read off the solver's own sweep.
 
@@ -665,12 +674,13 @@ def _tables(ch) -> dict:
     sufmax at fc(i, j) of column j, feasible when j == k or fc(i, j) <=
     p(j, k); positions past p hold stale maxima.
     """
-    m = len(ch.order)
+    order = ordinals(ch.order)
+    m = len(order)
     out = {}
     for k in range(m - 1, -1, -1):
         solver2d._fill_slab(ch, k)
         for i in range(k):
-            for j, base, at in zip(ch.order[i], ch.bases[i], ch.addrs[i]):
+            for j, base, at in zip(order[i], ch.bases[i], ch.addrs[i]):
                 if j > k:
                     continue
                 if j < k:

@@ -2,6 +2,7 @@ import collections
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -372,6 +373,46 @@ def test_module_entry_point(tmp_path):
     proc = run_module(tmp_path, "-m", "mwcp", "solve", path, "--format", "json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["weight"] == "6"
+
+
+def other_interpreters():
+    """The interpreters beside this one in its pyenv ``versions`` directory
+    whose version is 3.10 or later, the range ``requires-python`` claims."""
+    exe = Path(sys.executable)
+    versions = exe.parents[2]
+    if versions.name != "versions":
+        return []
+    found = []
+    for home in sorted(versions.iterdir()):
+        match = re.fullmatch(r"(\d+)\.(\d+)\.\d+", home.name)
+        python = home / "bin" / "python"
+        if match and home != exe.parents[1] and python.exists():
+            if tuple(map(int, match.groups())) >= (3, 10):
+                found.append(python)
+    return found
+
+
+def test_every_claimed_interpreter_gives_the_same_answer(tmp_path, capsys):
+    pythons = other_interpreters()
+    if not pythons:
+        pytest.skip("no other Python 3.10+ beside this one")
+    gpath = write(tmp_path, "c5.graph", "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+    paths = [write(tmp_path, "t.mwcp", TRIANGLE), str(tmp_path / "ngon.mwcp")]
+    paths.append(str(tmp_path / "c5.mwcp"))
+    assert main(["gen", "--family", "ngon", "--n", "30", "--out", paths[1]]) == 0
+    assert main(["reduce", gpath, paths[2]]) == 0
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(mwcp.__file__).resolve().parents[1]))
+    for path in paths:
+        assert main(["solve", path, "--format", "json"]) == 0
+        expect = json.loads(capsys.readouterr().out)
+        for python in pythons:
+            proc = subprocess.run(
+                [str(python), "-m", "mwcp", "solve", path, "--format", "json"],
+                capture_output=True, text=True, cwd=tmp_path, env=env,
+            )
+            assert proc.returncode == 0, (python, proc.stderr)
+            assert json.loads(proc.stdout) == expect, (python, path)
 
 
 def test_solve_2d_under_optimize_flag(tmp_path, capsys, monkeypatch):

@@ -48,6 +48,7 @@ from support import (
     is_boundary_cycle,
     naive_C_tables,
     naive_V_tables,
+    ordinals,
     orientation,
     prune_by_cycle_sums,
     random_instance,
@@ -354,7 +355,7 @@ def test_pair_pass_on_mixed_tie_groups():
             ew = precompute_edge_weights(ctx)
             assert (ctx.slope_scale == KEY_CAP) == (capped and not within)
             assert ew == brute_edge_weights(ctx)
-            assert build_angular_lists(ctx, ew).right == cmp_angular_lists(ctx)
+            assert ordinals(build_angular_lists(ctx, ew)) == cmp_angular_lists(ctx)
             assert_chain_rows_match_direct_search(ctx)
     assert min(kinds[True, True], kinds[False, True]) >= 10, kinds
 
@@ -458,7 +459,7 @@ def test_angular_lists_match_comparator_sort():
         ctx = build_context(inst)
         ew = precompute_edge_weights(ctx)
         lists = build_angular_lists(ctx, ew)
-        assert lists.right == cmp_angular_lists(ctx)
+        assert ordinals(lists) == cmp_angular_lists(ctx)
         # The pass's counterclockwise lists (ascending key, ties by
         # descending x), tie-group places and counts, from the keys alone.
         assert ew.ranks == direct_ranks(ctx)
@@ -477,13 +478,13 @@ def test_angular_lists_from_shared_key_rows():
         # The lists read off the edge-weight pass's rows are a stable sort of
         # the candidates right of j by -key(j, .).
         for j, row in enumerate(direct_key_rows(ctx)):
-            assert lists.right[j] == [j + 1 + o for o in sorted(range(len(row)), key=row.__getitem__)]
+            assert lists[j] == sorted(range(len(row)), key=row.__getitem__)
 
 
 def test_angular_lists_collinear_middle():
     ctx = ctx_for([((0, 0), 1), ((1, 0), 1), ((2, 0), 1)])
     lists = build_angular_lists(ctx, precompute_edge_weights(ctx))
-    assert lists.right == [[1, 2], [2], []]
+    assert ordinals(lists) == [[1, 2], [2], []]
 
 
 def test_angular_lists_clockwise_top_to_bottom():
@@ -491,7 +492,7 @@ def test_angular_lists_clockwise_top_to_bottom():
     ctx = ctx_for([((0, 0), 1), ((1, 1), 1), ((2, 0), 1), ((1, -1), 1)])
     lists = build_angular_lists(ctx, precompute_edge_weights(ctx))
     j = 0  # ordinal of (0,0)
-    pts = [ctx.instance.points[ctx.orig[ctx.cand[c]]].point for c in lists.right[j]]
+    pts = [ctx.instance.points[ctx.orig[ctx.cand[c]]].point for c in ordinals(lists)[j]]
     assert pts == [(1, 1), (2, 0), (1, -1)]
 
 
@@ -500,11 +501,11 @@ def test_angular_lists_sizes_and_order():
     for _ in range(100):
         inst = random_instance(rng, rng.randint(2, 9), 2, 1, 3)
         ctx = build_context(inst)
-        lists = build_angular_lists(ctx, precompute_edge_weights(ctx))
+        lists = ordinals(build_angular_lists(ctx, precompute_edge_weights(ctx)))
         m = len(ctx.cand)
         xs, ys, cand = ctx.xs, ctx.ys, ctx.cand
         for j in range(m):
-            seq = lists.right[j]
+            seq = lists[j]
             assert sorted(seq) == list(range(j + 1, m))
             for a, b in zip(seq, seq[1:]):
                 ua = (xs[cand[a]] - xs[cand[j]], ys[cand[a]] - ys[cand[j]])
@@ -514,20 +515,23 @@ def test_angular_lists_sizes_and_order():
 
 
 def chain_readings(lists):
-    """(reading lists, turn sign) of the top chain and of the bottom chain,
-    which reads the right lists counterclockwise."""
-    return ((lists.right, 1), ([row[::-1] for row in lists.right], -1))
+    """(reading lists as ordinals, turn sign) of the top chain and of the
+    bottom chain, which reads the right lists counterclockwise."""
+    right = ordinals(lists)
+    return ((right, 1), ([row[::-1] for row in right], -1))
 
 
 def first_compatible_rows(ew, lists):
     """Each chain's fc(i, c) from ``compute_first_compatible``, row i over
-    the candidates c of i's reading list, in reading order."""
+    the candidates c of i's reading list, in reading order: each address
+    less doff[c], the start of column c's slots."""
+    doff = list(accumulate(range(len(lists), 0, -1), initial=0))
     tables = (
-        compute_first_compatible(ew.ranks, True),
-        compute_first_compatible(ew.ranks, False),
+        compute_first_compatible(ew.ranks, doff, True),
+        compute_first_compatible(ew.ranks, doff, False),
     )
     return [
-        [[fc[i][c - i - 1] for c in reading] for i, reading in enumerate(readings)]
+        [[fc[i][c - i - 1] - doff[c] for c in reading] for i, reading in enumerate(readings)]
         for (readings, _), fc in zip(chain_readings(lists), tables)
     ]
 
@@ -592,9 +596,9 @@ def assert_chain_rows_match_direct_search(ctx):
     lists = build_angular_lists(ctx, ew)
     chains = _chains(ctx, ew, lists)
     for ch, (readings, sign) in zip(chains, chain_readings(lists)):
+        assert ordinals(ch.order) == readings
         direct = direct_first_compatible(ctx, readings, sign)
         for i, reading in enumerate(readings):
-            assert ch.order[i] == reading
             assert ch.addrs[i] == [ch.doff[c] + f for c, f in zip(reading, direct[i])]
             for k in reading:
                 p = max(x for x, c in enumerate(reading) if turn_sign(ctx, i, c, k) == 0)
@@ -994,13 +998,14 @@ def _sentinel_margins(inst):
         for (_, _, k), v in _tables(ch).items():
             if v is not None:
                 least[k] = min(least.get(k, ch.sign * v), ch.sign * v)
-        for k in range(len(swept.order) - 1, -1, -1):
+        order = ordinals(swept.order)
+        for k in range(len(order) - 1, -1, -1):
             solver2d._fill_slab(swept, k)
             reads = [
                 (base + swept.sufmax[at], base)
                 for j in range(k)
                 for f, (c, base, at) in enumerate(
-                    zip(swept.order[j], swept.bases[j], swept.addrs[j]))
+                    zip(order[j], swept.bases[j], swept.addrs[j]))
                 if f <= swept.p[j][k - j - 1] and c > k
             ]
             if reads and k in least:
@@ -1298,5 +1303,5 @@ def test_precompute_matches_brute_force_on_drawn_instances(inst):
     ctx = build_context(inst)
     ew = precompute_edge_weights(ctx)
     assert ew == brute_edge_weights(ctx)
-    assert build_angular_lists(ctx, ew).right == cmp_angular_lists(ctx)
+    assert ordinals(build_angular_lists(ctx, ew)) == cmp_angular_lists(ctx)
     assert_chain_rows_match_direct_search(ctx)
